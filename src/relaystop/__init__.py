@@ -1,19 +1,15 @@
 """Opportunistic relay channel access: threshold solvers and simulator."""
 
 from .channel import (
-    ChannelRealization,
     FixedGain,
     RayleighFading,
     SystemParams,
     af_rate,
-    best_relay_rate,
     gain_for_rate,
     rate_saturation,
-    sample_gain_sq,
 )
 from .contention import (
     ContentionOutcome,
-    expected_contention_time,
     sample_contention,
     simulate_contention_slots,
     success_prob,
@@ -24,14 +20,11 @@ from .errors import (
     ContentionDeadlockError,
     InsufficientDataError,
     InvalidParameterError,
-    InvalidStateError,
     PolicyMismatchError,
     RelayStopError,
     SolverFailureError,
 )
 from .policies import (
-    CONTINUE,
-    Decision,
     PolicyKind,
     PolicySpec,
     full_csi_decide,
@@ -41,11 +34,9 @@ from .policies import (
     optimal_sub_decide,
 )
 from .simulator import (
-    PacketRecord,
     SimConfig,
     SimStats,
     StoppingTimeStats,
-    default_observations,
     fixed_rate_observations,
     run_scenario1,
     run_scenario2,
@@ -57,6 +48,7 @@ from .solver import (
     SubLayerStats,
     ThresholdSolution,
     constant_rate_sampler,
+    default_observations,
     discrete_rate_sampler,
     expected_positive_part_full_csi,
     full_csi_rate_sampler,

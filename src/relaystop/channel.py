@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidStateError
+from .errors import InvalidParameterError
 
 LN2 = math.log(2.0)
 
@@ -86,36 +86,6 @@ def _check_contention_prob(name: str, p: float, n: int) -> None:
             f"{name} = 1 is only allowed with a single contender")
 
 
-@dataclass
-class ChannelRealization:
-    """Squared gains seen by one contention winner.
-
-    ``first_hop[j]`` is the gain to relay j+1, ``second_hop[j]`` the gain from
-    relay j+1 to the destination. ``second_hop`` is None when the winner does
-    not observe the second hop.
-    """
-
-    first_hop: np.ndarray
-    second_hop: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.first_hop = _as_gain_vector("first_hop", self.first_hop)
-        if self.second_hop is not None:
-            self.second_hop = _as_gain_vector("second_hop", self.second_hop)
-            if self.second_hop.shape != self.first_hop.shape:
-                raise InvalidParameterError(
-                    "first_hop and second_hop must have the same length")
-
-
-def _as_gain_vector(name: str, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidParameterError(f"{name} must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise InvalidParameterError(f"{name} entries must be finite and >= 0")
-    return arr
-
-
 @dataclass(frozen=True)
 class RayleighFading:
     """Squared-magnitude fading gain: exponential with the given mean."""
@@ -161,13 +131,6 @@ class FixedGain:
         return (req <= self.gain).astype(float)
 
 
-def sample_gain_sq(rng: np.random.Generator, variance: float) -> float:
-    """Draw one squared channel gain, exponential with mean ``variance``."""
-    if not (variance > 0.0):
-        raise InvalidParameterError("variance must be > 0")
-    return float(rng.exponential(variance))
-
-
 def af_rate(source_power, relay_power, f_sq, g_sq):
     """Amplify-and-forward end-to-end rate for one relay path.
 
@@ -209,23 +172,6 @@ def gain_for_rate(source_power, relay_power, f_sq, rate):
         raw = c * (1.0 + a) / (pr * (a - c))
     out = np.where(r <= 0.0, 0.0, np.where(c < a, raw, np.inf))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def best_relay_rate(params: SystemParams, ch: ChannelRealization):
-    """Best achievable AF rate over all relays and the 1-based argmax index.
-
-    Ties go to the lowest relay index. Requires both hops to be observed.
-    """
-    if ch.second_hop is None:
-        raise InvalidStateError("second-hop gains are required to pick a relay")
-    if ch.first_hop.size != params.num_relays:
-        raise InvalidParameterError(
-            f"realization has {ch.first_hop.size} relays, expected {params.num_relays}")
-    rates = af_rate(params.source_power, params.relay_power,
-                    ch.first_hop, ch.second_hop)
-    rates = np.atleast_1d(rates)
-    best = int(np.argmax(rates))
-    return float(rates[best]), best + 1
 
 
 def _check_powers(source_power, relay_power):

@@ -35,12 +35,6 @@ def success_prob(n: int, p: float) -> float:
     return float(n * p * (1.0 - p) ** (n - 1))
 
 
-def expected_contention_time(n: int, p: float, slot_duration: float) -> float:
-    """Mean time to a successful contention: slot_duration / success_prob."""
-    ps = _positive_success_prob(n, p)
-    return slot_duration / ps
-
-
 def sample_contention(rng: np.random.Generator, n: int, p: float,
                       slot_duration: float) -> ContentionOutcome:
     """Draw one contention outcome via the geometric shortcut.

@@ -9,10 +9,6 @@ class InvalidParameterError(RelayStopError, ValueError):
     """A numeric argument or configuration field is out of its valid range."""
 
 
-class InvalidStateError(RelayStopError, RuntimeError):
-    """An operation was called on data that is missing a required part."""
-
-
 class PolicyMismatchError(RelayStopError, ValueError):
     """A decision function was called with a policy of the wrong kind."""
 

@@ -1,14 +1,19 @@
-"""Stopping policies as pure decision functions over observations.
+"""Stopping policies as predicates over observations.
 
-All thresholds are inclusive (stop on >=), matching the rule definitions the
-thresholds were solved for. Boundary hits are measure-zero under continuous
-fading but matter for the deterministic channel hooks used in tests.
+Each rule is one comparison, so it works on a scalar or on a whole block of
+observations alike: a scalar input gives a ``bool``, an array input gives the
+elementwise boolean array. All thresholds are inclusive (stop on >=),
+matching the rule definitions the thresholds were solved for. Boundary hits
+are measure-zero under continuous fading but matter for the deterministic
+channel hooks used in tests.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import InvalidParameterError, PolicyMismatchError
 from .solver import SubLayerStats
@@ -18,21 +23,6 @@ class PolicyKind(Enum):
     FULL_CSI = "full-csi"
     INTUITIVE_BILEVEL = "intuitive-bilevel"
     OPTIMAL_BILEVEL = "optimal-bilevel"
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Stop (optionally naming the forwarding relay) or keep contending."""
-
-    stop: bool
-    relay: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.relay is not None and self.relay < 1:
-            raise InvalidParameterError("relay index must be >= 1")
-
-
-CONTINUE = Decision(False)
 
 
 @dataclass(frozen=True)
@@ -64,44 +54,45 @@ def _require_kind(spec: PolicySpec, kind: PolicyKind) -> None:
         raise PolicyMismatchError(f"expected a {kind.value} policy, got {spec.kind.value}")
 
 
-def full_csi_decide(spec: PolicySpec, rate: float, best_relay: int) -> Decision:
-    """Stop at the best relay iff the observed rate reaches 2*lambda_star."""
+# The scalar paths below run once per relay-level observation, so they use
+# isinstance and math instead of numpy's slower scalar dispatch.
+def _stop(mask):
+    """A plain bool for a scalar comparison, the boolean array otherwise."""
+    return mask if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _all_finite(x) -> bool:
+    return bool(np.isfinite(x).all()) if isinstance(x, np.ndarray) else math.isfinite(x)
+
+
+def full_csi_decide(spec: PolicySpec, rate):
+    """Stop iff the observed best-relay rate reaches 2*lambda_star."""
     _require_kind(spec, PolicyKind.FULL_CSI)
-    if rate >= 2.0 * spec.lambda_star:
-        return Decision(True, best_relay)
-    return CONTINUE
+    return _stop(rate >= 2.0 * spec.lambda_star)
 
 
-def intuitive_main_decide(spec: PolicySpec, stats: SubLayerStats,
-                          t_data: float) -> Decision:
+def intuitive_main_decide(spec: PolicySpec, stats: SubLayerStats, t_data: float):
     """Source-level rule of the intuitive scheme, relay chosen later."""
     _require_kind(spec, PolicyKind.INTUITIVE_BILEVEL)
     g = spec.gamma_star
-    if stats.expected_bits - g * stats.expected_time >= g * t_data / 2.0:
-        return Decision(True)
-    return CONTINUE
+    return _stop(stats.expected_bits - g * stats.expected_time >= g * t_data / 2.0)
 
 
-def intuitive_sub_decide(threshold: float, rate_m: float) -> Decision:
+def intuitive_sub_decide(threshold, rate_m):
     """Relay-level rule of the intuitive scheme: stop iff rate >= threshold."""
-    if not math.isfinite(threshold):
+    if not _all_finite(threshold):
         raise InvalidParameterError("threshold must be finite")
-    return Decision(True) if rate_m >= threshold else CONTINUE
+    return _stop(rate_m >= threshold)
 
 
-def optimal_main_decide(spec: PolicySpec, w_star: float, t_data: float) -> Decision:
+def optimal_main_decide(spec: PolicySpec, w_star, t_data: float):
     """Source-level rule of the coupled scheme: stop iff W >= (T/2) gamma*."""
     _require_kind(spec, PolicyKind.OPTIMAL_BILEVEL)
-    if w_star >= 0.5 * t_data * spec.gamma_star:
-        return Decision(True)
-    return CONTINUE
+    return _stop(w_star >= 0.5 * t_data * spec.gamma_star)
 
 
-def optimal_sub_decide(spec: PolicySpec, w_star: float, rate_m: float,
-                       t_data: float) -> Decision:
+def optimal_sub_decide(spec: PolicySpec, w_star, rate_m, t_data: float):
     """Relay-level rule of the coupled scheme."""
     _require_kind(spec, PolicyKind.OPTIMAL_BILEVEL)
     half_t = 0.5 * t_data
-    if half_t * rate_m >= w_star + half_t * spec.gamma_star:
-        return Decision(True)
-    return CONTINUE
+    return _stop(half_t * rate_m >= w_star + half_t * spec.gamma_star)

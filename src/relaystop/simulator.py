@@ -6,6 +6,12 @@ observation (block fading at observation granularity, no temporal
 correlation). Throughput is total bits over total elapsed time, with a
 ratio-estimator standard error over the per-packet (bits, time) pairs.
 
+A run's result is columnar: ``SimStats`` holds one array per packet field
+next to the run totals. Observations are drawn in fixed-size chunks and the
+source-level stopping predicate is applied to a whole chunk at once; the
+relay-level predicate runs per observation, since it needs the contention
+winner.
+
 A run is sequential and fully determined by its seed: contention, first-hop,
 second-hop, and rate draws come from independent child streams of the master
 seed, and batched pre-drawing consumes them in a fixed chunk order, so
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import policies
-from .channel import RayleighFading, SystemParams, af_rate
+from .channel import SystemParams, af_rate
 from .contention import sample_contention, simulate_contention_slots
 from .errors import (
     CappedPacketError,
@@ -30,8 +36,10 @@ from .policies import PolicyKind, PolicySpec
 from .solver import (
     EstimatorConfig,
     SubLayerStats,
+    default_observations,
     solve_sub_layer_batch,
     solve_sub_w_batch,
+    _first_hop_model,
     _second_hop_model,
 )
 
@@ -53,6 +61,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.packets, int) or self.packets < 1:
             raise InvalidParameterError("packets must be an integer >= 1")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise InvalidParameterError("seed must be an integer >= 0")
         if self.sub_observation_cap < 1 or self.main_observation_cap < 1:
             raise InvalidParameterError("observation caps must be >= 1")
         if self.contention_mode not in CONTENTION_MODES:
@@ -60,23 +70,23 @@ class SimConfig:
                 f"contention_mode must be one of {CONTENTION_MODES}")
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    """Per-packet outcome of one renewal cycle."""
-
-    main_observations: int
-    sub_observations: int
-    rate_at_stop: float
-    relay: int
-    elapsed: float
-    bits: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimStats:
-    """Aggregated simulation output."""
+    """Simulation output: one column per packet field, plus run totals.
 
-    records: list[PacketRecord]
+    Entry i of each column belongs to the i-th delivered packet:
+    main_observations / sub_observations count source- and relay-level
+    observations (sub is 0 in the full-CSI scenario), rate_at_stop is the
+    accepted rate, relay the 1-based forwarding relay, elapsed the cycle time
+    including the data transmission, and bits the delivered bits.
+    """
+
+    main_observations: np.ndarray
+    sub_observations: np.ndarray
+    rate_at_stop: np.ndarray
+    relay: np.ndarray
+    elapsed: np.ndarray
+    bits: np.ndarray
     total_bits: float
     total_time: float
     throughput: float
@@ -95,22 +105,6 @@ class StoppingTimeStats:
         """Empirical CDF of the rate at the stopping observation."""
         return float(np.searchsorted(self.rate_samples, x, side="right")
                      / self.rate_samples.size)
-
-
-def default_observations(params: SystemParams, first_hop=None, second_hop=None):
-    """Joint sampler of (best rate, best relay) per full-CSI observation."""
-    fh = first_hop if first_hop is not None else RayleighFading(params.first_hop_mean_gain)
-    sh = second_hop if second_hop is not None else RayleighFading(params.second_hop_mean_gain)
-
-    def sampler(rng: np.random.Generator, n: int):
-        shape = (n, params.num_relays)
-        rates = af_rate(params.source_power, params.relay_power,
-                        np.atleast_2d(fh.sample(rng, shape)),
-                        np.atleast_2d(sh.sample(rng, shape)))
-        best = rates.argmax(axis=1)
-        return rates[np.arange(n), best], best + 1
-
-    return sampler
 
 
 def fixed_rate_observations(rate: float, relay: int = 1):
@@ -138,10 +132,17 @@ def run_scenario1(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
     ss = np.random.SeedSequence(cfg.seed)
     rng_cont, rng_obs = (np.random.default_rng(s) for s in ss.spawn(2))
     sampler = observation_sampler or default_observations(params)
-    observations = _chunked(lambda n: sampler(rng_obs, n))
 
-    records = []
-    for _ in range(cfg.packets):
+    def draw(n):
+        rates, best = sampler(rng_obs, n)
+        return rates, best, policies.full_csi_decide(spec, rates)
+
+    observations = _chunked(draw)
+    main_obs = np.empty(cfg.packets, dtype=int)
+    rate_at_stop = np.empty(cfg.packets)
+    relays = np.empty(cfg.packets, dtype=int)
+    waited_at_stop = np.empty(cfg.packets)
+    for i in range(cfg.packets):
         waited = 0.0
         n_obs = 0
         while True:
@@ -153,20 +154,16 @@ def run_scenario1(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
                 raise CappedPacketError(
                     f"no stop within {cfg.main_observation_cap} observations; "
                     "the threshold likely exceeds the rate support")
-            rate, relay = next(observations)
-            rate, relay = float(rate), int(relay)
-            decision = policies.full_csi_decide(spec, rate, relay)
-            if decision.stop:
+            rate, relay, stop = next(observations)
+            if stop:
                 break
-        records.append(PacketRecord(
-            main_observations=n_obs,
-            sub_observations=0,
-            rate_at_stop=rate,
-            relay=decision.relay,
-            elapsed=waited + params.data_time,
-            bits=0.5 * params.data_time * rate,
-        ))
-    return _aggregate(records)
+        main_obs[i] = n_obs
+        rate_at_stop[i] = rate
+        relays[i] = relay
+        waited_at_stop[i] = waited
+    return _aggregate(main_obs, np.zeros(cfg.packets, dtype=int), rate_at_stop, relays,
+                      waited_at_stop + params.data_time,
+                      0.5 * params.data_time * rate_at_stop)
 
 
 def run_scenario2(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
@@ -200,8 +197,12 @@ def run_scenario2(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
                                    first_hop, second_hop))
     gains = _chunked(lambda n: (hop.sample(rng_second, n),))
 
-    records = []
-    for _ in range(cfg.packets):
+    main_obs = np.empty(cfg.packets, dtype=int)
+    sub_obs = np.empty(cfg.packets, dtype=int)
+    rate_at_stop = np.empty(cfg.packets)
+    relays = np.empty(cfg.packets, dtype=int)
+    elapsed_col = np.empty(cfg.packets)
+    for i in range(cfg.packets):
         elapsed = 0.0
         n_obs = 0
         while True:
@@ -212,14 +213,8 @@ def run_scenario2(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
             if n_obs > cfg.main_observation_cap:
                 raise CappedPacketError(
                     f"no source-level stop within {cfg.main_observation_cap} observations")
-            f_row, stat = next(observations)
-            if intuitive:
-                stats = SubLayerStats(*map(float, stat))
-                decision = policies.intuitive_main_decide(spec, stats, params.data_time)
-            else:
-                w_star = float(stat)
-                decision = policies.optimal_main_decide(spec, w_star, params.data_time)
-            if decision.stop:
+            f_row, level, stop = next(observations)
+            if stop:
                 break
         elapsed += half_t  # source broadcast to the relays
 
@@ -234,45 +229,37 @@ def run_scenario2(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
                     f"no relay-level stop within {cfg.sub_observation_cap} observations; "
                     "relay thresholds are inconsistent with the source-level stop")
             relay = outcome.winner
-            g = next(gains)
-            rate_m = af_rate(params.source_power, params.relay_power,
-                             float(f_row[relay - 1]), float(g))
+            (g,) = next(gains)
+            rate_m = af_rate(params.source_power, params.relay_power, f_row[relay - 1], g)
             if intuitive:
-                decision = policies.intuitive_sub_decide(stats.threshold, rate_m)
+                stop = policies.intuitive_sub_decide(level, rate_m)
             else:
-                decision = policies.optimal_sub_decide(spec, w_star, rate_m,
-                                                       params.data_time)
-            if decision.stop:
+                stop = policies.optimal_sub_decide(spec, level, rate_m, params.data_time)
+            if stop:
                 break
         elapsed += half_t  # relay forwards to the destination
-        records.append(PacketRecord(
-            main_observations=n_obs,
-            sub_observations=m_obs,
-            rate_at_stop=rate_m,
-            relay=relay,
-            elapsed=elapsed,
-            bits=half_t * rate_m,
-        ))
-    return _aggregate(records)
+        main_obs[i] = n_obs
+        sub_obs[i] = m_obs
+        rate_at_stop[i] = rate_m
+        relays[i] = relay
+        elapsed_col[i] = elapsed
+    return _aggregate(main_obs, sub_obs, rate_at_stop, relays, elapsed_col,
+                      half_t * rate_at_stop)
 
 
 def stopping_time_stats(stats: SimStats) -> StoppingTimeStats:
     """Histogram and mean of the stop index plus the rate-at-stop sample."""
-    counts: dict[int, int] = {}
-    for rec in stats.records:
-        counts[rec.main_observations] = counts.get(rec.main_observations, 0) + 1
-    mean_obs = float(np.mean([rec.main_observations for rec in stats.records]))
-    rates = np.sort(np.array([rec.rate_at_stop for rec in stats.records]))
-    return StoppingTimeStats(counts, mean_obs, rates)
+    values, counts = np.unique(stats.main_observations, return_counts=True)
+    return StoppingTimeStats(dict(zip(values.tolist(), counts.tolist())),
+                             float(stats.main_observations.mean()),
+                             np.sort(stats.rate_at_stop))
 
 
 def throughput_ci(stats: SimStats) -> tuple[float, float]:
     """Throughput estimate and its ratio-estimator (delta method) stderr."""
-    if len(stats.records) < 2:
+    if stats.bits.size < 2:
         raise InsufficientDataError("need at least 2 packets for a standard error")
-    bits = np.array([rec.bits for rec in stats.records])
-    times = np.array([rec.elapsed for rec in stats.records])
-    return _ratio_and_stderr(bits, times)
+    return _ratio_and_stderr(stats.bits, stats.elapsed)
 
 
 def _ratio_and_stderr(bits: np.ndarray, times: np.ndarray) -> tuple[float, float]:
@@ -291,17 +278,15 @@ def _ratio_and_stderr(bits: np.ndarray, times: np.ndarray) -> tuple[float, float
     return ratio, stderr
 
 
-def _aggregate(records: list[PacketRecord]) -> SimStats:
-    bits = np.array([rec.bits for rec in records])
-    times = np.array([rec.elapsed for rec in records])
-    throughput, stderr = _ratio_and_stderr(bits, times)
-    return SimStats(
-        records=records,
-        total_bits=float(bits.sum()),
-        total_time=float(times.sum()),
-        throughput=throughput,
-        throughput_stderr=stderr,
-    )
+def _aggregate(main_observations, sub_observations, rate_at_stop, relay,
+               elapsed, bits) -> SimStats:
+    throughput, stderr = _ratio_and_stderr(bits, elapsed)
+    return SimStats(main_observations, sub_observations, rate_at_stop, relay,
+                    elapsed, bits,
+                    total_bits=float(bits.sum()),
+                    total_time=float(elapsed.sum()),
+                    throughput=throughput,
+                    throughput_stderr=stderr)
 
 
 def _contend(rng, n, p, slot, mode):
@@ -311,21 +296,22 @@ def _contend(rng, n, p, slot, mode):
 
 
 def _chunked(draw):
-    """Yield scalars/rows from fixed-size batched draws, in draw order."""
+    """Yield the rows of fixed-size batched draws as Python scalars, in draw order."""
     while True:
-        arrays = draw(_OBS_CHUNK)
-        for i in range(_OBS_CHUNK):
-            row = tuple(a[i] for a in arrays)
-            yield row if len(row) > 1 else row[0]
+        yield from zip(*(a.tolist() for a in draw(_OBS_CHUNK)))
 
 
 def _main_statistics(params, est, spec, intuitive, rng, n, first_hop, second_hop):
-    """Draw n first-hop rows and their solved source-level statistics."""
-    fh = first_hop if first_hop is not None else RayleighFading(params.first_hop_mean_gain)
+    """Draw n first-hop rows, their relay-level statistic, and the stop mask.
+
+    The statistic is the relay-level threshold for the intuitive rule and
+    the reward fixed point W* for the coupled rule.
+    """
+    fh = _first_hop_model(params, first_hop)
     rows = np.atleast_2d(fh.sample(rng, (n, params.num_relays)))
     if intuitive:
-        lam, bits, time_, p = solve_sub_layer_batch(params, rows, est, second_hop)
-        stats = list(zip(lam, bits, time_, p))
-        return rows, stats
+        stats = SubLayerStats(*solve_sub_layer_batch(params, rows, est, second_hop))
+        return rows, stats.threshold, policies.intuitive_main_decide(
+            spec, stats, params.data_time)
     w = solve_sub_w_batch(params, rows, spec.gamma_star, est, second_hop)
-    return rows, w
+    return rows, w, policies.optimal_main_decide(spec, w, params.data_time)

@@ -76,8 +76,10 @@ class EstimatorConfig:
             raise InvalidParameterError("mc_samples must be an integer >= 1")
         if not isinstance(self.quad_points, int) or self.quad_points < 2:
             raise InvalidParameterError("quad_points must be an integer >= 2")
-        if not (self.tol > 0.0):
-            raise InvalidParameterError("tol must be > 0")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise InvalidParameterError("seed must be an integer >= 0")
+        if not (self.tol > 0.0) or not math.isfinite(self.tol):
+            raise InvalidParameterError("tol must be finite and > 0")
         if not isinstance(self.max_iter, int) or self.max_iter < 50:
             raise InvalidParameterError("max_iter must be an integer >= 50")
 
@@ -94,7 +96,9 @@ class ThresholdSolution:
 
 @dataclass(frozen=True)
 class SubLayerStats:
-    """Solved relay-level stopping problem for one first-hop realization.
+    """Solved relay-level stopping problem per first-hop realization.
+
+    Fields are floats for one realization or equal-length arrays for a block.
 
     threshold: maximal conditional relay-level throughput; also the stop
         threshold on the observed relay rate.
@@ -115,17 +119,32 @@ class SubLayerStats:
 # Rate samplers (full-CSI scenario) and channel hooks
 
 
-def full_csi_rate_sampler(params: SystemParams, first_hop=None, second_hop=None):
-    """Sampler of the best-relay rate under both hops drawn fresh."""
+def default_observations(params: SystemParams, first_hop=None, second_hop=None):
+    """Joint sampler of (best rate, 1-based best relay) per full-CSI observation.
+
+    Draws the n x L first-hop block, then the n x L second-hop block, from
+    one generator; ties go to the lowest relay index.
+    """
     fh = _first_hop_model(params, first_hop)
     sh = _second_hop_model(params, second_hop)
-    shape = params.num_relays
+
+    def sampler(rng: np.random.Generator, n: int):
+        shape = (n, params.num_relays)
+        rates = af_rate(params.source_power, params.relay_power,
+                        np.atleast_2d(fh.sample(rng, shape)),
+                        np.atleast_2d(sh.sample(rng, shape)))
+        best = rates.argmax(axis=1)
+        return rates[np.arange(n), best], best + 1
+
+    return sampler
+
+
+def full_csi_rate_sampler(params: SystemParams, first_hop=None, second_hop=None):
+    """Sampler of the best-relay rate under both hops drawn fresh."""
+    observations = default_observations(params, first_hop, second_hop)
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        f = np.atleast_2d(fh.sample(rng, (n, shape)))
-        g = np.atleast_2d(sh.sample(rng, (n, shape)))
-        rates = af_rate(params.source_power, params.relay_power, f, g)
-        return rates.max(axis=1)
+        return observations(rng, n)[0]
 
     return sampler
 

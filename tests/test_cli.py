@@ -3,9 +3,18 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from relaystop.cli import load_config, main
+from relaystop import (
+    EstimatorConfig,
+    PolicyKind,
+    PolicySpec,
+    SimConfig,
+    run_scenario2,
+)
+from relaystop.cli import _write_packets_csv, load_config, main
+from .conftest import make_params
 
 BASE_CONFIG = {
     "schema": 1,
@@ -132,9 +141,10 @@ def test_simulate_writes_outputs_and_matches(tmp_path, capsys):
     assert rc == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["command"] == "simulate"
-    assert summary["results"]["capped_packets"] == 0
-    assert {v["name"] for v in summary["verdicts"]} == {
-        "throughput_matches_threshold", "no_capped_packets"}
+    results = summary["results"]
+    assert 1 <= results["max_main_observations"] <= summary["config"]["sim"]["main_observation_cap"]
+    assert results["max_sub_observations"] == 0  # scenario 1 has no relay level
+    assert {v["name"] for v in summary["verdicts"]} == {"throughput_matches_threshold"}
     with (out_dir / "packets.csv").open() as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["packet_index", "main_observations", "sub_observations",
@@ -156,7 +166,9 @@ def test_simulate_scenario2_intuitive(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "throughput_matches_threshold: PASS" in out
-    assert "no_capped_packets: PASS" in out
+    assert "max_main_observations: " in out
+    max_sub = int(out.split("max_sub_observations: ")[1].split()[0])
+    assert 1 <= max_sub <= 1_000_000
 
 
 def test_compare_reports_dominance(tmp_path, capsys):
@@ -265,6 +277,39 @@ def test_scenario_override_flag(tmp_path, capsys):
     assert rc == 0
     assert "gamma_star" in out
     assert "scenario 2-intuitive" in out
+
+
+def test_packets_csv_reads_back_as_columns(tmp_path):
+    params = make_params()
+    spec = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=0.5)
+    est = EstimatorConfig(mc_samples=1000, quad_points=64, seed=3, tol=1e-6)
+    stats = run_scenario2(params, spec, SimConfig(packets=200, seed=4), est=est)
+    path = tmp_path / "packets.csv"
+    _write_packets_csv(path, stats)
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, 0], np.arange(1, 201))
+    columns = (stats.main_observations, stats.sub_observations, stats.rate_at_stop,
+               stats.relay, stats.elapsed, stats.bits)
+    for j, column in enumerate(columns, start=1):
+        # 12 significant digits: relative rounding error at most 5e-12
+        np.testing.assert_allclose(table[:, j], column, rtol=5e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("route", ["flag", "sim", "estimator"])
+def test_negative_seed_is_config_error(tmp_path, capsys, route):
+    if route == "flag":
+        args = ["--config", str(write_config(tmp_path)), "--seed", "-1"]
+    else:
+        args = ["--config", str(write_config(tmp_path, **{f"{route}.seed": -1}))]
+    assert main(["simulate", *args]) == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+
+def test_infinite_tol_is_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(write_config(tmp_path).read_text().replace('"tol": 1e-06', '"tol": 1e999'))
+    assert main(["solve", "--config", str(path)]) == 2
+    assert "tol must be finite" in capsys.readouterr().err
 
 
 def test_malformed_json_is_config_error(tmp_path, capsys):

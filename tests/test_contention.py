@@ -7,7 +7,6 @@ from scipy import stats as sps
 from relaystop import (
     ContentionDeadlockError,
     InvalidParameterError,
-    expected_contention_time,
     sample_contention,
     simulate_contention_slots,
     success_prob,
@@ -59,7 +58,7 @@ def test_sample_contention_winner_uniform(rng):
 def test_sample_contention_elapsed_expectation(rng):
     n, p, slot = 4, 0.2, 0.5
     elapsed = np.array([sample_contention(rng, n, p, slot).elapsed for _ in range(10**5)])
-    expected = expected_contention_time(n, p, slot)
+    expected = slot / success_prob(n, p)
     se = elapsed.std(ddof=1) / np.sqrt(elapsed.size)
     assert abs(elapsed.mean() - expected) < 4 * se
 
@@ -69,8 +68,6 @@ def test_contention_deadlock_raises(rng):
         sample_contention(rng, 2, 1.0, 1.0)
     with pytest.raises(ContentionDeadlockError):
         simulate_contention_slots(rng, 3, 1.0, 1.0)
-    with pytest.raises(ContentionDeadlockError):
-        expected_contention_time(2, 1.0, 1.0)
 
 
 def test_literal_slots_deterministic_case(rng):

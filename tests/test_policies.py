@@ -1,11 +1,9 @@
-"""Decision functions: thresholds are inclusive and kind-checked."""
+"""Stopping predicates: thresholds are inclusive, kind-checked, and vectorized."""
 
 import numpy as np
 import pytest
 
 from relaystop import (
-    CONTINUE,
-    Decision,
     EstimatorConfig,
     InvalidParameterError,
     PolicyKind,
@@ -39,34 +37,34 @@ def test_policy_spec_requires_matching_threshold():
 
 
 def test_full_csi_decide_threshold_inclusive():
-    assert full_csi_decide(FULL, 1.0, 2) == Decision(True, 2)  # boundary stop
-    assert full_csi_decide(FULL, 0.999, 2) == CONTINUE
+    assert full_csi_decide(FULL, 1.0) is True  # boundary stop
+    assert full_csi_decide(FULL, 0.999) is False
     zero = PolicySpec(PolicyKind.FULL_CSI, lambda_star=0.0)
-    assert full_csi_decide(zero, 0.0, 1).stop
+    assert full_csi_decide(zero, 0.0)
 
 
 def test_full_csi_decide_monotone_in_rate(rng):
     rates = np.sort(rng.exponential(1.0, 100))
-    stops = [full_csi_decide(FULL, float(r), 1).stop for r in rates]
+    stops = [full_csi_decide(FULL, float(r)) for r in rates]
     assert stops == sorted(stops)  # once stopping, always stopping
 
 
 def test_full_csi_decide_wrong_kind():
     with pytest.raises(PolicyMismatchError):
-        full_csi_decide(INT, 1.0, 1)
+        full_csi_decide(INT, 1.0)
 
 
 def test_intuitive_main_decide():
     stats = SubLayerStats(threshold=1.0 / 1.2, expected_bits=1.0,
                           expected_time=1.2, stop_prob=1.0)
     # 1 - 0.4 * 1.2 = 0.52 >= 0.4 * 2 / 2
-    assert intuitive_main_decide(INT, stats, 2.0).stop
+    assert intuitive_main_decide(INT, stats, 2.0)
     zero = SubLayerStats(0.0, 0.0, 1.2, 1.0)
-    assert not intuitive_main_decide(INT, zero, 2.0).stop
+    assert not intuitive_main_decide(INT, zero, 2.0)
     # exact equality stops (binary-exact constants: 0.75 - 0.25*2 == 0.25*1)
     quarter = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=0.25)
     edge = SubLayerStats(0.375, 0.75, 2.0, 0.7)
-    assert intuitive_main_decide(quarter, edge, 2.0).stop
+    assert intuitive_main_decide(quarter, edge, 2.0)
     with pytest.raises(PolicyMismatchError):
         intuitive_main_decide(OPT, stats, 2.0)
 
@@ -80,39 +78,60 @@ def test_intuitive_main_equivalent_threshold_form():
         lam = float(rng.uniform(0, 1.5))
         time_ = float(rng.uniform(0.5, 3.0))
         stats = SubLayerStats(lam, lam * time_, time_, 0.5)
-        direct = intuitive_main_decide(spec, stats, 2.0).stop
+        direct = intuitive_main_decide(spec, stats, 2.0)
         assert direct == ((lam - g) * time_ >= g * 1.0)
 
 
 def test_intuitive_sub_decide():
-    assert intuitive_sub_decide(0.8, 0.9).stop
-    assert intuitive_sub_decide(0.8, 0.8).stop
-    assert not intuitive_sub_decide(0.8, 0.1).stop
+    assert intuitive_sub_decide(0.8, 0.9)
+    assert intuitive_sub_decide(0.8, 0.8)
+    assert not intuitive_sub_decide(0.8, 0.1)
     with pytest.raises(InvalidParameterError):
         intuitive_sub_decide(float("inf"), 1.0)
+    with pytest.raises(InvalidParameterError):
+        intuitive_sub_decide(np.array([0.8, np.nan]), np.array([1.0, 1.0]))
 
 
 def test_optimal_main_decide():
-    assert optimal_main_decide(OPT, 0.52, 2.0).stop  # 0.52 >= 0.4
-    assert not optimal_main_decide(OPT, -0.1, 2.0).stop
+    assert optimal_main_decide(OPT, 0.52, 2.0)  # 0.52 >= 0.4
+    assert not optimal_main_decide(OPT, -0.1, 2.0)
     zero = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=0.0)
-    assert optimal_main_decide(zero, 0.0, 2.0).stop
+    assert optimal_main_decide(zero, 0.0, 2.0)
     with pytest.raises(PolicyMismatchError):
         optimal_main_decide(INT, 0.52, 2.0)
 
 
 def test_optimal_sub_decide():
     # continues the worked example: (T/2) rate >= W + (T/2) gamma
-    assert optimal_sub_decide(OPT, 0.52, 1.0, 2.0).stop  # 1.0 >= 0.92
-    assert not optimal_sub_decide(OPT, 0.52, 0.0, 2.0).stop
-    assert optimal_sub_decide(OPT, 0.52, 0.92, 2.0).stop  # equality stops
+    assert optimal_sub_decide(OPT, 0.52, 1.0, 2.0)  # 1.0 >= 0.92
+    assert not optimal_sub_decide(OPT, 0.52, 0.0, 2.0)
+    assert optimal_sub_decide(OPT, 0.52, 0.92, 2.0)  # equality stops
     with pytest.raises(PolicyMismatchError):
         optimal_sub_decide(FULL, 0.52, 1.0, 2.0)
 
 
-def test_decision_relay_validation():
-    with pytest.raises(InvalidParameterError):
-        Decision(True, 0)
+def test_predicates_on_arrays_match_scalar_calls():
+    quarter_int = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=0.25)
+    quarter_opt = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=0.25)
+    rates = np.array([0.0, 0.5, 0.999, 1.0, 1.25, 3.0])
+    bits = np.array([0.0, 0.5, 0.75, 0.75, 1.0, 2.0])
+    times = np.array([1.0, 2.0, 2.0, 2.5, 1.0, 0.5])
+    w = np.array([-1.0, 0.0, 0.125, 0.25, 1.0, 3.0])
+    # (rule, row whose binary-exact values sit on the rule's >= boundary)
+    rules = [
+        (lambda r, b, t, x: full_csi_decide(FULL, r), 3),
+        (lambda r, b, t, x: intuitive_main_decide(
+            quarter_int, SubLayerStats(r, b, t, 1.0), 2.0), 2),
+        (lambda r, b, t, x: intuitive_sub_decide(0.5, r), 1),
+        (lambda r, b, t, x: optimal_main_decide(quarter_opt, x, 2.0), 3),
+        (lambda r, b, t, x: optimal_sub_decide(quarter_opt, x, r, 2.0), 4),
+    ]
+    for rule, boundary_row in rules:
+        vector = rule(rates, bits, times, w)
+        scalar = [rule(*map(float, row)) for row in zip(rates, bits, times, w)]
+        assert vector.dtype == bool and all(type(v) is bool for v in scalar)
+        assert vector.tolist() == scalar
+        assert vector[boundary_row] and not vector.all()
 
 
 def test_decisions_invariant_under_time_rescaling():
@@ -135,7 +154,7 @@ def test_decisions_invariant_under_time_rescaling():
             spec_b, SubLayerStats(lam_b[i], bits_b[i], time_b[i], 1.0), params.data_time)
         d_s = intuitive_main_decide(
             spec_s, SubLayerStats(lam_s[i], bits_s[i], time_s[i], 1.0), scaled.data_time)
-        assert d_b.stop == d_s.stop
+        assert d_b == d_s
 
     go_b = solve_main_gamma_optimal(params, est).value
     go_s = solve_main_gamma_optimal(scaled, est).value
@@ -144,5 +163,5 @@ def test_decisions_invariant_under_time_rescaling():
     ospec_b = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=go_b)
     ospec_s = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=go_s)
     for i in range(rows.shape[0]):
-        assert optimal_main_decide(ospec_b, w_b[i], params.data_time).stop \
-            == optimal_main_decide(ospec_s, w_s[i], scaled.data_time).stop
+        assert optimal_main_decide(ospec_b, w_b[i], params.data_time) \
+            == optimal_main_decide(ospec_s, w_s[i], scaled.data_time)

@@ -29,8 +29,17 @@ from .conftest import hook_params, make_params
 DET = hook_params(source_prob=1.0, relay_prob=1.0)  # every contention takes 1 slot
 
 
+COLUMNS = ("main_observations", "sub_observations", "rate_at_stop", "relay",
+           "elapsed", "bits")
+
+
 def full_spec(lam):
     return PolicySpec(PolicyKind.FULL_CSI, lambda_star=lam)
+
+
+def assert_same_columns(a, b):
+    for name in COLUMNS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 # --- scenario 1 ---------------------------------------------------------------
@@ -41,9 +50,8 @@ def test_scenario1_constant_rate_closed_form():
     # T r / 2 / (T + tau) with T=2, tau=0.2
     assert stats.throughput == pytest.approx(1.0 / 2.2, abs=1e-12)
     assert stats.throughput_stderr == 0.0
-    assert all(r.main_observations == 1 and r.sub_observations == 0
-               for r in stats.records)
-    assert all(r.elapsed == pytest.approx(2.2) and r.bits == 1.0 for r in stats.records)
+    assert np.all(stats.main_observations == 1) and np.all(stats.sub_observations == 0)
+    assert np.allclose(stats.elapsed, 2.2) and np.all(stats.bits == 1.0)
 
 
 def test_scenario1_never_stop_guard():
@@ -72,16 +80,15 @@ def test_scenario1_literal_contention_mode():
     params = make_params()
     cfg = SimConfig(packets=300, seed=5, contention_mode="literal-slots")
     stats = run_scenario1(params, full_spec(0.5), cfg)
-    assert len(stats.records) == 300
+    assert stats.bits.size == 300
 
 
 def test_scenario1_renewal_shuffle_invariance(rng):
     params = make_params()
     stats = run_scenario1(params, full_spec(0.5), SimConfig(packets=500, seed=8))
-    order = rng.permutation(len(stats.records))
-    bits = np.array([r.bits for r in stats.records])
-    times = np.array([r.elapsed for r in stats.records])
-    assert bits[order].sum() / times[order].sum() == pytest.approx(stats.throughput, rel=1e-12)
+    order = rng.permutation(stats.bits.size)
+    assert stats.bits[order].sum() / stats.elapsed[order].sum() \
+        == pytest.approx(stats.throughput, rel=1e-12)
 
 
 def test_scenario1_deterministic_reruns_bit_identical():
@@ -89,7 +96,7 @@ def test_scenario1_deterministic_reruns_bit_identical():
     cfg = SimConfig(packets=400, seed=123)
     a = run_scenario1(params, full_spec(0.6), cfg)
     b = run_scenario1(params, full_spec(0.6), cfg)
-    assert a.records == b.records
+    assert_same_columns(a, b)
     assert (a.throughput, a.throughput_stderr) == (b.throughput, b.throughput_stderr)
 
 
@@ -112,7 +119,7 @@ def test_stopping_stats_geometric_at_median():
     st = stopping_time_stats(stats)
     assert st.mean_observations == pytest.approx(2.0, rel=0.05)
     assert min(st.counts) == 1
-    assert all(r.rate_at_stop >= median for r in stats.records)
+    assert np.all(stats.rate_at_stop >= median)
 
 
 def test_stopping_stats_truncated_rate_distribution():
@@ -133,7 +140,7 @@ def test_scenario1_wald_contention_identity():
     stats = run_scenario1(params, full_spec(0.9), SimConfig(packets=20000, seed=44))
     st = stopping_time_stats(stats)
     p_s = success_prob(params.num_sources, params.source_prob)
-    contention = np.array([r.elapsed for r in stats.records]) - params.data_time
+    contention = stats.elapsed - params.data_time
     expected = (params.slot_time / p_s) * st.mean_observations
     assert contention.mean() == pytest.approx(expected, rel=0.02)
 
@@ -181,9 +188,9 @@ def test_scenario2_deterministic_closed_form(kind):
                           est=DET_EST, **DET_HOPS)
     assert stats.throughput == pytest.approx(DET_GAMMA, abs=1e-12)
     assert stats.throughput_stderr == 0.0
-    assert all(r.main_observations == 1 and r.sub_observations == 1
-               and r.relay == 1 for r in stats.records)
-    assert all(r.elapsed == pytest.approx(2.2) for r in stats.records)
+    assert np.all(stats.main_observations == 1) and np.all(stats.sub_observations == 1)
+    assert np.all(stats.relay == 1)
+    assert np.allclose(stats.elapsed, 2.2)
 
 
 def test_scenario2_solver_consistency_intuitive():
@@ -193,7 +200,7 @@ def test_scenario2_solver_consistency_intuitive():
     spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=sol.value)
     stats = run_scenario2(params, spec, SimConfig(packets=10000, seed=42), est=est)
     assert abs(stats.throughput - sol.value) <= 3.0 * stats.throughput_stderr
-    assert all(r.sub_observations >= 1 for r in stats.records)
+    assert np.all(stats.sub_observations >= 1)
 
 
 def test_scenario2_solver_consistency_optimal():
@@ -210,7 +217,7 @@ def test_scenario2_observation_caps_are_hard_errors():
     spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=DET_GAMMA)
     cfg = SimConfig(packets=10, seed=6, sub_observation_cap=1_000_000)
     stats = run_scenario2(params, spec, cfg, est=DET_EST, **DET_HOPS)
-    assert len(stats.records) == 10
+    assert stats.bits.size == 10
     with pytest.raises(CappedPacketError, match="source-level"):
         # a gamma far above the optimum never lets the source level stop
         run_scenario2(params, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=5.0),
@@ -253,7 +260,7 @@ def test_scenario2_deterministic_reruns_bit_identical():
     cfg = SimConfig(packets=300, seed=77)
     a = run_scenario2(params, spec, cfg, est=est)
     b = run_scenario2(params, spec, cfg, est=est)
-    assert a.records == b.records
+    assert_same_columns(a, b)
 
 
 def test_sim_config_validation():
@@ -263,13 +270,14 @@ def test_sim_config_validation():
         SimConfig(packets=10, contention_mode="whatever")
     with pytest.raises(InvalidParameterError):
         SimConfig(packets=10, sub_observation_cap=0)
+    with pytest.raises(InvalidParameterError, match="seed"):
+        SimConfig(packets=10, seed=-1)
 
 
 def test_packet_record_invariants():
     params = make_params()
     stats = run_scenario1(params, full_spec(0.5), SimConfig(packets=200, seed=15))
-    for rec in stats.records:
-        assert rec.elapsed >= params.data_time
-        assert rec.bits == pytest.approx(0.5 * params.data_time * rec.rate_at_stop)
-        assert 1 <= rec.relay <= params.num_relays
-        assert rec.rate_at_stop >= 2 * 0.5
+    assert np.all(stats.elapsed >= params.data_time)
+    assert np.allclose(stats.bits, 0.5 * params.data_time * stats.rate_at_stop)
+    assert np.all((stats.relay >= 1) & (stats.relay <= params.num_relays))
+    assert np.all(stats.rate_at_stop >= 2 * 0.5)

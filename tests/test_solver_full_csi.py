@@ -174,6 +174,13 @@ def test_samplers_validate():
         discrete_rate_sampler([1.0], [-1.0])
 
 
+def test_estimator_config_validates_seed_and_tol():
+    for bad in (dict(seed=-1), dict(seed=1.5), dict(tol=0.0), dict(tol=float("inf")),
+                dict(tol=float("nan"))):
+        with pytest.raises(InvalidParameterError):
+            EstimatorConfig(**bad)
+
+
 def test_discrete_sampler_exact_proportions(rng):
     sampler = discrete_rate_sampler([0.0, 1.0, 3.0], [0.25, 0.25, 0.5])
     draws = sampler(rng, 1000)

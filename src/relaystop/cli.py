@@ -162,9 +162,16 @@ def load_config(path) -> ExperimentConfig:
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"schema: expected {SCHEMA_VERSION}, got {schema!r}")
 
-    params = _build_params(raw.get("params"))
-    estimator = _build_estimator(raw.get("estimator", {}))
-    sim = _build_sim(raw.get("sim", {}))
+    if not isinstance(raw.get("params"), dict):
+        raise ConfigError("params: section is required and must be an object")
+    params = _build_section("params", raw["params"], SystemParams, _PARAM_FIELDS)
+    estimator = _build_section("estimator", raw.get("estimator", {}), EstimatorConfig,
+                               {"tol": float}, default_kind=int)
+    if estimator.mc_samples < MIN_PRODUCTION_MC_SAMPLES:
+        raise ConfigError(
+            f"estimator.mc_samples: must be >= {MIN_PRODUCTION_MC_SAMPLES} for CLI runs")
+    sim = _build_section("sim", raw.get("sim", {}), SimConfig, {"contention_mode": str},
+                         default_kind=int, packets=10_000)
     scenario = raw.get("scenario", "1")
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario: must be one of {SCENARIOS}, got {scenario!r}")
@@ -177,64 +184,31 @@ def load_config(path) -> ExperimentConfig:
                             first_hop=first_hop, second_hop=second_hop)
 
 
-def _build_params(section) -> SystemParams:
+def _build_section(name: str, section, cls, kinds: dict, default_kind=float, **defaults):
+    """Build the dataclass ``cls`` from one config section.
+
+    Each given field is cast to its kind in ``kinds`` (else ``default_kind``);
+    unknown and missing fields, bad values and the dataclass's own validation
+    errors are config errors named after the section or field.
+    """
     if not isinstance(section, dict):
-        raise ConfigError("params: section is required and must be an object")
-    unknown = set(section) - set(_PARAM_FIELDS)
+        raise ConfigError(f"{name}: must be an object")
+    fields = dataclasses.fields(cls)
+    unknown = set(section) - {f.name for f in fields}
     if unknown:
-        raise ConfigError(f"params: unknown fields {sorted(unknown)}")
-    kwargs = {}
-    for name, cast in _PARAM_FIELDS.items():
-        if name not in section:
-            continue
-        kwargs[name] = _cast(f"params.{name}", section[name], cast)
-    missing = [name for name in _PARAM_FIELDS
-               if name != "relay_prob" and name not in kwargs]
+        raise ConfigError(f"{name}: unknown fields {sorted(unknown)}")
+    kwargs = dict(defaults)
+    for key, value in section.items():
+        kind = kinds.get(key, default_kind)
+        kwargs[key] = kind(value) if kind is str else _cast(f"{name}.{key}", value, kind)
+    missing = [f.name for f in fields
+               if f.default is dataclasses.MISSING and f.name not in kwargs]
     if missing:
-        raise ConfigError(f"params.{missing[0]}: field is required")
+        raise ConfigError(f"{name}.{missing[0]}: field is required")
     try:
-        return SystemParams(**kwargs)
+        return cls(**kwargs)
     except RelayStopError as exc:
-        raise ConfigError(f"params: {exc}") from exc
-
-
-def _build_estimator(section) -> EstimatorConfig:
-    if not isinstance(section, dict):
-        raise ConfigError("estimator: must be an object")
-    allowed = {f.name for f in dataclasses.fields(EstimatorConfig)}
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"estimator: unknown fields {sorted(unknown)}")
-    kwargs = {k: _cast(f"estimator.{k}", v, int if k in ("mc_samples", "quad_points", "seed", "max_iter") else float)
-              for k, v in section.items()}
-    try:
-        est = EstimatorConfig(**kwargs)
-    except RelayStopError as exc:
-        raise ConfigError(f"estimator: {exc}") from exc
-    if est.mc_samples < MIN_PRODUCTION_MC_SAMPLES:
-        raise ConfigError(
-            f"estimator.mc_samples: must be >= {MIN_PRODUCTION_MC_SAMPLES} for CLI runs")
-    return est
-
-
-def _build_sim(section) -> SimConfig:
-    if not isinstance(section, dict):
-        raise ConfigError("sim: must be an object")
-    allowed = {f.name for f in dataclasses.fields(SimConfig)}
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"sim: unknown fields {sorted(unknown)}")
-    kwargs = {}
-    for k, v in section.items():
-        if k == "contention_mode":
-            kwargs[k] = str(v)
-        else:
-            kwargs[k] = _cast(f"sim.{k}", v, int)
-    kwargs.setdefault("packets", 10_000)
-    try:
-        return SimConfig(**kwargs)
-    except RelayStopError as exc:
-        raise ConfigError(f"sim: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _build_channel(section):
@@ -266,22 +240,12 @@ def _build_hop(name: str, section):
 
 
 def _build_oracle(section) -> OracleSettings:
-    if not isinstance(section, dict):
-        raise ConfigError("oracle: must be an object")
-    allowed = {f.name for f in dataclasses.fields(OracleSettings)}
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"oracle: unknown fields {sorted(unknown)}")
-    kwargs = {}
-    if "points" in section:
-        kwargs["points"] = _cast("oracle.points", section["points"], int)
-        if kwargs["points"] < 2:
-            raise ConfigError("oracle.points: must be >= 2")
-    if "lo" in section:
-        kwargs["lo"] = _cast("oracle.lo", section["lo"], float)
-    if "hi" in section and section["hi"] is not None:
-        kwargs["hi"] = _cast("oracle.hi", section["hi"], float)
-    return OracleSettings(**kwargs)
+    if isinstance(section, dict) and "hi" in section and section["hi"] is None:
+        section = {k: v for k, v in section.items() if k != "hi"}  # null: the default
+    oracle = _build_section("oracle", section, OracleSettings, {"points": int})
+    if oracle.points < 2:
+        raise ConfigError("oracle.points: must be >= 2")
+    return oracle
 
 
 def _cast(name: str, value, kind):
@@ -344,6 +308,7 @@ def _threshold_dict(cfg: ExperimentConfig, sol: ThresholdSolution) -> dict:
         name: sol.value,
         "residual": sol.residual,
         "iterations": sol.iterations,
+        "inner_iterations": sol.inner_iterations,
         "bracket": list(sol.bracket),
     }
     if cfg.scenario == "1":
@@ -440,6 +405,8 @@ def cmd_compare(cfg: ExperimentConfig) -> ReportSummary:
             "residual_optimal": sol_opt.residual,
             "iterations_intuitive": sol_int.iterations,
             "iterations_optimal": sol_opt.iterations,
+            "inner_iterations_intuitive": sol_int.inner_iterations,
+            "inner_iterations_optimal": sol_opt.inner_iterations,
         },
         verdicts=verdicts, runtime_s=time.perf_counter() - t0, config=cfg.echo())
     summary.results = {

@@ -18,7 +18,7 @@ class ContentionDeadlockError(RelayStopError, RuntimeError):
 
 
 class SolverFailureError(RelayStopError, RuntimeError):
-    """Root bracketing or bisection failed; carries diagnostic context."""
+    """A root search did not converge; carries diagnostic context."""
 
 
 class CappedPacketError(RelayStopError, RuntimeError):

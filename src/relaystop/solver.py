@@ -2,8 +2,8 @@
 
 Every threshold in the protocol solves an equation of the same shape: an
 expected positive part, decreasing in the unknown, equals a linear contention
-cost, increasing in the unknown. The scalar operations find roots by
-bisection with bracket doubling, which cannot miss the unique crossing.
+cost, increasing in the unknown. The residual is convex, so Newton steps from
+the left of the root never overshoot, and convexity certifies enclosures.
 
 Expectations are split by hop. Second-hop (single-gain) expectations are
 computed deterministically: the rate tail inverts in closed form for an
@@ -11,17 +11,14 @@ exponential gain, and the positive part is the tail integral, evaluated with
 fixed Gauss-Legendre nodes. First-hop expectations use a fixed,
 seed-determined Monte Carlo sample that is reused for every candidate
 threshold (common random numbers), so each realized residual is itself a
-monotone function and the solvers converge to the unique root of the realized
-estimator.
+convex decreasing function with a unique root.
 
-The batched many-realization engines exploit one more structural fact: the
-positive part E[max(R - theta, 0)] is convex and decreasing in theta with
-derivative -P(R >= theta), so Newton iteration from the left converges
-monotonically without overshooting, and convexity yields certified root
-enclosures (a secant chord to the bracket's far end from the left, the
-derivative bound from the right). That replaces dozens of bisection sweeps
-per nested solve with a handful; the scalar operations keep plain bisection
-and agreement between the two routes is enforced by tests.
+The source-level thresholds are rate-of-return problems, solved by Newton's
+method on the residual and its slope (Dinkelbach's method); the coupled solve
+starts at the intuitive root, which it dominates. The relay-level batch
+engine runs guarded Newton on many realizations at once, dropping converged
+rows from the kernel passes. The single-realization relay-level solvers
+bisect and serve as the tests' independent reference for that engine.
 
 Point-mass and finite-support channel hooks are part of the public surface:
 they make the closed-form worked examples exact and are used heavily in
@@ -30,6 +27,7 @@ tests.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,7 +48,7 @@ from .errors import InvalidParameterError, SolverFailureError
 CHUNK_ROWS = 8192
 
 # The relay-level reward equation degenerates at a source-level rate of
-# exactly zero, so source-level bisection never evaluates below this floor.
+# exactly zero, so the coupled residual is never evaluated below this floor.
 GAMMA_FLOOR = 1e-12
 
 
@@ -62,7 +60,7 @@ class EstimatorConfig:
     quad_points: Gauss-Legendre nodes for second-hop tail integrals.
     seed: root seed of the fixed sample set.
     tol: residual and bracket tolerance for root finding.
-    max_iter: iteration cap per bracket expansion or root search.
+    max_iter: iteration cap per root search.
     """
 
     mc_samples: int = 20_000
@@ -86,12 +84,14 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class ThresholdSolution:
-    """A solved threshold with its residual and root-search diagnostics."""
+    """A solved threshold, its residual, residual evaluations, root enclosure,
+    and relay-level Newton iterations summed over chunks and evaluations."""
 
     value: float
     residual: float
     iterations: int
     bracket: tuple[float, float]
+    inner_iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -234,17 +234,13 @@ def solve_full_csi_lambda(params: SystemParams, est: EstimatorConfig,
 
     The root lam* of  E[max((T/2) R - lam T, 0)] = lam * tau / p_s  is the
     maximal long-run throughput; the corresponding stop rule is a pure
-    threshold at rate 2*lam*.
+    threshold at rate 2*lam*. Newton steps start at 0.
     """
-    rates = _draw_rates(params, est, rate_sampler)
     t = params.data_time
-    half_rates = 0.5 * t * rates
+    half_rates = 0.5 * t * _draw_rates(params, est, rate_sampler)
     cost = params.slot_time / success_prob(params.num_sources, params.source_prob)
-
-    def residual(lam: float) -> float:
-        return float(np.maximum(half_rates - lam * t, 0.0).mean() - lam * cost)
-
-    return _solve_scalar(residual, est, name="full-CSI throughput")
+    evaluate = _piecewise_linear_residual(half_rates, t, cost)
+    return _solve_convex(evaluate, cost, est, "full-CSI throughput")
 
 
 def oracle_threshold_search(params: SystemParams, grid, est: EstimatorConfig,
@@ -267,21 +263,13 @@ def oracle_threshold_search(params: SystemParams, grid, est: EstimatorConfig,
     suffix[:n] = np.cumsum(rates[::-1])[::-1]
     t = params.data_time
     cost = params.slot_time / success_prob(params.num_sources, params.source_prob)
-
-    best_th = None
-    best_tp = -np.inf
-    for th in thresholds:
-        idx = int(np.searchsorted(rates, th, side="left"))
-        kept = n - idx
-        if kept == 0:
-            continue
-        tp = 0.5 * t * (suffix[idx] / n) / (t * kept / n + cost)
-        if tp > best_tp:
-            best_tp = tp
-            best_th = float(th)
-    if best_th is None:
+    idx = np.searchsorted(rates, thresholds, side="left")
+    kept = n - idx
+    if not kept.any():
         raise SolverFailureError("every grid threshold lies above the sampled rate support")
-    return best_th, float(best_tp)
+    tp = np.where(kept > 0, 0.5 * t * (suffix[idx] / n) / (t * kept / n + cost), -np.inf)
+    best = int(np.argmax(tp))  # the first of equal maxima
+    return float(thresholds[best]), float(tp[best])
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +302,10 @@ class _SecondHopKernel:
     buffers); build one kernel per thread.
     """
 
-    def __init__(self, params: SystemParams, rows: np.ndarray, quad_points: int, hop):
+    def __init__(self, params: SystemParams, rows: np.ndarray, quad_points: int, second_hop):
         self.params = params
         self.rows = rows
-        self.hop = hop
+        self.hop = hop = _second_hop_model(params, second_hop)
         self.atom = getattr(hop, "atom", None)
         self.ps = params.source_power
         self.pr = params.relay_power
@@ -337,30 +325,24 @@ class _SecondHopKernel:
                 shape = (*rows.shape, quad_points)
                 self._t = np.empty(shape)
                 self._c = np.empty(shape)
-        self._e0 = None
+        self.e0 = self.excess(np.zeros(rows.shape[0]))  # E[max(R, 0)] = E[R] per row
 
-    @property
-    def e0(self) -> np.ndarray:
-        """E[max(R, 0)] = E[R] per row, cached."""
-        if self._e0 is None:
-            self._e0 = self.excess(np.zeros(self.rows.shape[0]))
-        return self._e0
-
-    def _fused_tails(self, half: np.ndarray, mid: np.ndarray) -> np.ndarray:
-        """Gain tails at the mapped quadrature nodes, written into scratch.
+    def _fused_tails(self, half: np.ndarray, mid: np.ndarray, idx) -> np.ndarray:
+        """Gain tails of rows idx at the mapped nodes, in leading scratch rows.
 
         c = 2^t - 1 instead of expm1(t ln 2): for tiny t the relative error
         of c is ~eps/t, but the needed gain stays O(c) and the tail error is
         O(need * eps / t), far below quadrature resolution.
         """
-        t, c = self._t, self._c
+        m = half.shape[0]
+        t, c = self._t[:m], self._c[:m]
         np.multiply(half[..., None], self.nodes, out=t)
         t += mid[..., None]
         np.exp2(t, out=c)
         c -= 1.0
-        np.subtract(self.a3, c, out=t)  # t now holds a - c (the denominator)
+        np.subtract(self.a3[idx], c, out=t)  # t now holds a - c (the denominator)
         dead = t <= 0.0
-        c *= self.scaled3
+        c *= self.scaled3[idx]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             c /= t
             c *= -self.inv_mean
@@ -368,40 +350,41 @@ class _SecondHopKernel:
         c[dead] = 0.0
         return c
 
-    def _generic_tails(self, t: np.ndarray) -> np.ndarray:
-        need = gain_for_rate(self.ps, self.pr, self.rows[..., None], t)
+    def _generic_tails(self, t: np.ndarray, idx) -> np.ndarray:
+        need = gain_for_rate(self.ps, self.pr, self.rows[idx][..., None], t)
         return np.asarray(self.hop.tail_prob(need))
 
-    def excess(self, thetas: np.ndarray) -> np.ndarray:
-        """E[max(R - theta, 0)] per row; thetas may be negative."""
+    def excess(self, thetas: np.ndarray, idx=slice(None)) -> np.ndarray:
+        """E[max(R - theta, 0)] for the rows ``idx``; thetas may be negative."""
         thetas = np.asarray(thetas, dtype=float)
         if self.atom is not None:
-            return np.maximum(self.rates - thetas[:, None], 0.0).mean(axis=1)
-        lo = np.minimum(np.maximum(thetas[:, None], 0.0), self.sat)
-        half = 0.5 * (self.sat - lo)
-        mid = 0.5 * (self.sat + lo)
+            return np.maximum(self.rates[idx] - thetas[:, None], 0.0).mean(axis=1)
+        sat = self.sat[idx]
+        lo = np.minimum(np.maximum(thetas[:, None], 0.0), sat)
+        half = 0.5 * (sat - lo)
+        mid = 0.5 * (sat + lo)
         if self.exponential:
-            tails = self._fused_tails(half, mid)
+            tails = self._fused_tails(half, mid, idx)
         else:
-            tails = self._generic_tails(mid[..., None] + half[..., None] * self.nodes)
+            tails = self._generic_tails(mid[..., None] + half[..., None] * self.nodes, idx)
         per_relay = (tails @ self.weights) * half
         return per_relay.mean(axis=1) + np.maximum(-thetas, 0.0)
 
-    def tail(self, thetas: np.ndarray) -> np.ndarray:
-        """P(R >= theta) per row; 1 for theta <= 0."""
+    def tail(self, thetas: np.ndarray, idx=slice(None)) -> np.ndarray:
+        """P(R >= theta) for the rows ``idx``; 1 for theta <= 0."""
         thetas = np.asarray(thetas, dtype=float)
         if self.atom is not None:
-            hit = (self.rates >= thetas[:, None]).mean(axis=1)
+            hit = (self.rates[idx] >= thetas[:, None]).mean(axis=1)
         else:
             t = np.maximum(thetas, 0.0)[:, None, None]
             if self.exponential:
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     c = np.exp2(t) - 1.0
-                    denom = self.a3 - c
-                    need = np.where(denom > 0.0, c * self.scaled3 / denom, np.inf)
+                    denom = self.a3[idx] - c
+                    need = np.where(denom > 0.0, c * self.scaled3[idx] / denom, np.inf)
                 tails = np.exp(-need * self.inv_mean)
             else:
-                tails = self._generic_tails(t)
+                tails = self._generic_tails(t, idx)
             hit = tails[..., 0].mean(axis=1)
         return np.where(thetas <= 0.0, 1.0, hit)
 
@@ -410,8 +393,7 @@ def sub_layer_tail_prob(params: SystemParams, f_sq, threshold: float,
                         second_hop=None) -> float:
     """P(relay-level observation rate >= threshold | first-hop gains)."""
     rows = _as_rows(f_sq)
-    hop = _second_hop_model(params, second_hop)
-    kernel = _SecondHopKernel(params, rows, 2, hop)
+    kernel = _SecondHopKernel(params, rows, 2, second_hop)
     return float(kernel.tail(np.array([threshold], dtype=float))[0])
 
 
@@ -419,8 +401,7 @@ def sub_layer_expected_positive_part(params: SystemParams, f_sq, lam: float,
                                      est: EstimatorConfig, second_hop=None) -> float:
     """E[max(R_m - lam, 0) | first-hop gains] by tail-integral quadrature."""
     rows = _as_rows(f_sq)
-    hop = _second_hop_model(params, second_hop)
-    kernel = _SecondHopKernel(params, rows, est.quad_points, hop)
+    kernel = _SecondHopKernel(params, rows, est.quad_points, second_hop)
     return float(kernel.excess(np.array([lam], dtype=float))[0])
 
 
@@ -463,13 +444,12 @@ def solve_sub_layer_intuitive(params: SystemParams, f_sq, est: EstimatorConfig,
     documented degenerate statistics rather than an error.
     """
     rows = _as_single_row(f_sq)
-    hop = _second_hop_model(params, second_hop)
     p_r = success_prob(params.num_relays, params.require_relay_prob())
-    kernel = _SecondHopKernel(params, rows, est.quad_points, hop)
+    kernel = _SecondHopKernel(params, rows, est.quad_points, second_hop)
     slope = params.slot_time / (params.data_time * p_r)
     lam, _, _, _ = _bisect_rows(lambda x: kernel.excess(x) - x * slope,
                                 np.zeros_like(kernel.sat_top), kernel.sat_top, est)
-    lam_v, bits, time_, p = _stats_from_lambda(params, kernel, lam, p_r)
+    lam_v, bits, time_, p = _stats_from_lambda(params, lam, kernel.tail(lam), p_r)
     return SubLayerStats(float(lam_v[0]), float(bits[0]), float(time_[0]), float(p[0]))
 
 
@@ -481,21 +461,30 @@ def solve_sub_layer_batch(params: SystemParams, f_rows, est: EstimatorConfig,
     entry per row of ``f_rows``. Same equation as solve_sub_layer_intuitive,
     solved for all rows at once by the guarded-Newton engine.
     """
-    rows = _as_rows(f_rows)
-    hop = _second_hop_model(params, second_hop)
+    kernels = _chunk_kernels(params, _as_rows(f_rows), est, second_hop)
+    return _intuitive_rows(params, kernels, est)[0]
+
+
+def _chunk_kernels(params, rows, est, second_hop):
+    """One second-hop kernel per CHUNK_ROWS rows, built as iterated."""
+    for i in range(0, rows.shape[0], CHUNK_ROWS):
+        yield _SecondHopKernel(params, rows[i:i + CHUNK_ROWS], est.quad_points, second_hop)
+
+
+def _intuitive_rows(params, kernels, est):
+    """Relay-level throughput statistics over chunk kernels, and Newton iterations."""
     p_r = success_prob(params.num_relays, params.require_relay_prob())
     slope = params.slot_time / (params.data_time * p_r)
-    parts = []
-    for i in range(0, rows.shape[0], CHUNK_ROWS):
-        kernel = _SecondHopKernel(params, rows[i:i + CHUNK_ROWS], est.quad_points, hop)
-        lam = _newton_rows(kernel, slope, np.zeros(kernel.rows.shape[0]), est,
-                           theta_scale=1.0)
-        parts.append(_stats_from_lambda(params, kernel, lam, p_r))
-    return tuple(np.concatenate(arrs) for arrs in zip(*parts))
+    parts, inner = [], 0
+    for kernel in kernels:
+        lam, stop_prob, iters = _newton_rows(kernel, slope, np.zeros(kernel.rows.shape[0]),
+                                             est, theta_scale=1.0)
+        parts.append(_stats_from_lambda(params, lam, stop_prob, p_r))
+        inner += iters
+    return tuple(np.concatenate(arrs) for arrs in zip(*parts)), inner
 
 
-def _stats_from_lambda(params, kernel, lam, p_r):
-    stop_prob = kernel.tail(lam)
+def _stats_from_lambda(params, lam, stop_prob, p_r):
     with np.errstate(divide="ignore"):
         expected_time = (0.5 * params.data_time
                          + params.slot_time / (2.0 * p_r * stop_prob))
@@ -517,9 +506,8 @@ def solve_sub_w(params: SystemParams, f_sq, gamma: float, est: EstimatorConfig,
     if gamma < 0:
         raise InvalidParameterError("gamma must be >= 0")
     rows = _as_single_row(f_sq)
-    hop = _second_hop_model(params, second_hop)
     p_r = success_prob(params.num_relays, params.require_relay_prob())
-    kernel = _SecondHopKernel(params, rows, est.quad_points, hop)
+    kernel = _SecondHopKernel(params, rows, est.quad_points, second_hop)
     half_t = 0.5 * params.data_time
     target = gamma * params.slot_time / (params.data_time * p_r)
 
@@ -541,22 +529,19 @@ def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,
     """Vectorized solve_sub_w over rows of first-hop realizations."""
     if gamma < 0:
         raise InvalidParameterError("gamma must be >= 0")
-    rows = _as_rows(f_rows)
-    hop = _second_hop_model(params, second_hop)
     p_r = success_prob(params.num_relays, params.require_relay_prob())
-    parts = []
-    for i in range(0, rows.shape[0], CHUNK_ROWS):
-        kernel = _SecondHopKernel(params, rows[i:i + CHUNK_ROWS], est.quad_points, hop)
-        parts.append(_w_from_kernel(params, kernel, gamma, est, p_r))
-    return np.concatenate(parts)
+    kernels = _chunk_kernels(params, _as_rows(f_rows), est, second_hop)
+    return np.concatenate([_w_from_kernel(params, kernel, gamma, est, p_r)[0]
+                           for kernel in kernels])
 
 
 def _w_from_kernel(params, kernel, gamma, est, p_r):
+    """W per row, the stop probability at its threshold, and Newton iterations."""
     half_t = 0.5 * params.data_time
     target = gamma * params.slot_time / (params.data_time * p_r)
     targets = np.full(kernel.rows.shape[0], target)
-    theta = _newton_rows(kernel, 0.0, targets, est, theta_scale=half_t)
-    return half_t * (theta - gamma)
+    theta, stop_prob, iters = _newton_rows(kernel, 0.0, targets, est, theta_scale=half_t)
+    return half_t * (theta - gamma), stop_prob, iters
 
 
 # ---------------------------------------------------------------------------
@@ -568,91 +553,128 @@ def solve_main_gamma_intuitive(params: SystemParams, est: EstimatorConfig,
     """Source-level throughput fixed point over intuitive relay-level stats.
 
     Draws the fixed first-hop sample, solves the relay-level throughput
-    problem per realization, and bisects gamma on
+    problem per realization, and finds the root gamma of
       mean(max(bits - gamma (time + T/2), 0)) = gamma tau / (2 p_s).
-    The stop rule is  bits - gamma* time >= gamma* T/2.
+    The residual is piecewise linear in gamma. The stop rule is
+    bits - gamma* time >= gamma* T/2.
     """
     rows = _draw_first_hop_rows(params, est, first_hop)
-    _, bits, time_, _ = solve_sub_layer_batch(params, rows, est, second_hop)
+    return _intuitive_gamma(params, _chunk_kernels(params, rows, est, second_hop), est)
+
+
+def _intuitive_gamma(params, kernels, est) -> ThresholdSolution:
+    (_, bits, time_, _), inner = _intuitive_rows(params, kernels, est)
     cost = params.slot_time / (2.0 * success_prob(params.num_sources, params.source_prob))
-    half_t = 0.5 * params.data_time
+    evaluate = _piecewise_linear_residual(bits, time_ + 0.5 * params.data_time, cost)
+    return _solve_convex(evaluate, cost, est, "two-part throughput (intuitive rule)",
+                         inner_iterations=inner)
 
-    def residual(gamma: float) -> float:
-        gain = np.maximum(bits - gamma * time_ - gamma * half_t, 0.0).mean()
-        return float(gain - gamma * cost)
 
-    return _solve_scalar(residual, est, name="two-part throughput (intuitive rule)")
+def _piecewise_linear_residual(gain0, per_unit, cost):
+    """Residual mean(max(gain0 - x per_unit, 0)) - x cost, its right derivative
+    -mean(per_unit over rows still positive) - cost, and no inner iterations."""
+    def evaluate(x: float):
+        gain = gain0 - x * per_unit
+        slope = -float(np.where(gain > 0.0, per_unit, 0.0).sum()) / gain.size - cost
+        return float(np.maximum(gain, 0.0).mean() - x * cost), slope, 0
+
+    return evaluate
 
 
 def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
                              first_hop=None, second_hop=None) -> ThresholdSolution:
     """Source-level throughput fixed point for the reward-coupled rule.
 
-    Over the same fixed first-hop sample as the intuitive solver, bisects
-    gamma on  mean(max(W(gamma) - (T/2) gamma, 0)) = gamma tau / (2 p_s),
+    Over the same fixed first-hop sample as the intuitive solver, finds the
+    root gamma of  mean(max(W(gamma) - (T/2) gamma, 0)) = gamma tau / (2 p_s),
     where W(gamma) is the relay-level reward fixed point per realization.
-    The stop rule is  W(gamma*) >= (T/2) gamma*.
+    The stop rule is  W(gamma*) >= (T/2) gamma*. By the envelope theorem
+    W'(gamma) = -(T/2)(1 + k / P(theta)), k = tau / (T p_r), with P(theta)
+    the relay-level stop probability, so the residual's slope is
+    -mean((T/2)(2 + k / P(theta)) over rows with a positive part) - cost.
+    Newton starts at the intuitive root, solved on the same rows and
+    kernels; the coupled rule dominates it, so the start lies left of the
+    root.
     """
     rows = _draw_first_hop_rows(params, est, first_hop)
-    hop = _second_hop_model(params, second_hop)
     p_r = success_prob(params.num_relays, params.require_relay_prob())
     cost = params.slot_time / (2.0 * success_prob(params.num_sources, params.source_prob))
     half_t = 0.5 * params.data_time
-    kernels = [_SecondHopKernel(params, rows[i:i + CHUNK_ROWS], est.quad_points, hop)
-               for i in range(0, rows.shape[0], CHUNK_ROWS)]
+    k = params.slot_time / (params.data_time * p_r)
+    kernels = list(_chunk_kernels(params, rows, est, second_hop))
+    start = _intuitive_gamma(params, kernels, est)
 
-    def residual(gamma: float) -> float:
+    def evaluate(gamma: float):
         g = max(gamma, GAMMA_FLOOR)
-        total = 0.0
+        total, steep, inner = 0.0, 0.0, 0
         for kernel in kernels:
-            w = _w_from_kernel(params, kernel, g, est, p_r)
-            total += float(np.maximum(w - half_t * g, 0.0).sum())
-        return total / rows.shape[0] - g * cost
+            w, stop_prob, iters = _w_from_kernel(params, kernel, g, est, p_r)
+            gain = w - half_t * g
+            total += float(np.maximum(gain, 0.0).sum())
+            with np.errstate(divide="ignore"):
+                steep += float((2.0 + k / stop_prob[gain > 0.0]).sum())
+            inner += iters
+        n = rows.shape[0]
+        return total / n - g * cost, -half_t * steep / n - cost, inner
 
-    return _solve_scalar(residual, est, name="two-part throughput (coupled rule)")
+    return _solve_convex(evaluate, cost, est, "two-part throughput (coupled rule)",
+                         start=start.value, inner_iterations=start.inner_iterations)
 
 
 def _draw_first_hop_rows(params: SystemParams, est: EstimatorConfig, first_hop) -> np.ndarray:
     rng = np.random.default_rng(est.seed)
     model = _first_hop_model(params, first_hop)
-    rows = np.asarray(model.sample(rng, (est.mc_samples, params.num_relays)), dtype=float)
-    return rows
+    return np.asarray(model.sample(rng, (est.mc_samples, params.num_relays)), dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # Root-finding engines
 
 
-def _solve_scalar(residual, est: EstimatorConfig, name: str) -> ThresholdSolution:
-    """Bisection with bracket doubling from [0, 1] on a decreasing residual."""
-    r0 = residual(0.0)
-    if r0 <= 0.0:
-        # Degenerate input (zero expected reward): the root sits at 0.
-        return ThresholdSolution(0.0, float(r0), 0, (0.0, 0.0))
-    lo, hi = 0.0, 1.0
-    for _ in range(est.max_iter):
-        if residual(hi) <= 0.0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise SolverFailureError(
-            f"{name}: no sign change found while doubling the bracket up to {hi}")
+def _solve_convex(evaluate, cost: float, est: EstimatorConfig, name: str,
+                  start: float = 0.0, inner_iterations: int = 0) -> ThresholdSolution:
+    """Root on [0, inf) of a convex decreasing residual by Newton's method.
 
-    value = lo
-    res = r0
+    ``evaluate(x)`` returns (residual r, slope, inner iterations); the slope
+    is a subgradient, at most -cost < 0. Certified enclosure: a point with
+    r > 0 is a lower end and x + r / cost an upper one; a point with r <= 0
+    is an upper end, and its tangent (below the convex residual) crosses
+    zero at a lower one. A start right of the root stays the upper end and
+    Newton restarts from 0, with a RuntimeWarning; a step that leaves the
+    enclosure or stalls is replaced by bisection.
+    """
+    lo, hi = 0.0, math.inf
+    seen_left = False
+    x = start
     for iters in range(1, est.max_iter + 1):
-        value = 0.5 * (lo + hi)
-        res = residual(value)
-        if (hi - lo) <= est.tol * max(1.0, abs(value)) and abs(res) <= est.tol:
-            return ThresholdSolution(value, res, iters, (lo, hi))
-        if res > 0.0:
-            lo = value
+        r, s, n = evaluate(x)
+        inner_iterations += n
+        if not math.isfinite(r):
+            raise SolverFailureError(f"{name}: residual {r} at {x}")
+        if r > 0.0:
+            lo, seen_left = x, True
+            hi = min(hi, x + r / cost)
+            bracket = (x, hi)
+        elif x <= 0.0:
+            # Degenerate input (zero expected reward): the root sits at 0.
+            return ThresholdSolution(0.0, r, iters, (0.0, 0.0), inner_iterations)
         else:
-            hi = value
+            hi = x
+            bracket = (max(lo, x - r / s), x)
+        if abs(r) <= est.tol and bracket[1] - bracket[0] <= est.tol * max(1.0, abs(x)):
+            return ThresholdSolution(x, r, iters, bracket, inner_iterations)
+        step = x - r / s
+        if r > 0.0 and x < step <= hi:
+            x = step
+        elif seen_left:
+            x = 0.5 * (lo + hi)
+        else:
+            warnings.warn(f"{name}: start {x} lies right of the root (residual {r}); "
+                          "Newton restarts from 0", RuntimeWarning, stacklevel=3)
+            x = 0.0
     raise SolverFailureError(
-        f"{name}: bisection did not converge within {est.max_iter} iterations "
-        f"(bracket [{lo}, {hi}], residual {res})")
+        f"{name}: Newton did not converge within {est.max_iter} evaluations from "
+        f"{start} (enclosure [{lo}, {hi}], residual {r})")
 
 
 def _bisect_rows(residual, lo: np.ndarray, hi: np.ndarray, est: EstimatorConfig):
@@ -679,60 +701,65 @@ def _newton_rows(kernel: _SecondHopKernel, cost_slope: float, targets: np.ndarra
                  est: EstimatorConfig, theta_scale: float):
     """Solve excess(theta) - cost_slope * theta = target per row.
 
-    The residual f is convex and strictly decreasing with derivative
-    -(tail(theta) + cost_slope), which gives certified two-sided root
-    enclosures: at an iterate left of the root, the secant chord to the
-    bracket's negative endpoint crosses zero at or beyond the root; at an
-    iterate right of the root, |f| / |f'(theta)| bounds the distance back.
-    Newton steps from the left (which cannot overshoot) are forced to at
-    least the bracket midpoint, so even against the saturation boundary,
-    where the tail's essential singularity makes bare Newton crawl, the
-    bracket contracts geometrically. Rows whose target exceeds excess(0) are
-    solved exactly on the linear branch theta <= 0, where the positive part
-    is the identity.
+    Returns (theta, tail(theta), iterations). The residual f is convex and
+    strictly decreasing with derivative -(tail(theta) + cost_slope), which
+    gives certified two-sided root enclosures: at an iterate left of the
+    root, the secant chord to the bracket's negative endpoint crosses zero
+    at or beyond the root; at an iterate right of the root, |f| / |f'(theta)|
+    bounds the distance back. Newton steps from the left (which cannot
+    overshoot) are forced to at least the bracket midpoint, so even against
+    the saturation boundary, where the tail's essential singularity makes
+    bare Newton crawl, the bracket contracts geometrically. Rows whose target
+    exceeds excess(0) are solved exactly on the linear branch theta <= 0,
+    where the positive part is the identity.
 
     A row is converged when its residual is inside tolerance and its
     enclosure is smaller than tol (all in caller units via ``theta_scale``,
-    T/2 for reward solves); converged rows freeze while the rest iterate.
+    T/2 for reward solves); converged rows leave the state arrays and the
+    kernel passes while the rest iterate.
     """
     e0 = kernel.e0
     # Linear branch: excess(theta) = e0 - theta for theta <= 0.
     theta = np.where(targets >= e0, (e0 - targets) / (1.0 + cost_slope), 0.0)
-    lo = theta.copy()
-    hi = np.maximum(theta, kernel.sat_top)
-    f_hi = -cost_slope * hi - targets  # excess(sat_top) = 0, in closed form
-    frozen = np.zeros(theta.shape, dtype=bool)
-    f = np.zeros_like(theta)
+    tail = np.empty_like(theta)
+    idx = np.arange(theta.size)
+    th, lo, tg = theta.copy(), theta.copy(), targets
+    hi = np.maximum(th, kernel.sat_top)
+    f_hi = -cost_slope * hi - tg  # excess(sat_top) = 0, in closed form
     for iters in range(1, est.max_iter + 1):
-        f = np.where(frozen, f,
-                     kernel.excess(theta) - cost_slope * theta - targets)
-        slope = kernel.tail(theta) + cost_slope
-        pos = (f > 0.0) & ~frozen
-        neg = (f < 0.0) & ~frozen
-        lo = np.where(pos, theta, lo)
-        hi = np.where(neg, theta, hi)
+        rows = idx if idx.size < theta.size else slice(None)  # no gathers while all iterate
+        f = kernel.excess(th, rows) - cost_slope * th - tg
+        p = kernel.tail(th, rows)
+        slope = p + cost_slope
+        pos = f > 0.0
+        neg = f < 0.0
+        lo = np.where(pos, th, lo)
+        hi = np.where(neg, th, hi)
         f_hi = np.where(neg, f, f_hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             gap = np.where(pos, f / np.maximum(slope, 1e-300), 0.0)
             # chord from (theta, f > 0) to (hi, f_hi <= 0) overestimates the
             # root of a convex decreasing residual
-            chord = np.where(pos, f * (hi - theta) / np.maximum(f - f_hi, 1e-300), 0.0)
+            chord = np.where(pos, f * (hi - th) / np.maximum(f - f_hi, 1e-300), 0.0)
             back = np.where(neg, -f / np.maximum(slope, 1e-300), 0.0)
         enclosure = np.where(pos, chord, back)
-        scaled_tol = est.tol * np.maximum(1.0, theta_scale * np.abs(theta))
+        scaled_tol = est.tol * np.maximum(1.0, theta_scale * np.abs(th))
         done = ((np.abs(f) * theta_scale) <= est.tol) \
             & (((enclosure * theta_scale) <= scaled_tol)
                | (((hi - lo) * theta_scale) <= scaled_tol))
-        frozen |= done
-        if bool(frozen.all()):
-            return theta
+        theta[idx[done]] = th[done]
+        tail[idx[done]] = p[done]
+        if bool(done.all()):
+            return theta, tail, iters
         mid = 0.5 * (lo + hi)
         # A Newton step from the left never overshoots; take it while it
         # covers a useful fraction of the certified remaining distance, and
         # bisect the bracket when it stalls against the singularity.
-        advance = np.where(gap >= 0.125 * chord, theta + gap, mid)
-        theta = np.where(frozen, theta, np.where(pos, advance, mid))
-    worst = int(np.argmax(np.where(frozen, 0.0, np.abs(f))))
+        advance = np.where(gap >= 0.125 * chord, th + gap, mid)
+        th = np.where(pos, advance, mid)
+        keep = ~done
+        idx, th, lo, hi, f_hi, tg, f = (a[keep] for a in (idx, th, lo, hi, f_hi, tg, f))
+    worst = int(np.argmax(np.abs(f)))
     raise SolverFailureError(
         f"row Newton did not converge within {est.max_iter} iterations "
-        f"(worst row {worst}: theta {theta[worst]}, residual {f[worst]})")
+        f"(worst row {idx[worst]}: theta {th[worst]}, residual {f[worst]})")

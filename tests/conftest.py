@@ -22,6 +22,12 @@ def make_params(**overrides) -> SystemParams:
     return SystemParams(**fields)
 
 
+def stress_params() -> SystemParams:
+    """Near-saturation relay level: most inner Newton rows freeze early."""
+    return make_params(num_relays=4, relay_prob=0.25, first_hop_mean_gain=4.0,
+                       second_hop_mean_gain=0.25)
+
+
 def hook_params(**overrides) -> SystemParams:
     """Single source and relay with the worked-example timing constants."""
     fields = dict(

@@ -110,6 +110,8 @@ def test_compare_deterministic_channel_equal_throughputs(tmp_path):
     rc = main(["compare", "--config", str(path), "--out", str(out_dir)])
     assert rc == 0
     summary = json.loads((out_dir / "summary.json").read_text())
+    for rule in ("intuitive", "optimal"):
+        assert summary["thresholds"][f"inner_iterations_{rule}"] >= 1
     results = summary["results"]
     assert results["throughput_intuitive"] == results["throughput_optimal"]
     assert results["stderr_intuitive"] == 0.0
@@ -141,6 +143,8 @@ def test_simulate_writes_outputs_and_matches(tmp_path, capsys):
     assert rc == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["command"] == "simulate"
+    assert summary["thresholds"]["iterations"] >= 1
+    assert summary["thresholds"]["inner_iterations"] == 0  # no relay level
     results = summary["results"]
     assert 1 <= results["max_main_observations"] <= summary["config"]["sim"]["main_observation_cap"]
     assert results["max_sub_observations"] == 0  # scenario 1 has no relay level

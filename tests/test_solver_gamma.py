@@ -1,18 +1,22 @@
 """Source-level fixed points of the two-part access scheme."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from relaystop import (
     EstimatorConfig,
     FixedGain,
+    solve_full_csi_lambda,
     solve_main_gamma_intuitive,
     solve_main_gamma_optimal,
     solve_sub_layer_batch,
     solve_sub_w_batch,
     success_prob,
 )
-from .conftest import hook_params, make_params
+from relaystop import solver
+from .conftest import hook_params, make_params, stress_params
 
 EST = EstimatorConfig(mc_samples=1000, quad_points=64, seed=1, tol=1e-9)
 # K = L = 1 with p0 = p1 = 0.5 and constant rate 1 (F = 3, g = 2)
@@ -20,6 +24,7 @@ HOOK = hook_params()
 HOOK_HOPS = dict(first_hop=FixedGain(3.0), second_hop=FixedGain(2.0))
 # gamma* = (T r / 2) / (T + tau/(2 p_r) + tau/(2 p_s)) = 1 / 2.4
 HOOK_GAMMA = 1.0 / 2.4
+STRESS = stress_params()
 
 
 def test_intuitive_deterministic_closed_form():
@@ -84,6 +89,8 @@ def test_reward_rule_dominates_intuitive_rule():
         g_int = solve_main_gamma_intuitive(params, est)
         g_opt = solve_main_gamma_optimal(params, est)
         assert g_opt.value >= g_int.value - 10.0 * est.tol
+        # independent of the coupled solver's start: priced by the batch W solves
+        assert _optimal_residual(params, est, g_int.value) >= -est.tol
 
 
 def test_optimal_residual_decreasing_with_root_at_gamma_star():
@@ -142,3 +149,88 @@ def test_time_unit_invariance_bilevel():
         base_int.value, abs=5e-9)
     assert solve_main_gamma_optimal(scaled, EST, **HOOK_HOPS).value == pytest.approx(
         base_opt.value, abs=5e-9)
+
+
+def _outer_residuals(monkeypatch, solve, params, est):
+    """Solve, and keep each (evaluate, cost) the solve passed to the outer engine."""
+    engine = solver._solve_convex
+    seen = []
+
+    def spy(evaluate, cost, *args, **kwargs):
+        seen.append((evaluate, cost))
+        return engine(evaluate, cost, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_solve_convex", spy)
+    sol = solve(params, est)
+    monkeypatch.undo()
+    return sol, seen
+
+
+@pytest.mark.parametrize("params", [make_params(), STRESS], ids=["base", "stress"])
+def test_outer_slopes_match_finite_differences(monkeypatch, params):
+    est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=3, tol=1e-12)
+    for solve in (solve_full_csi_lambda, solve_main_gamma_intuitive, solve_main_gamma_optimal):
+        sol, seen = _outer_residuals(monkeypatch, solve, params, est)
+        evaluate, _ = seen[-1]
+        # lambda* and the intuitive residual are piecewise linear, so h only
+        # has to beat rounding; the coupled one is smooth between kinks, and h
+        # keeps the inner solves' error (tol / h) small
+        h = 1e-5 if solve is solve_main_gamma_optimal else 1e-7
+        for x in (0.5 * sol.value, sol.value, 1.2 * sol.value):
+            residual, slope, _ = evaluate(x)
+            backward = (residual - evaluate(x - h)[0]) / h
+            forward = (evaluate(x + h)[0] - residual) / h
+            # a convex residual's right derivative lies between the one-sided
+            # differences, also when a kink of the sample average is in between
+            slack = 1e-6 * abs(slope)
+            assert backward - slack <= slope <= forward + slack, (solve.__name__, x)
+            assert forward - backward <= 1e-3 * abs(slope), (solve.__name__, x)
+
+
+def test_outer_newton_from_right_of_the_root(monkeypatch):
+    est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=3, tol=1e-6)
+    for solve in (solve_full_csi_lambda, solve_main_gamma_intuitive, solve_main_gamma_optimal):
+        sol, seen = _outer_residuals(monkeypatch, solve, STRESS, est)
+        evaluate, cost = seen[-1]
+        assert evaluate(1.5 * sol.value)[0] < 0.0
+        with pytest.warns(RuntimeWarning, match="right of the root"):
+            again = solver._solve_convex(evaluate, cost, est, "restart", start=1.5 * sol.value)
+        assert again.value == pytest.approx(sol.value, abs=2.0 * est.tol)
+        assert again.bracket[0] <= again.value <= again.bracket[1]
+        assert abs(again.residual) <= est.tol
+
+
+def test_coupled_fallback_when_start_is_right_of_the_root(monkeypatch):
+    est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=3, tol=1e-6)
+    sol = solve_main_gamma_optimal(STRESS, est)
+    intuitive = solver._intuitive_gamma
+
+    def too_far(*args):
+        start = intuitive(*args)
+        return dataclasses.replace(start, value=1.5 * start.value)
+
+    monkeypatch.setattr(solver, "_intuitive_gamma", too_far)
+    with pytest.warns(RuntimeWarning, match="coupled rule"):
+        again = solve_main_gamma_optimal(STRESS, est)
+    assert again.iterations > sol.iterations
+    assert again.value == pytest.approx(sol.value, abs=2.0 * est.tol)
+    assert again.bracket[0] <= again.value <= again.bracket[1]
+    assert abs(again.residual) <= est.tol
+
+
+def test_coupled_root_inside_residual_sign_change_on_stress_config():
+    est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=3, tol=1e-6)
+    sol = solve_main_gamma_optimal(STRESS, est)
+    assert sol.bracket[0] <= sol.value <= sol.bracket[1]
+    assert _optimal_residual(STRESS, est, sol.value - 10.0 * est.tol) > 0.0
+    assert _optimal_residual(STRESS, est, sol.value + 10.0 * est.tol) < 0.0
+
+
+def test_inner_iterations_are_counted():
+    est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=3, tol=1e-6)
+    assert solve_full_csi_lambda(STRESS, est).inner_iterations == 0
+    intuitive = solve_main_gamma_intuitive(STRESS, est)
+    coupled = solve_main_gamma_optimal(STRESS, est)
+    assert intuitive.inner_iterations > 0
+    # the coupled count includes the intuitive start and one W solve per evaluation
+    assert coupled.inner_iterations > intuitive.inner_iterations + coupled.iterations

@@ -19,12 +19,13 @@ from relaystop import (
     sub_layer_tail_prob,
     success_prob,
 )
-from .conftest import hook_params, make_params
+from .conftest import hook_params, make_params, stress_params
 
 # L=1, p1=0.5 -> p_r = 0.5; tau = 0.2, T = 2 throughout the worked examples
 HOOK = hook_params()
 EST = EstimatorConfig(mc_samples=1000, quad_points=64, seed=1, tol=1e-9)
 UNIT_RATE = math.log2(4.0 / 3.0)  # af_rate(1, 1, 1, 1)
+STRESS = stress_params()
 
 
 # --- tail probability ---------------------------------------------------------
@@ -138,14 +139,15 @@ def test_intuitive_exponential_contract():
 
 
 def test_intuitive_batch_matches_scalar(rng):
-    params = make_params()
-    rows = rng.exponential(1.0, (50, 2))
-    lam, bits, time_, p = solve_sub_layer_batch(params, rows, EST)
-    for i in (0, 7, 23, 49):
-        stats = solve_sub_layer_intuitive(params, rows[i], EST)
-        assert lam[i] == pytest.approx(stats.threshold, abs=5e-9)
-        assert time_[i] == pytest.approx(stats.expected_time, rel=1e-7)
-    assert np.all(bits == lam * time_)
+    cases = [(make_params(), rng.exponential(1.0, (50, 2))),
+             (STRESS, rng.exponential(4.0, (50, 4)))]
+    for params, rows in cases:
+        lam, bits, time_, p = solve_sub_layer_batch(params, rows, EST)
+        for i in (0, 7, 23, 49):
+            stats = solve_sub_layer_intuitive(params, rows[i], EST)
+            assert lam[i] == pytest.approx(stats.threshold, abs=5e-9)
+            assert time_[i] == pytest.approx(stats.expected_time, rel=1e-7)
+        assert np.all(bits == lam * time_)
 
 
 def test_intuitive_threshold_below_saturation(rng):
@@ -195,13 +197,33 @@ def test_w_rejects_negative_gamma():
 
 
 def test_w_batch_matches_scalar(rng):
-    params = make_params()
-    rows = rng.exponential(1.0, (60, 2))
-    for gamma in (0.2, 0.7, 1.4):
-        batch = solve_sub_w_batch(params, rows, gamma, EST)
-        for i in (0, 13, 31, 59):
-            assert batch[i] == pytest.approx(solve_sub_w(params, rows[i], gamma, EST).value,
-                                             abs=5e-9)
+    cases = [(make_params(), rng.exponential(1.0, (60, 2))),
+             (STRESS, rng.exponential(4.0, (60, 4)))]
+    for params, rows in cases:
+        for gamma in (0.2, 0.7, 1.4):
+            batch = solve_sub_w_batch(params, rows, gamma, EST)
+            for i in (0, 13, 31, 59):
+                assert batch[i] == pytest.approx(
+                    solve_sub_w(params, rows[i], gamma, EST).value, abs=5e-9)
+
+
+@pytest.mark.parametrize("params", [make_params(), STRESS], ids=["base", "stress"])
+def test_w_slope_is_the_envelope_derivative(params, rng):
+    # W'(gamma) = -(T/2)(1 + k / P(theta)), k = tau / (T p_r), at the
+    # threshold theta = gamma + W / (T/2): the outer Newton slope's inner part
+    est = EstimatorConfig(mc_samples=100, quad_points=64, seed=1, tol=1e-12)
+    rows = rng.exponential(params.first_hop_mean_gain, (40, params.num_relays))
+    half_t = 0.5 * params.data_time
+    k = params.slot_time / (params.data_time * success_prob(params.num_relays,
+                                                            params.relay_prob))
+    h = 1e-5
+    for gamma in (0.3, 0.8):
+        w = solve_sub_w_batch(params, rows, gamma, est)
+        central = (solve_sub_w_batch(params, rows, gamma + h, est)
+                   - solve_sub_w_batch(params, rows, gamma - h, est)) / (2.0 * h)
+        stop = np.array([sub_layer_tail_prob(params, row, gamma + wi / half_t)
+                         for row, wi in zip(rows, w)])
+        np.testing.assert_allclose(central, -half_t * (1.0 + k / stop), rtol=1e-6)
 
 
 def test_w_residual_against_monte_carlo(rng):

@@ -57,8 +57,6 @@ from .solver import (
     solve_main_gamma_intuitive,
     solve_main_gamma_optimal,
     solve_sub_layer_batch,
-    solve_sub_layer_intuitive,
-    solve_sub_w,
     solve_sub_w_batch,
     sub_layer_expected_positive_part,
     sub_layer_tail_prob,

@@ -170,8 +170,8 @@ def load_config(path) -> ExperimentConfig:
     if estimator.mc_samples < MIN_PRODUCTION_MC_SAMPLES:
         raise ConfigError(
             f"estimator.mc_samples: must be >= {MIN_PRODUCTION_MC_SAMPLES} for CLI runs")
-    sim = _build_section("sim", raw.get("sim", {}), SimConfig, {"contention_mode": str},
-                         default_kind=int, packets=10_000)
+    sim = _build_section("sim", raw.get("sim", {}), SimConfig, {}, default_kind=int,
+                         packets=10_000)
     scenario = raw.get("scenario", "1")
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario: must be one of {SCENARIOS}, got {scenario!r}")
@@ -200,7 +200,7 @@ def _build_section(name: str, section, cls, kinds: dict, default_kind=float, **d
     kwargs = dict(defaults)
     for key, value in section.items():
         kind = kinds.get(key, default_kind)
-        kwargs[key] = kind(value) if kind is str else _cast(f"{name}.{key}", value, kind)
+        kwargs[key] = _cast(f"{name}.{key}", value, kind)
     missing = [f.name for f in fields
                if f.default is dataclasses.MISSING and f.name not in kwargs]
     if missing:
@@ -245,6 +245,11 @@ def _build_oracle(section) -> OracleSettings:
     oracle = _build_section("oracle", section, OracleSettings, {"points": int})
     if oracle.points < 2:
         raise ConfigError("oracle.points: must be >= 2")
+    # JSON parsers accept NaN and Infinity; neither bounds a grid
+    for key in ("lo", "hi"):
+        value = getattr(oracle, key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"oracle.{key}: must be finite, got {value!r}")
     return oracle
 
 

@@ -2,9 +2,9 @@
 
 A slot succeeds when exactly one of n contenders transmits, so the per-slot
 success probability is n*p*(1-p)^(n-1) and the slot count to the first
-success is geometric. Two samplers are provided: a fast geometric shortcut
-and a literal per-slot Bernoulli loop; they are distributionally identical
-and the equivalence is covered by tests.
+success is geometric. The simulator draws each contention with the
+geometric shortcut; the literal per-slot Bernoulli loop is kept as the
+distributional reference the tests compare it against.
 """
 from __future__ import annotations
 

@@ -3,7 +3,8 @@
 One delivered packet is one renewal cycle: contention observations, the
 stop decision, and the data transmission. Channel gains are i.i.d. per
 observation (block fading at observation granularity, no temporal
-correlation). Throughput is total bits over total elapsed time, with a
+correlation). Each contention is one geometric draw of its slot count with
+a uniform winner. Throughput is total bits over total elapsed time, with a
 ratio-estimator standard error over the per-packet (bits, time) pairs.
 
 A run's result is columnar: ``SimStats`` holds one array per packet field
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import policies
 from .channel import SystemParams, af_rate
-from .contention import sample_contention, simulate_contention_slots
+from .contention import sample_contention
 from .errors import (
     CappedPacketError,
     InsufficientDataError,
@@ -35,15 +36,12 @@ from .errors import (
 from .policies import PolicyKind, PolicySpec
 from .solver import (
     EstimatorConfig,
-    SubLayerStats,
     default_observations,
     solve_sub_layer_batch,
     solve_sub_w_batch,
     _first_hop_model,
     _second_hop_model,
 )
-
-CONTENTION_MODES = ("fast-geometric", "literal-slots")
 
 _OBS_CHUNK = 2048
 
@@ -56,18 +54,16 @@ class SimConfig:
     seed: int = 0
     sub_observation_cap: int = 1_000_000
     main_observation_cap: int = 1_000_000
-    contention_mode: str = "fast-geometric"
 
     def __post_init__(self) -> None:
         if not isinstance(self.packets, int) or self.packets < 1:
             raise InvalidParameterError("packets must be an integer >= 1")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise InvalidParameterError("seed must be an integer >= 0")
-        if self.sub_observation_cap < 1 or self.main_observation_cap < 1:
-            raise InvalidParameterError("observation caps must be >= 1")
-        if self.contention_mode not in CONTENTION_MODES:
-            raise InvalidParameterError(
-                f"contention_mode must be one of {CONTENTION_MODES}")
+        for cap in (self.sub_observation_cap, self.main_observation_cap):
+            # a NaN cap would compare False forever and disable the never-stop guard
+            if not isinstance(cap, int) or cap < 1:
+                raise InvalidParameterError("observation caps must be integers >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +142,8 @@ def run_scenario1(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
         waited = 0.0
         n_obs = 0
         while True:
-            outcome = _contend(rng_cont, params.num_sources, params.source_prob,
-                               params.slot_time, cfg.contention_mode)
+            outcome = sample_contention(rng_cont, params.num_sources, params.source_prob,
+                                        params.slot_time)
             waited += outcome.elapsed
             n_obs += 1
             if n_obs > cfg.main_observation_cap:
@@ -206,8 +202,8 @@ def run_scenario2(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
         elapsed = 0.0
         n_obs = 0
         while True:
-            outcome = _contend(rng_cont, params.num_sources, params.source_prob,
-                               half_slot, cfg.contention_mode)
+            outcome = sample_contention(rng_cont, params.num_sources, params.source_prob,
+                                        half_slot)
             elapsed += outcome.elapsed
             n_obs += 1
             if n_obs > cfg.main_observation_cap:
@@ -220,8 +216,8 @@ def run_scenario2(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
 
         m_obs = 0
         while True:
-            outcome = _contend(rng_cont, params.num_relays, params.relay_prob,
-                               half_slot, cfg.contention_mode)
+            outcome = sample_contention(rng_cont, params.num_relays, params.relay_prob,
+                                        half_slot)
             elapsed += outcome.elapsed
             m_obs += 1
             if m_obs > cfg.sub_observation_cap:
@@ -289,12 +285,6 @@ def _aggregate(main_observations, sub_observations, rate_at_stop, relay,
                     throughput_stderr=stderr)
 
 
-def _contend(rng, n, p, slot, mode):
-    if mode == "literal-slots":
-        return simulate_contention_slots(rng, n, p, slot)
-    return sample_contention(rng, n, p, slot)
-
-
 def _chunked(draw):
     """Yield the rows of fixed-size batched draws as Python scalars, in draw order."""
     while True:
@@ -310,7 +300,7 @@ def _main_statistics(params, est, spec, intuitive, rng, n, first_hop, second_hop
     fh = _first_hop_model(params, first_hop)
     rows = np.atleast_2d(fh.sample(rng, (n, params.num_relays)))
     if intuitive:
-        stats = SubLayerStats(*solve_sub_layer_batch(params, rows, est, second_hop))
+        stats = solve_sub_layer_batch(params, rows, est, second_hop)
         return rows, stats.threshold, policies.intuitive_main_decide(
             spec, stats, params.data_time)
     w = solve_sub_w_batch(params, rows, spec.gamma_star, est, second_hop)

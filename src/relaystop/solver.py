@@ -15,10 +15,9 @@ convex decreasing function with a unique root.
 
 The source-level thresholds are rate-of-return problems, solved by Newton's
 method on the residual and its slope (Dinkelbach's method); the coupled solve
-starts at the intuitive root, which it dominates. The relay-level batch
-engine runs guarded Newton on many realizations at once, dropping converged
-rows from the kernel passes. The single-realization relay-level solvers
-bisect and serve as the tests' independent reference for that engine.
+starts at the intuitive root, which it dominates. Every relay-level solve,
+one realization or many, goes through one batch engine that runs guarded
+Newton on all rows at once, dropping converged rows from the kernel passes.
 
 Point-mass and finite-support channel hooks are part of the public surface:
 they make the closed-form worked examples exact and are used heavily in
@@ -98,7 +97,8 @@ class ThresholdSolution:
 class SubLayerStats:
     """Solved relay-level stopping problem per first-hop realization.
 
-    Fields are floats for one realization or equal-length arrays for a block.
+    ``solve_sub_layer_batch`` returns equal-length arrays, one entry per
+    realization; the policies also take floats for a single realization.
 
     threshold: maximal conditional relay-level throughput; also the stop
         threshold on the observed relay rate.
@@ -416,14 +416,6 @@ def _as_rows(f_sq) -> np.ndarray:
     return arr
 
 
-def _as_single_row(f_sq) -> np.ndarray:
-    rows = _as_rows(f_sq)
-    if rows.shape[0] != 1:
-        raise InvalidParameterError(
-            "expected one first-hop realization; use the batch variant for many")
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Relay-level (sub-layer) solvers
 #
@@ -433,33 +425,14 @@ def _as_single_row(f_sq) -> np.ndarray:
 #                     where theta = gamma + W / (T/2).
 
 
-def solve_sub_layer_intuitive(params: SystemParams, f_sq, est: EstimatorConfig,
-                              second_hop=None) -> SubLayerStats:
-    """Solve the relay-level throughput fixed point for one realization.
-
-    The threshold lam solves  E[max(R_m - lam, 0)] = lam * tau / (T p_r).
-    Expected relay-level time counts the second-hop transmission half plus
-    one expected contention per observation, with a geometric observation
-    count at the solved stop probability. All-zero first-hop gains yield the
-    documented degenerate statistics rather than an error.
-    """
-    rows = _as_single_row(f_sq)
-    p_r = success_prob(params.num_relays, params.require_relay_prob())
-    kernel = _SecondHopKernel(params, rows, est.quad_points, second_hop)
-    slope = params.slot_time / (params.data_time * p_r)
-    lam, _, _, _ = _bisect_rows(lambda x: kernel.excess(x) - x * slope,
-                                np.zeros_like(kernel.sat_top), kernel.sat_top, est)
-    lam_v, bits, time_, p = _stats_from_lambda(params, lam, kernel.tail(lam), p_r)
-    return SubLayerStats(float(lam_v[0]), float(bits[0]), float(time_[0]), float(p[0]))
-
-
 def solve_sub_layer_batch(params: SystemParams, f_rows, est: EstimatorConfig,
-                          second_hop=None):
-    """Vectorized relay-level throughput solve per first-hop realization.
+                          second_hop=None) -> SubLayerStats:
+    """Relay-level throughput statistics, one entry per first-hop realization.
 
-    Returns (threshold, expected_bits, expected_time, stop_prob) arrays, one
-    entry per row of ``f_rows``. Same equation as solve_sub_layer_intuitive,
-    solved for all rows at once by the guarded-Newton engine.
+    The threshold lam solves E[max(R_m - lam, 0)] = lam * tau / (T p_r); the
+    expected time is T/2 plus one expected contention per observation over a
+    geometric observation count. All-zero first-hop gains give threshold 0
+    and stop probability 1 rather than an error.
     """
     kernels = _chunk_kernels(params, _as_rows(f_rows), est, second_hop)
     return _intuitive_rows(params, kernels, est)[0]
@@ -479,54 +452,26 @@ def _intuitive_rows(params, kernels, est):
     for kernel in kernels:
         lam, stop_prob, iters = _newton_rows(kernel, slope, np.zeros(kernel.rows.shape[0]),
                                              est, theta_scale=1.0)
-        parts.append(_stats_from_lambda(params, lam, stop_prob, p_r))
+        parts.append((lam, stop_prob))
         inner += iters
-    return tuple(np.concatenate(arrs) for arrs in zip(*parts)), inner
-
-
-def _stats_from_lambda(params, lam, stop_prob, p_r):
+    lam, stop_prob = (np.concatenate(arrs) for arrs in zip(*parts))
     with np.errstate(divide="ignore"):
         expected_time = (0.5 * params.data_time
                          + params.slot_time / (2.0 * p_r * stop_prob))
-    return lam, lam * expected_time, expected_time, stop_prob
-
-
-def solve_sub_w(params: SystemParams, f_sq, gamma: float, est: EstimatorConfig,
-                second_hop=None) -> ThresholdSolution:
-    """Solve the relay-level reward fixed point at an imposed return rate.
-
-    W solves  E[max((T/2) R_m - (T/2) gamma, W)] = W + gamma tau / (2 p_r),
-    rewritten through max(a, W) - W = max(a - W, 0) so the left side becomes
-    a shifted positive part, then bisected in W. W may be negative for poor
-    first hops. At gamma = 0 the equation degenerates and the root is the
-    essential supremum of the reward, (T/2) * max saturation; the solver
-    lands at the float-tail boundary just below it. The stop rule W generates
-    is  (T/2) R_m >= W + (T/2) gamma.
-    """
-    if gamma < 0:
-        raise InvalidParameterError("gamma must be >= 0")
-    rows = _as_single_row(f_sq)
-    p_r = success_prob(params.num_relays, params.require_relay_prob())
-    kernel = _SecondHopKernel(params, rows, est.quad_points, second_hop)
-    half_t = 0.5 * params.data_time
-    target = gamma * params.slot_time / (params.data_time * p_r)
-
-    def residual(w):
-        return half_t * (kernel.excess(gamma + w / half_t) - target)
-
-    # Deterministic bracket: below theta_lo the positive part is linear and
-    # exceeds the cost; at max saturation it is zero.
-    theta_lo = np.minimum(0.0, kernel.e0 - target) - 1.0
-    lo = half_t * (theta_lo - gamma)
-    hi = half_t * (kernel.sat_top - gamma)
-    w, b_lo, b_hi, iters = _bisect_rows(residual, lo, hi, est)
-    return ThresholdSolution(float(w[0]), float(residual(w)[0]), iters,
-                             (float(b_lo[0]), float(b_hi[0])))
+    return SubLayerStats(lam, lam * expected_time, expected_time, stop_prob), inner
 
 
 def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,
                       est: EstimatorConfig, second_hop=None) -> np.ndarray:
-    """Vectorized solve_sub_w over rows of first-hop realizations."""
+    """Relay-level reward fixed point W, one per first-hop realization.
+
+    At the imposed return rate gamma, W solves
+    E[max((T/2) R_m - (T/2) gamma, W)] = W + gamma tau / (2 p_r); W may be
+    negative for poor first hops, and its stop rule is
+    (T/2) R_m >= W + (T/2) gamma. At gamma = 0 the root is the essential
+    supremum of the reward, (T/2) * max saturation, and the solver lands at
+    the float-tail boundary just below it.
+    """
     if gamma < 0:
         raise InvalidParameterError("gamma must be >= 0")
     p_r = success_prob(params.num_relays, params.require_relay_prob())
@@ -563,9 +508,10 @@ def solve_main_gamma_intuitive(params: SystemParams, est: EstimatorConfig,
 
 
 def _intuitive_gamma(params, kernels, est) -> ThresholdSolution:
-    (_, bits, time_, _), inner = _intuitive_rows(params, kernels, est)
+    stats, inner = _intuitive_rows(params, kernels, est)
     cost = params.slot_time / (2.0 * success_prob(params.num_sources, params.source_prob))
-    evaluate = _piecewise_linear_residual(bits, time_ + 0.5 * params.data_time, cost)
+    evaluate = _piecewise_linear_residual(stats.expected_bits,
+                                          stats.expected_time + 0.5 * params.data_time, cost)
     return _solve_convex(evaluate, cost, est, "two-part throughput (intuitive rule)",
                          inner_iterations=inner)
 
@@ -675,26 +621,6 @@ def _solve_convex(evaluate, cost: float, est: EstimatorConfig, name: str,
     raise SolverFailureError(
         f"{name}: Newton did not converge within {est.max_iter} evaluations from "
         f"{start} (enclosure [{lo}, {hi}], residual {r})")
-
-
-def _bisect_rows(residual, lo: np.ndarray, hi: np.ndarray, est: EstimatorConfig):
-    """Vectorized bisection; expects residual(lo) >= 0 >= residual(hi) per row."""
-    lo = lo.astype(float).copy()
-    hi = hi.astype(float).copy()
-    for iters in range(1, est.max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        res = residual(mid)
-        done = ((hi - lo) <= est.tol * np.maximum(1.0, np.abs(mid))) \
-            & (np.abs(res) <= est.tol)
-        if bool(done.all()):
-            return mid, lo, hi, iters
-        take = res > 0.0
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    worst = int(np.argmax(np.abs(res)))
-    raise SolverFailureError(
-        f"row bisection did not converge within {est.max_iter} iterations "
-        f"(worst row {worst}: bracket [{lo[worst]}, {hi[worst]}], residual {res[worst]})")
 
 
 def _newton_rows(kernel: _SecondHopKernel, cost_slope: float, targets: np.ndarray,

@@ -31,12 +31,12 @@ from relaystop import (
     solve_main_gamma_intuitive,
     solve_main_gamma_optimal,
     solve_sub_layer_batch,
-    solve_sub_w,
     solve_sub_w_batch,
     stopping_time_stats,
     success_prob,
 )
 from relaystop.channel import SystemParams
+from .conftest import reference_w
 
 # Three standard exponential-channel configurations.
 CONFIG_A = SystemParams(num_sources=4, num_relays=2, source_power=10.0, relay_power=10.0,
@@ -278,7 +278,7 @@ def test_criterion_9_analytic_bounds():
 
     rows = rng.exponential(1.0, (1000, CONFIG_TWO_PART.num_relays))
     est = EstimatorConfig(mc_samples=1000, quad_points=64, seed=5, tol=1e-9)
-    lam, _, _, _ = solve_sub_layer_batch(CONFIG_TWO_PART, rows, est)
+    lam = solve_sub_layer_batch(CONFIG_TWO_PART, rows, est).threshold
     sat = rate_saturation(CONFIG_TWO_PART.source_power, rows).max(axis=1)
     checks["sub_threshold_finite"] = bool(np.all(lam < sat + 1e-12)) \
         and bool(np.all(np.isfinite(lam)))
@@ -293,7 +293,7 @@ def test_criterion_10_structural_properties(two_part_solutions):
     checks = {}
     monotone = True
     for row in rows:
-        values = [solve_sub_w(CONFIG_TWO_PART, row, g, est).value for g in grid]
+        values = [reference_w(CONFIG_TWO_PART, row, g, est) for g in grid]
         monotone &= bool(np.all(np.diff(values) <= 1e-8))
     checks["w_nonincreasing_in_gamma"] = monotone
 

@@ -316,6 +316,15 @@ def test_infinite_tol_is_config_error(tmp_path, capsys):
     assert "tol must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("lo", float("nan")), ("hi", float("inf"))],
+                         ids=["lo-nan", "hi-inf"])
+def test_non_finite_oracle_bound_is_config_error(tmp_path, capsys, field, value):
+    # json.dumps writes NaN / Infinity, which json.loads reads back as floats
+    path = write_config(tmp_path, oracle={field: value})
+    assert main(["oracle", "--config", str(path)]) == 2
+    assert f"oracle.{field}: must be finite" in capsys.readouterr().err
+
+
 def test_malformed_json_is_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -145,15 +145,17 @@ def test_decisions_invariant_under_time_rescaling():
 
     g_b = solve_main_gamma_intuitive(params, est).value
     g_s = solve_main_gamma_intuitive(scaled, est).value
-    lam_b, bits_b, time_b, _ = solve_sub_layer_batch(params, rows, est)
-    lam_s, bits_s, time_s, _ = solve_sub_layer_batch(scaled, rows, est)
+    stats_b = solve_sub_layer_batch(params, rows, est)
+    stats_s = solve_sub_layer_batch(scaled, rows, est)
     spec_b = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=g_b)
     spec_s = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=g_s)
     for i in range(rows.shape[0]):
         d_b = intuitive_main_decide(
-            spec_b, SubLayerStats(lam_b[i], bits_b[i], time_b[i], 1.0), params.data_time)
+            spec_b, SubLayerStats(stats_b.threshold[i], stats_b.expected_bits[i],
+                                  stats_b.expected_time[i], 1.0), params.data_time)
         d_s = intuitive_main_decide(
-            spec_s, SubLayerStats(lam_s[i], bits_s[i], time_s[i], 1.0), scaled.data_time)
+            spec_s, SubLayerStats(stats_s.threshold[i], stats_s.expected_bits[i],
+                                  stats_s.expected_time[i], 1.0), scaled.data_time)
         assert d_b == d_s
 
     go_b = solve_main_gamma_optimal(params, est).value

@@ -78,7 +78,7 @@ def test_scenario1_matches_solver(small_est):
 
 def test_scenario1_literal_contention_mode():
     params = make_params()
-    cfg = SimConfig(packets=300, seed=5, contention_mode="literal-slots")
+    cfg = SimConfig(packets=300, seed=5)
     stats = run_scenario1(params, full_spec(0.5), cfg)
     assert stats.bits.size == 300
 
@@ -235,7 +235,7 @@ def test_scenario2_observation_caps_are_hard_errors():
 def test_scenario2_literal_contention_mode():
     spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=DET_GAMMA)
     stats = run_scenario2(det2_params(), spec,
-                          SimConfig(packets=64, seed=6, contention_mode="literal-slots"),
+                          SimConfig(packets=64, seed=6),
                           est=DET_EST, **DET_HOPS)
     assert stats.throughput == pytest.approx(DET_GAMMA, abs=1e-12)
 
@@ -267,9 +267,12 @@ def test_sim_config_validation():
     with pytest.raises(InvalidParameterError):
         SimConfig(packets=0)
     with pytest.raises(InvalidParameterError):
-        SimConfig(packets=10, contention_mode="whatever")
-    with pytest.raises(InvalidParameterError):
         SimConfig(packets=10, sub_observation_cap=0)
+    # a NaN cap never compares above the count, so it would disable the guard
+    with pytest.raises(InvalidParameterError, match="integers"):
+        SimConfig(packets=10, main_observation_cap=float("nan"))
+    with pytest.raises(InvalidParameterError, match="integers"):
+        SimConfig(packets=10, sub_observation_cap=2.5)
     with pytest.raises(InvalidParameterError, match="seed"):
         SimConfig(packets=10, seed=-1)
 

@@ -42,10 +42,11 @@ def test_optimal_deterministic_closed_form():
 def _intuitive_residual(params, est, gamma):
     rows = np.random.default_rng(est.seed).exponential(
         params.first_hop_mean_gain, (est.mc_samples, params.num_relays))
-    _, bits, time_, _ = solve_sub_layer_batch(params, rows, est)
+    stats = solve_sub_layer_batch(params, rows, est)
     p_s = success_prob(params.num_sources, params.source_prob)
     half_t = 0.5 * params.data_time
-    gain = np.maximum(bits - gamma * time_ - gamma * half_t, 0.0).mean()
+    gain = np.maximum(stats.expected_bits - gamma * stats.expected_time - gamma * half_t,
+                      0.0).mean()
     return gain - gamma * params.slot_time / (2.0 * p_s)
 
 

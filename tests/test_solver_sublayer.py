@@ -12,14 +12,19 @@ from relaystop import (
     af_rate,
     rate_saturation,
     solve_sub_layer_batch,
-    solve_sub_layer_intuitive,
-    solve_sub_w,
     solve_sub_w_batch,
     sub_layer_expected_positive_part,
     sub_layer_tail_prob,
     success_prob,
 )
-from .conftest import hook_params, make_params, stress_params
+from .conftest import (
+    hook_params,
+    make_params,
+    reference_sub_lambda,
+    reference_w,
+    stress_params,
+    w_residual,
+)
 
 # L=1, p1=0.5 -> p_r = 0.5; tau = 0.2, T = 2 throughout the worked examples
 HOOK = hook_params()
@@ -108,74 +113,85 @@ def test_excess_quadrature_is_converged():
 # --- relay-level throughput fixed point ----------------------------------------
 
 def test_intuitive_degenerate_zero_gains():
-    stats = solve_sub_layer_intuitive(HOOK, [0.0], EST)
-    assert stats.threshold == 0.0
-    assert stats.stop_prob == 1.0
-    assert stats.expected_bits == 0.0
+    stats = solve_sub_layer_batch(HOOK, [[0.0]], EST)
+    assert stats.threshold[0] == 0.0
+    assert stats.stop_prob[0] == 1.0
+    assert stats.expected_bits[0] == 0.0
     # T/2 + tau / (2 p_r) = 1 + 0.2
-    assert stats.expected_time == pytest.approx(1.2, abs=1e-12)
+    assert stats.expected_time[0] == pytest.approx(1.2, abs=1e-12)
 
 
 def test_intuitive_constant_rate_closed_form():
     # rate constant 1 via F=3, g=2: lam = r / (1 + tau / (T p_r)) = 1 / 1.2
-    stats = solve_sub_layer_intuitive(HOOK, [3.0], EST, second_hop=FixedGain(2.0))
-    assert stats.threshold == pytest.approx(1.0 / 1.2, abs=1e-8)
-    assert stats.stop_prob == 1.0
-    assert stats.expected_time == pytest.approx(1.2, abs=1e-8)
-    assert stats.expected_bits == pytest.approx(1.0, abs=1e-8)
+    hop = FixedGain(2.0)
+    stats = solve_sub_layer_batch(HOOK, [[3.0]], EST, second_hop=hop)
+    assert stats.threshold[0] == pytest.approx(1.0 / 1.2, abs=1e-8)
+    assert stats.stop_prob[0] == 1.0
+    assert stats.expected_time[0] == pytest.approx(1.2, abs=1e-8)
+    assert stats.expected_bits[0] == pytest.approx(1.0, abs=1e-8)
+    # the tests' bisection reference must meet the same closed form
+    assert reference_sub_lambda(HOOK, [3.0], EST, second_hop=hop) \
+        == pytest.approx(1.0 / 1.2, abs=1e-8)
 
 
 def test_intuitive_exponential_contract():
     params = make_params()
     f_sq = np.array([2.0, 0.3])
-    stats = solve_sub_layer_intuitive(params, f_sq, EST)
+    stats = solve_sub_layer_batch(params, [f_sq], EST)
+    lam, bits, time_ = stats.threshold[0], stats.expected_bits[0], stats.expected_time[0]
     p_r = success_prob(params.num_relays, params.relay_prob)
-    lhs = sub_layer_expected_positive_part(params, f_sq, stats.threshold, EST)
-    rhs = stats.threshold * params.slot_time / (params.data_time * p_r)
+    lhs = sub_layer_expected_positive_part(params, f_sq, lam, EST)
+    rhs = lam * params.slot_time / (params.data_time * p_r)
     assert abs(lhs - rhs) <= EST.tol
-    assert stats.threshold < max(rate_saturation(params.source_power, f) for f in f_sq)
-    assert stats.expected_bits == stats.threshold * stats.expected_time
-    assert stats.expected_time >= 0.5 * params.data_time
+    assert lam < max(rate_saturation(params.source_power, f) for f in f_sq)
+    assert bits == lam * time_
+    assert time_ >= 0.5 * params.data_time
 
 
 def test_intuitive_batch_matches_scalar(rng):
     cases = [(make_params(), rng.exponential(1.0, (50, 2))),
              (STRESS, rng.exponential(4.0, (50, 4)))]
     for params, rows in cases:
-        lam, bits, time_, p = solve_sub_layer_batch(params, rows, EST)
+        stats = solve_sub_layer_batch(params, rows, EST)
+        p_r = success_prob(params.num_relays, params.relay_prob)
         for i in (0, 7, 23, 49):
-            stats = solve_sub_layer_intuitive(params, rows[i], EST)
-            assert lam[i] == pytest.approx(stats.threshold, abs=5e-9)
-            assert time_[i] == pytest.approx(stats.expected_time, rel=1e-7)
-        assert np.all(bits == lam * time_)
+            lam = reference_sub_lambda(params, rows[i], EST)
+            time_ = 0.5 * params.data_time + params.slot_time / (
+                2.0 * p_r * sub_layer_tail_prob(params, rows[i], lam))
+            assert stats.threshold[i] == pytest.approx(lam, abs=5e-9)
+            assert stats.expected_time[i] == pytest.approx(time_, rel=1e-7)
+        assert np.all(stats.expected_bits == stats.threshold * stats.expected_time)
 
 
 def test_intuitive_threshold_below_saturation(rng):
     params = make_params()
     rows = rng.exponential(1.0, (1000, 2))
-    lam, _, _, p_stop = solve_sub_layer_batch(params, rows, EST)
+    stats = solve_sub_layer_batch(params, rows, EST)
     sat = np.log1p(params.source_power * rows).max(axis=1) / math.log(2.0)
-    assert np.all(lam < sat + 1e-12)
-    assert np.all(p_stop > 0.0)
+    assert np.all(stats.threshold < sat + 1e-12)
+    assert np.all(stats.stop_prob > 0.0)
 
 
 # --- relay-level reward fixed point --------------------------------------------
 
 def test_w_constant_rate_closed_form():
     # W = (T/2)(r - gamma) - gamma tau / (2 p_r) = 0.6 - 0.08 = 0.52
-    sol = solve_sub_w(HOOK, [3.0], 0.4, EST, second_hop=FixedGain(2.0))
-    assert sol.value == pytest.approx(0.52, abs=1e-8)
-    assert abs(sol.residual) <= EST.tol
+    hop = FixedGain(2.0)
+    w = solve_sub_w_batch(HOOK, [[3.0]], 0.4, EST, second_hop=hop)[0]
+    assert w == pytest.approx(0.52, abs=1e-8)
+    assert abs(w_residual(HOOK, [3.0], 0.4, w, EST, second_hop=hop)) <= EST.tol
+    assert reference_w(HOOK, [3.0], 0.4, EST, second_hop=hop) == pytest.approx(0.52, abs=1e-8)
 
 
 def test_w_zero_gains_closed_form():
     # zero rate: max(-(T/2) gamma - W, 0) = gamma tau / (2 p_r)
     # -> W = -(T/2) gamma - gamma tau / (2 p_r) = -0.4 - 0.08
-    sol = solve_sub_w(HOOK, [0.0], 0.4, EST)
-    assert sol.value == pytest.approx(-0.48, abs=1e-8)
+    w = solve_sub_w_batch(HOOK, [[0.0]], 0.4, EST)[0]
+    assert w == pytest.approx(-0.48, abs=1e-8)
+    assert reference_w(HOOK, [0.0], 0.4, EST) == pytest.approx(-0.48, abs=1e-8)
     # cross-check the branch by substituting into the unshifted equation
-    lhs = max(-0.5 * HOOK.data_time * 0.4, sol.value)
-    rhs = sol.value + 0.4 * HOOK.slot_time / (2.0 * success_prob(1, 0.5))
+    lhs = max(-0.5 * HOOK.data_time * 0.4, w)
+    rhs = w + 0.4 * HOOK.slot_time / (2.0 * success_prob(1, 0.5))
     assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -183,15 +199,13 @@ def test_w_gamma_zero_boundary():
     # at gamma = 0 the root is the essential supremum (T/2) * saturation;
     # the solver lands at the float-tail boundary just under it
     sat = rate_saturation(HOOK.source_power, 3.0)
-    sol = solve_sub_w(HOOK, [3.0], 0.0, EST)
-    assert abs(sol.residual) <= EST.tol
-    assert sol.value <= 0.5 * HOOK.data_time * sat
-    assert sol.value == pytest.approx(0.5 * HOOK.data_time * sat, abs=0.01)
+    w = solve_sub_w_batch(HOOK, [[3.0]], 0.0, EST)[0]
+    assert abs(w_residual(HOOK, [3.0], 0.0, w, EST)) <= EST.tol
+    assert w <= 0.5 * HOOK.data_time * sat
+    assert w == pytest.approx(0.5 * HOOK.data_time * sat, abs=0.01)
 
 
 def test_w_rejects_negative_gamma():
-    with pytest.raises(InvalidParameterError):
-        solve_sub_w(HOOK, [1.0], -0.1, EST)
     with pytest.raises(InvalidParameterError):
         solve_sub_w_batch(HOOK, [[1.0]], -0.1, EST)
 
@@ -204,7 +218,7 @@ def test_w_batch_matches_scalar(rng):
             batch = solve_sub_w_batch(params, rows, gamma, EST)
             for i in (0, 13, 31, 59):
                 assert batch[i] == pytest.approx(
-                    solve_sub_w(params, rows[i], gamma, EST).value, abs=5e-9)
+                    reference_w(params, rows[i], gamma, EST), abs=5e-9)
 
 
 @pytest.mark.parametrize("params", [make_params(), STRESS], ids=["base", "stress"])
@@ -231,15 +245,15 @@ def test_w_residual_against_monte_carlo(rng):
     params = make_params(source_power=1.0, relay_power=1.0)
     f_sq = np.array([2.5, 0.8])
     gamma = 0.5
-    sol = solve_sub_w(params, f_sq, gamma, EST)
+    w = solve_sub_w_batch(params, [f_sq], gamma, EST)[0]
     g = rng.exponential(1.0, 10**6)
     j = rng.integers(0, 2, 10**6)
     reward = 0.5 * params.data_time * af_rate(1.0, 1.0, f_sq[j], g)
     half_gamma = 0.5 * params.data_time * gamma
-    lhs = np.maximum(reward - half_gamma, sol.value).mean()
+    lhs = np.maximum(reward - half_gamma, w).mean()
     p_r = success_prob(params.num_relays, params.relay_prob)
-    rhs = sol.value + gamma * params.slot_time / (2.0 * p_r)
-    se = np.maximum(reward - half_gamma, sol.value).std(ddof=1) / 1000.0
+    rhs = w + gamma * params.slot_time / (2.0 * p_r)
+    se = np.maximum(reward - half_gamma, w).std(ddof=1) / 1000.0
     assert abs(lhs - rhs) < 4 * se
 
 
@@ -272,9 +286,9 @@ def test_custom_hop_object_matches_builtin():
         assert sub_layer_expected_positive_part(params, f_sq, lam, EST, second_hop=duck) \
             == pytest.approx(sub_layer_expected_positive_part(
                 params, f_sq, lam, EST, second_hop=builtin), abs=1e-12)
-    sol_duck = solve_sub_w(params, f_sq, 0.6, EST, second_hop=duck)
-    sol_builtin = solve_sub_w(params, f_sq, 0.6, EST, second_hop=builtin)
-    assert sol_duck.value == pytest.approx(sol_builtin.value, abs=1e-9)
+    w_duck = solve_sub_w_batch(params, [f_sq], 0.6, EST, second_hop=duck)[0]
+    w_builtin = solve_sub_w_batch(params, [f_sq], 0.6, EST, second_hop=builtin)[0]
+    assert w_duck == pytest.approx(w_builtin, abs=1e-9)
 
 
 def test_w_nonincreasing_in_gamma(rng):
@@ -282,5 +296,5 @@ def test_w_nonincreasing_in_gamma(rng):
     rows = rng.exponential(1.0, (5, 2))
     grid = np.linspace(0.01, 2.5, 15)
     for row in rows:
-        values = [solve_sub_w(params, row, g, EST).value for g in grid]
+        values = [reference_w(params, row, g, EST) for g in grid]
         assert np.all(np.diff(values) <= 1e-9)

@@ -5,7 +5,6 @@ from .channel import (
     RayleighFading,
     SystemParams,
     af_rate,
-    gain_for_rate,
     rate_saturation,
 )
 from .contention import (
@@ -18,7 +17,6 @@ from .errors import (
     CappedPacketError,
     ConfigError,
     ContentionDeadlockError,
-    InsufficientDataError,
     InvalidParameterError,
     PolicyMismatchError,
     RelayStopError,
@@ -36,18 +34,14 @@ from .policies import (
 from .simulator import (
     SimConfig,
     SimStats,
-    StoppingTimeStats,
     fixed_rate_observations,
     run_scenario1,
     run_scenario2,
-    stopping_time_stats,
-    throughput_ci,
 )
 from .solver import (
     EstimatorConfig,
     SubLayerStats,
     ThresholdSolution,
-    constant_rate_sampler,
     default_observations,
     discrete_rate_sampler,
     expected_positive_part_full_csi,

@@ -91,20 +91,13 @@ class RayleighFading:
     """Squared-magnitude fading gain: exponential with the given mean."""
 
     mean_gain: float
-    #: point-mass value, None for a continuous distribution
-    atom: None = None
 
     def __post_init__(self) -> None:
-        if not (self.mean_gain > 0.0):
-            raise InvalidParameterError("mean_gain must be > 0")
+        if not (self.mean_gain > 0.0) or not math.isfinite(self.mean_gain):
+            raise InvalidParameterError("mean_gain must be finite and > 0")
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.exponential(self.mean_gain, size)
-
-    def tail_prob(self, required_gain):
-        """P(gain >= required_gain), vectorized; required_gain may be inf."""
-        req = np.maximum(np.asarray(required_gain, dtype=float), 0.0)
-        return np.exp(-req / self.mean_gain)
 
 
 @dataclass(frozen=True)
@@ -117,18 +110,10 @@ class FixedGain:
         if not (self.gain >= 0.0) or not math.isfinite(self.gain):
             raise InvalidParameterError("gain must be finite and >= 0")
 
-    @property
-    def atom(self) -> float:
-        return self.gain
-
     def sample(self, rng: np.random.Generator, size=None):
         if size is None:
             return self.gain
         return np.full(size, self.gain, dtype=float)
-
-    def tail_prob(self, required_gain):
-        req = np.asarray(required_gain, dtype=float)
-        return (req <= self.gain).astype(float)
 
 
 def af_rate(source_power, relay_power, f_sq, g_sq):
@@ -154,23 +139,6 @@ def rate_saturation(source_power, f_sq):
         raise InvalidParameterError("source_power must be a scalar > 0")
     f = _clip_gains("f_sq", f_sq)
     out = np.log1p(source_power * f) / LN2
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def gain_for_rate(source_power, relay_power, f_sq, rate):
-    """Second-hop gain required to reach ``rate`` given the first-hop gain.
-
-    Inverts af_rate in its second-hop argument. Returns 0 for rate <= 0 and
-    inf when the rate lies at or above the first hop's saturation.
-    """
-    ps, pr = _check_powers(source_power, relay_power)
-    f = _clip_gains("f_sq", f_sq)
-    r = np.asarray(rate, dtype=float)
-    a = ps * f
-    c = np.expm1(r * LN2)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        raw = c * (1.0 + a) / (pr * (a - c))
-    out = np.where(r <= 0.0, 0.0, np.where(c < a, raw, np.inf))
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -23,13 +23,7 @@ import numpy as np
 from .channel import FixedGain, RayleighFading, SystemParams
 from .errors import ConfigError, RelayStopError
 from .policies import PolicyKind, PolicySpec
-from .simulator import (
-    SimConfig,
-    SimStats,
-    run_scenario1,
-    run_scenario2,
-    throughput_ci,
-)
+from .simulator import SimConfig, SimStats, run_scenario1, run_scenario2
 from .solver import (
     EstimatorConfig,
     ThresholdSolution,
@@ -46,6 +40,9 @@ SCENARIOS = ("1", "2-intuitive", "2-optimal")
 
 # mc_samples floor for CLI (production) runs; library callers may go lower.
 MIN_PRODUCTION_MC_SAMPLES = 1000
+
+# config "kind" of each gain model of the "channel" section
+_HOPS = {"fixed": FixedGain, "rayleigh": RayleighFading}
 
 _PARAM_FIELDS = {
     "num_sources": int,
@@ -100,9 +97,8 @@ class ExperimentConfig:
 def _hop_echo(hop) -> dict | None:
     if hop is None:
         return None
-    if isinstance(hop, FixedGain):
-        return {"kind": "fixed", "gain": hop.gain}
-    return {"kind": "rayleigh", "mean_gain": hop.mean_gain}
+    kind = next(k for k, cls in _HOPS.items() if type(hop) is cls)
+    return {"kind": kind, **dataclasses.asdict(hop)}
 
 
 @dataclass(frozen=True)
@@ -176,6 +172,8 @@ def load_config(path) -> ExperimentConfig:
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario: must be one of {SCENARIOS}, got {scenario!r}")
     out = raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out: must be a path string or null, got {out!r}")
     oracle = _build_oracle(raw.get("oracle", {}))
     first_hop, second_hop = _build_channel(raw.get("channel", {}))
     return ExperimentConfig(params=params, estimator=estimator, sim=sim,
@@ -226,17 +224,11 @@ def _build_hop(name: str, section):
         return None
     if not isinstance(section, dict) or "kind" not in section:
         raise ConfigError(f"{name}: must be an object with a 'kind' field")
-    kind = section["kind"]
-    try:
-        if kind == "fixed":
-            return FixedGain(_cast(f"{name}.gain", section["gain"], float))
-        if kind == "rayleigh":
-            return RayleighFading(_cast(f"{name}.mean_gain", section["mean_gain"], float))
-    except KeyError as exc:
-        raise ConfigError(f"{name}: missing field {exc}") from exc
-    except RelayStopError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-    raise ConfigError(f"{name}.kind: must be 'rayleigh' or 'fixed', got {kind!r}")
+    fields = dict(section)
+    kind = fields.pop("kind")
+    if not isinstance(kind, str) or kind not in _HOPS:
+        raise ConfigError(f"{name}.kind: must be one of {sorted(_HOPS)}, got {kind!r}")
+    return _build_section(name, fields, _HOPS[kind], {})
 
 
 def _build_oracle(section) -> OracleSettings:
@@ -267,16 +259,15 @@ def _cast(name: str, value, kind):
 
 
 def apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.seed is not None:
-        cfg.sim = dataclasses.replace(cfg.sim, seed=args.seed)
-        cfg.estimator = dataclasses.replace(cfg.estimator, seed=args.seed)
-    if args.packets is not None:
-        if args.packets < 1:
-            raise ConfigError("--packets: must be >= 1")
-        cfg.sim = dataclasses.replace(cfg.sim, packets=args.packets)
-    if args.scenario is not None:
-        if args.scenario not in SCENARIOS:
-            raise ConfigError(f"--scenario: must be one of {SCENARIOS}")
+    try:
+        if args.seed is not None:
+            cfg.sim = dataclasses.replace(cfg.sim, seed=args.seed)
+            cfg.estimator = dataclasses.replace(cfg.estimator, seed=args.seed)
+        if args.packets is not None:
+            cfg.sim = dataclasses.replace(cfg.sim, packets=args.packets)
+    except RelayStopError as exc:
+        raise ConfigError(f"command-line override: {exc}") from exc
+    if args.scenario is not None:  # argparse choices already checked it
         cfg.scenario = args.scenario
     if args.out is not None:
         cfg.out = Path(args.out)
@@ -354,16 +345,15 @@ def cmd_simulate(cfg: ExperimentConfig) -> ReportSummary:
     t0 = time.perf_counter()
     sol, spec = _solve_for_scenario(cfg)
     stats = _run_simulation(cfg, spec)
-    throughput, stderr = throughput_ci(stats)
-    verdicts = [_match_verdict("throughput_matches_threshold", throughput, stderr,
-                               sol.value, cfg.estimator.tol)]
+    verdicts = [_match_verdict("throughput_matches_threshold", stats.throughput,
+                               stats.throughput_stderr, sol.value, cfg.estimator.tol)]
     summary = ReportSummary(
         command="simulate", scenario=cfg.scenario, seed=cfg.sim.seed,
         thresholds=_threshold_dict(cfg, sol), verdicts=verdicts,
         runtime_s=time.perf_counter() - t0, config=cfg.echo())
     summary.results = {
-        "throughput": throughput,
-        "throughput_stderr": stderr,
+        "throughput": stats.throughput,
+        "throughput_stderr": stats.throughput_stderr,
         "packets": int(stats.bits.size),
         "total_bits": stats.total_bits,
         "total_time": stats.total_time,
@@ -380,7 +370,8 @@ def cmd_compare(cfg: ExperimentConfig) -> ReportSummary:
     _require_relay_prob(cfg)
     hops = dict(first_hop=cfg.first_hop, second_hop=cfg.second_hop)
     sol_int = solve_main_gamma_intuitive(cfg.params, cfg.estimator, **hops)
-    sol_opt = solve_main_gamma_optimal(cfg.params, cfg.estimator, **hops)
+    # the coupled solve starts at the intuitive root, so it reuses this one
+    sol_opt = solve_main_gamma_optimal(cfg.params, cfg.estimator, start=sol_int, **hops)
     spec_int = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=sol_int.value)
     spec_opt = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=sol_opt.value)
     stats_int = run_scenario2(cfg.params, spec_int, cfg.sim, est=cfg.estimator, **hops)
@@ -473,13 +464,13 @@ def cmd_oracle(cfg: ExperimentConfig) -> ReportSummary:
     t0 = time.perf_counter()
     if cfg.scenario != "1":
         raise ConfigError("oracle runs target scenario 1 only")
-    sampler = full_csi_rate_sampler(cfg.params, cfg.first_hop, cfg.second_hop)
-    sol = solve_full_csi_lambda(cfg.params, cfg.estimator, rate_sampler=sampler)
+    sol, _ = _solve_for_scenario(cfg)
     rate_threshold = 2.0 * sol.value
     hi = cfg.oracle.hi if cfg.oracle.hi is not None else 2.0 * rate_threshold
     if hi <= cfg.oracle.lo:
         raise ConfigError("oracle.hi: must exceed oracle.lo")
     grid = np.linspace(cfg.oracle.lo, hi, cfg.oracle.points)
+    sampler = full_csi_rate_sampler(cfg.params, cfg.first_hop, cfg.second_hop)
     best_th, best_tp = oracle_threshold_search(cfg.params, grid, cfg.estimator,
                                                rate_sampler=sampler)
     step = float(grid[1] - grid[0])

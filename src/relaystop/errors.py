@@ -25,9 +25,5 @@ class CappedPacketError(RelayStopError, RuntimeError):
     """A simulated packet exceeded its observation cap (never-stop guard)."""
 
 
-class InsufficientDataError(RelayStopError, ValueError):
-    """Not enough samples to form the requested estimate."""
-
-
 class ConfigError(RelayStopError, ValueError):
     """A configuration file or CLI override is malformed."""

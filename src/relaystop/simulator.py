@@ -21,18 +21,14 @@ identical (params, spec, config) inputs reproduce bit-identical statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import policies
 from .channel import SystemParams, af_rate
 from .contention import sample_contention
-from .errors import (
-    CappedPacketError,
-    InsufficientDataError,
-    InvalidParameterError,
-)
+from .errors import CappedPacketError, InvalidParameterError
 from .policies import PolicyKind, PolicySpec
 from .solver import (
     EstimatorConfig,
@@ -56,8 +52,9 @@ class SimConfig:
     main_observation_cap: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if not isinstance(self.packets, int) or self.packets < 1:
-            raise InvalidParameterError("packets must be an integer >= 1")
+        # the throughput standard error needs at least two renewal cycles
+        if not isinstance(self.packets, int) or self.packets < 2:
+            raise InvalidParameterError("packets must be an integer >= 2")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise InvalidParameterError("seed must be an integer >= 0")
         for cap in (self.sub_observation_cap, self.main_observation_cap):
@@ -75,6 +72,8 @@ class SimStats:
     observations (sub is 0 in the full-CSI scenario), rate_at_stop is the
     accepted rate, relay the 1-based forwarding relay, elapsed the cycle time
     including the data transmission, and bits the delivered bits.
+    throughput is total_bits / total_time and throughput_stderr its
+    ratio-estimator standard error over the per-packet (bits, elapsed) pairs.
     """
 
     main_observations: np.ndarray
@@ -87,20 +86,6 @@ class SimStats:
     total_time: float
     throughput: float
     throughput_stderr: float
-
-
-@dataclass(frozen=True)
-class StoppingTimeStats:
-    """Distributional summaries of the stop observation index and rate."""
-
-    counts: dict[int, int]
-    mean_observations: float
-    rate_samples: np.ndarray = field(repr=False)
-
-    def rate_cdf(self, x: float) -> float:
-        """Empirical CDF of the rate at the stopping observation."""
-        return float(np.searchsorted(self.rate_samples, x, side="right")
-                     / self.rate_samples.size)
 
 
 def fixed_rate_observations(rate: float, relay: int = 1):
@@ -243,26 +228,9 @@ def run_scenario2(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
                       half_t * rate_at_stop)
 
 
-def stopping_time_stats(stats: SimStats) -> StoppingTimeStats:
-    """Histogram and mean of the stop index plus the rate-at-stop sample."""
-    values, counts = np.unique(stats.main_observations, return_counts=True)
-    return StoppingTimeStats(dict(zip(values.tolist(), counts.tolist())),
-                             float(stats.main_observations.mean()),
-                             np.sort(stats.rate_at_stop))
-
-
-def throughput_ci(stats: SimStats) -> tuple[float, float]:
-    """Throughput estimate and its ratio-estimator (delta method) stderr."""
-    if stats.bits.size < 2:
-        raise InsufficientDataError("need at least 2 packets for a standard error")
-    return _ratio_and_stderr(stats.bits, stats.elapsed)
-
-
 def _ratio_and_stderr(bits: np.ndarray, times: np.ndarray) -> tuple[float, float]:
     ratio = float(bits.sum() / times.sum())
     n = bits.size
-    if n < 2:
-        return ratio, 0.0
     # Shift by the first element before centering: mathematically a no-op,
     # but it keeps identical cycles at exactly zero variance.
     b = bits - bits[0]

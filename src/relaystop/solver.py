@@ -19,9 +19,11 @@ starts at the intuitive root, which it dominates. Every relay-level solve,
 one realization or many, goes through one batch engine that runs guarded
 Newton on all rows at once, dropping converged rows from the kernel passes.
 
-Point-mass and finite-support channel hooks are part of the public surface:
-they make the closed-form worked examples exact and are used heavily in
-tests.
+The second hop is either Rayleigh fading (exponential squared gain, the
+paper's channel) or a point mass (``FixedGain``); the point mass and the
+finite-support rate samplers make the closed-form worked examples exact.
+The first hop and the best-relay draw only sample, so they take any object
+with a ``sample(rng, size)`` method.
 """
 from __future__ import annotations
 
@@ -32,13 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import (
-    RayleighFading,
-    SystemParams,
-    af_rate,
-    gain_for_rate,
-    rate_saturation,
-)
+from .channel import FixedGain, RayleighFading, SystemParams, af_rate, rate_saturation
 from .contention import success_prob
 from .errors import InvalidParameterError, SolverFailureError
 
@@ -50,6 +46,10 @@ CHUNK_ROWS = 8192
 # exactly zero, so the coupled residual is never evaluated below this floor.
 GAMMA_FLOOR = 1e-12
 
+# Iteration cap of every root search: outer residual evaluations and
+# row-Newton iterations alike.
+MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -59,14 +59,12 @@ class EstimatorConfig:
     quad_points: Gauss-Legendre nodes for second-hop tail integrals.
     seed: root seed of the fixed sample set.
     tol: residual and bracket tolerance for root finding.
-    max_iter: iteration cap per root search.
     """
 
     mc_samples: int = 20_000
     quad_points: int = 64
     seed: int = 0
     tol: float = 1e-9
-    max_iter: int = 200
 
     def __post_init__(self) -> None:
         if not isinstance(self.mc_samples, int) or self.mc_samples < 1:
@@ -77,8 +75,6 @@ class EstimatorConfig:
             raise InvalidParameterError("seed must be an integer >= 0")
         if not (self.tol > 0.0) or not math.isfinite(self.tol):
             raise InvalidParameterError("tol must be finite and > 0")
-        if not isinstance(self.max_iter, int) or self.max_iter < 50:
-            raise InvalidParameterError("max_iter must be an integer >= 50")
 
 
 @dataclass(frozen=True)
@@ -145,17 +141,6 @@ def full_csi_rate_sampler(params: SystemParams, first_hop=None, second_hop=None)
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return observations(rng, n)[0]
-
-    return sampler
-
-
-def constant_rate_sampler(rate: float):
-    """Degenerate rate distribution, constant at ``rate``."""
-    if not (rate >= 0.0) or not math.isfinite(rate):
-        raise InvalidParameterError("rate must be finite and >= 0")
-
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, float(rate))
 
     return sampler
 
@@ -295,36 +280,36 @@ class _SecondHopKernel:
 
     Precomputes everything that does not depend on the threshold and reuses
     two scratch arrays, so the per-iteration cost inside the root finders is
-    one fused quadrature sweep. An exponential second hop gets the fused
-    closed-form tail; a point-mass hop gets exact finite arithmetic; any
-    other hop object falls back to its tail_prob through the generic gain
-    inversion. Instances are not safe to share across threads (scratch
-    buffers); build one kernel per thread.
+    one fused quadrature sweep. The second hop picks the path: Rayleigh
+    fading gets the fused closed-form tail, a ``FixedGain`` point mass gets
+    exact finite arithmetic, and any other hop object is an
+    InvalidParameterError. Instances are not safe to share across threads
+    (scratch buffers); build one kernel per thread.
     """
 
     def __init__(self, params: SystemParams, rows: np.ndarray, quad_points: int, second_hop):
-        self.params = params
         self.rows = rows
-        self.hop = hop = _second_hop_model(params, second_hop)
-        self.atom = getattr(hop, "atom", None)
-        self.ps = params.source_power
-        self.pr = params.relay_power
-        if self.atom is not None:
-            self.rates = af_rate(self.ps, self.pr, rows, self.atom)
+        hop = _second_hop_model(params, second_hop)
+        ps, pr = params.source_power, params.relay_power
+        self.point_mass = isinstance(hop, FixedGain)
+        if self.point_mass:
+            self.rates = af_rate(ps, pr, rows, hop.gain)
             self.sat_top = np.atleast_1d(self.rates).max(axis=1)
-        else:
-            self.sat = rate_saturation(self.ps, rows)
+        elif isinstance(hop, RayleighFading):
+            self.sat = rate_saturation(ps, rows)
             self.sat_top = np.atleast_1d(self.sat).max(axis=1)
-            self.a = self.ps * np.minimum(rows, 1e300)
-            self.scaled3 = ((1.0 + self.a) / self.pr)[..., None]
-            self.a3 = self.a[..., None]
+            a = ps * np.minimum(rows, 1e300)
+            self.scaled3 = ((1.0 + a) / pr)[..., None]
+            self.a3 = a[..., None]
             self.nodes, self.weights = _leggauss(quad_points)
-            self.exponential = isinstance(hop, RayleighFading)
-            if self.exponential:
-                self.inv_mean = 1.0 / hop.mean_gain
-                shape = (*rows.shape, quad_points)
-                self._t = np.empty(shape)
-                self._c = np.empty(shape)
+            self.inv_mean = 1.0 / hop.mean_gain
+            shape = (*rows.shape, quad_points)
+            self._t = np.empty(shape)
+            self._c = np.empty(shape)
+        else:
+            raise InvalidParameterError(
+                "second hop must be RayleighFading or FixedGain, got "
+                f"{type(hop).__name__}")
         self.e0 = self.excess(np.zeros(rows.shape[0]))  # E[max(R, 0)] = E[R] per row
 
     def _fused_tails(self, half: np.ndarray, mid: np.ndarray, idx) -> np.ndarray:
@@ -350,42 +335,30 @@ class _SecondHopKernel:
         c[dead] = 0.0
         return c
 
-    def _generic_tails(self, t: np.ndarray, idx) -> np.ndarray:
-        need = gain_for_rate(self.ps, self.pr, self.rows[idx][..., None], t)
-        return np.asarray(self.hop.tail_prob(need))
-
     def excess(self, thetas: np.ndarray, idx=slice(None)) -> np.ndarray:
         """E[max(R - theta, 0)] for the rows ``idx``; thetas may be negative."""
         thetas = np.asarray(thetas, dtype=float)
-        if self.atom is not None:
+        if self.point_mass:
             return np.maximum(self.rates[idx] - thetas[:, None], 0.0).mean(axis=1)
         sat = self.sat[idx]
         lo = np.minimum(np.maximum(thetas[:, None], 0.0), sat)
         half = 0.5 * (sat - lo)
         mid = 0.5 * (sat + lo)
-        if self.exponential:
-            tails = self._fused_tails(half, mid, idx)
-        else:
-            tails = self._generic_tails(mid[..., None] + half[..., None] * self.nodes, idx)
-        per_relay = (tails @ self.weights) * half
+        per_relay = (self._fused_tails(half, mid, idx) @ self.weights) * half
         return per_relay.mean(axis=1) + np.maximum(-thetas, 0.0)
 
     def tail(self, thetas: np.ndarray, idx=slice(None)) -> np.ndarray:
         """P(R >= theta) for the rows ``idx``; 1 for theta <= 0."""
         thetas = np.asarray(thetas, dtype=float)
-        if self.atom is not None:
+        if self.point_mass:
             hit = (self.rates[idx] >= thetas[:, None]).mean(axis=1)
         else:
             t = np.maximum(thetas, 0.0)[:, None, None]
-            if self.exponential:
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    c = np.exp2(t) - 1.0
-                    denom = self.a3[idx] - c
-                    need = np.where(denom > 0.0, c * self.scaled3[idx] / denom, np.inf)
-                tails = np.exp(-need * self.inv_mean)
-            else:
-                tails = self._generic_tails(t, idx)
-            hit = tails[..., 0].mean(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                c = np.exp2(t) - 1.0
+                denom = self.a3[idx] - c
+                need = np.where(denom > 0.0, c * self.scaled3[idx] / denom, np.inf)
+            hit = np.exp(-need * self.inv_mean)[..., 0].mean(axis=1)
         return np.where(thetas <= 0.0, 1.0, hit)
 
 
@@ -528,7 +501,8 @@ def _piecewise_linear_residual(gain0, per_unit, cost):
 
 
 def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
-                             first_hop=None, second_hop=None) -> ThresholdSolution:
+                             first_hop=None, second_hop=None,
+                             start: ThresholdSolution | None = None) -> ThresholdSolution:
     """Source-level throughput fixed point for the reward-coupled rule.
 
     Over the same fixed first-hop sample as the intuitive solver, finds the
@@ -540,7 +514,9 @@ def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
     -mean((T/2)(2 + k / P(theta)) over rows with a positive part) - cost.
     Newton starts at the intuitive root, solved on the same rows and
     kernels; the coupled rule dominates it, so the start lies left of the
-    root.
+    root. A caller that already holds ``solve_main_gamma_intuitive`` on the
+    same arguments passes it as ``start`` and skips that solve; its inner
+    iterations are counted as if solved here.
     """
     rows = _draw_first_hop_rows(params, est, first_hop)
     p_r = success_prob(params.num_relays, params.require_relay_prob())
@@ -548,7 +524,8 @@ def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
     half_t = 0.5 * params.data_time
     k = params.slot_time / (params.data_time * p_r)
     kernels = list(_chunk_kernels(params, rows, est, second_hop))
-    start = _intuitive_gamma(params, kernels, est)
+    if start is None:
+        start = _intuitive_gamma(params, kernels, est)
 
     def evaluate(gamma: float):
         g = max(gamma, GAMMA_FLOOR)
@@ -592,7 +569,7 @@ def _solve_convex(evaluate, cost: float, est: EstimatorConfig, name: str,
     lo, hi = 0.0, math.inf
     seen_left = False
     x = start
-    for iters in range(1, est.max_iter + 1):
+    for iters in range(1, MAX_ITER + 1):
         r, s, n = evaluate(x)
         inner_iterations += n
         if not math.isfinite(r):
@@ -619,7 +596,7 @@ def _solve_convex(evaluate, cost: float, est: EstimatorConfig, name: str,
                           "Newton restarts from 0", RuntimeWarning, stacklevel=3)
             x = 0.0
     raise SolverFailureError(
-        f"{name}: Newton did not converge within {est.max_iter} evaluations from "
+        f"{name}: Newton did not converge within {MAX_ITER} evaluations from "
         f"{start} (enclosure [{lo}, {hi}], residual {r})")
 
 
@@ -652,7 +629,7 @@ def _newton_rows(kernel: _SecondHopKernel, cost_slope: float, targets: np.ndarra
     th, lo, tg = theta.copy(), theta.copy(), targets
     hi = np.maximum(th, kernel.sat_top)
     f_hi = -cost_slope * hi - tg  # excess(sat_top) = 0, in closed form
-    for iters in range(1, est.max_iter + 1):
+    for iters in range(1, MAX_ITER + 1):
         rows = idx if idx.size < theta.size else slice(None)  # no gathers while all iterate
         f = kernel.excess(th, rows) - cost_slope * th - tg
         p = kernel.tail(th, rows)
@@ -687,5 +664,5 @@ def _newton_rows(kernel: _SecondHopKernel, cost_slope: float, targets: np.ndarra
         idx, th, lo, hi, f_hi, tg, f = (a[keep] for a in (idx, th, lo, hi, f_hi, tg, f))
     worst = int(np.argmax(np.abs(f)))
     raise SolverFailureError(
-        f"row Newton did not converge within {est.max_iter} iterations "
+        f"row Newton did not converge within {MAX_ITER} iterations "
         f"(worst row {idx[worst]}: theta {th[worst]}, residual {f[worst]})")

@@ -12,8 +12,8 @@ from relaystop import (
     af_rate,
     default_observations,
     full_csi_rate_sampler,
-    gain_for_rate,
     rate_saturation,
+    sub_layer_tail_prob,
 )
 from .conftest import make_params
 
@@ -38,18 +38,20 @@ def test_gain_sample_rejects_bad_variance():
         RayleighFading(0.0)
     with pytest.raises(InvalidParameterError):
         RayleighFading(-1.0)
+    # JSON configs can carry Infinity and NaN; neither is a mean gain
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            RayleighFading(bad)
 
 
 def test_fading_models(rng):
-    ray = RayleighFading(2.0)
-    assert ray.atom is None
-    assert ray.tail_prob(0.0) == pytest.approx(1.0)
-    assert ray.tail_prob(np.inf) == 0.0
+    assert RayleighFading(2.0).sample(rng) >= 0.0
     fixed = FixedGain(1.5)
-    assert fixed.atom == 1.5
-    assert fixed.tail_prob(1.5) == 1.0
-    assert fixed.tail_prob(1.500001) == 0.0
+    assert fixed.sample(rng) == 1.5
     assert np.all(fixed.sample(rng, 4) == 1.5)
+    # the mean is the only parameter: a Rayleigh hop is never a point mass
+    with pytest.raises(TypeError):
+        RayleighFading(1.0, 2.0)
 
 
 # --- af_rate ----------------------------------------------------------------
@@ -115,7 +117,7 @@ def test_af_rate_rejects_bad_inputs():
         af_rate(1.0, 1.0, -1.0, 1.0)
 
 
-# --- saturation and inversion -------------------------------------------------
+# --- saturation and the second-hop tail ---------------------------------------
 
 def test_rate_saturation_values():
     assert rate_saturation(1.0, 0.0) == 0.0
@@ -123,22 +125,16 @@ def test_rate_saturation_values():
     assert rate_saturation(2.0, 1.5) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_gain_for_rate_inverts_af_rate(rng):
-    f = rng.exponential(1.0, 200) + 0.01
-    target = 0.8 * rate_saturation(2.0, f)
-    g = gain_for_rate(2.0, 3.0, f, target)
-    assert np.all(np.isfinite(g))
-    back = af_rate(2.0, 3.0, f, g)
-    assert np.allclose(back, target, rtol=0, atol=1e-9)
-
-
-def test_gain_for_rate_boundaries():
-    assert gain_for_rate(1.0, 1.0, 3.0, 0.0) == 0.0
-    assert gain_for_rate(1.0, 1.0, 3.0, -1.0) == 0.0
-    assert gain_for_rate(1.0, 1.0, 3.0, 2.0) == np.inf  # at saturation
-    assert gain_for_rate(1.0, 1.0, 3.0, 5.0) == np.inf
-    # worked example: threshold 1 at F=3 needs g = 2
-    assert gain_for_rate(1.0, 1.0, 3.0, 1.0) == pytest.approx(2.0, abs=1e-12)
+def test_kernel_tail_inverts_af_rate(rng):
+    # one relay: R >= af_rate(f, g) exactly when the second-hop gain is >= g
+    params = make_params(num_relays=1, source_power=2.0, relay_power=3.0,
+                         second_hop_mean_gain=0.7)
+    f = rng.exponential(1.0, 50) + 0.01
+    g = rng.exponential(0.7, 50) + 0.01
+    for fi, gi in zip(f, g):
+        rate = af_rate(2.0, 3.0, fi, gi)
+        assert sub_layer_tail_prob(params, [fi], rate) == pytest.approx(
+            math.exp(-gi / 0.7), rel=1e-9)
 
 
 # --- best relay -------------------------------------------------------------

@@ -112,6 +112,8 @@ def test_compare_deterministic_channel_equal_throughputs(tmp_path):
     summary = json.loads((out_dir / "summary.json").read_text())
     for rule in ("intuitive", "optimal"):
         assert summary["thresholds"][f"inner_iterations_{rule}"] >= 1
+    assert summary["config"]["channel"] == DET_CHANNEL["channel"]
+    assert set(summary["config"]["estimator"]) == {"mc_samples", "quad_points", "seed", "tol"}
     results = summary["results"]
     assert results["throughput_intuitive"] == results["throughput_optimal"]
     assert results["stderr_intuitive"] == 0.0
@@ -126,6 +128,20 @@ def test_channel_section_validation(tmp_path):
             tmp_path, channel={"first_hop": {"kind": "smooth"}}))
     with pytest.raises(ConfigError, match="channel"):
         load_config(write_config(tmp_path, channel={"third_hop": {}}))
+    # hop sections go through the one section loader: typos and gaps are errors
+    with pytest.raises(ConfigError, match=r"channel.second_hop: unknown fields \['gian'\]"):
+        load_config(write_config(
+            tmp_path, channel={"second_hop": {"kind": "fixed", "gain": 1.0, "gian": 2.0}}))
+    with pytest.raises(ConfigError, match="channel.first_hop.mean_gain: field is required"):
+        load_config(write_config(tmp_path, channel={"first_hop": {"kind": "rayleigh"}}))
+
+
+@pytest.mark.parametrize("hop", ["first_hop", "second_hop"])
+def test_non_finite_mean_gain_is_config_error(tmp_path, capsys, hop):
+    path = write_config(tmp_path, scenario="2-intuitive",
+                        channel={hop: {"kind": "rayleigh", "mean_gain": float("inf")}})
+    assert main(["solve", "--config", str(path)]) == 2
+    assert f"channel.{hop}: mean_gain must be finite" in capsys.readouterr().err
 
 
 def test_solve_scenario2_optimal(tmp_path, capsys):
@@ -160,7 +176,7 @@ def test_simulate_writes_outputs_and_matches(tmp_path, capsys):
 def test_simulate_single_packet_is_config_error(tmp_path, capsys):
     rc = main(["simulate", "--config", str(write_config(tmp_path)), "--packets", "1"])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert "packets must be an integer >= 2" in capsys.readouterr().err
 
 
 def test_simulate_scenario2_intuitive(tmp_path, capsys):
@@ -182,6 +198,46 @@ def test_compare_reports_dominance(tmp_path, capsys):
     assert rc == 0
     assert "solver_dominance: PASS" in out
     assert "simulated_dominance: PASS" in out
+
+
+SMALL_COMPARE = {"estimator.mc_samples": 2000, "sim.packets": 200}
+
+
+def printed_values(out: str) -> dict:
+    return dict(line.strip().split(": ", 1) for line in out.splitlines() if ": " in line)
+
+
+def test_compare_optimal_matches_standalone_solve(tmp_path, capsys):
+    path = write_config(tmp_path, **SMALL_COMPARE)
+    assert main(["compare", "--config", str(path)]) == 0
+    compared = printed_values(capsys.readouterr().out)
+    assert main(["solve", "--config", str(path), "--scenario", "2-optimal"]) == 0
+    solved = printed_values(capsys.readouterr().out)
+    assert compared["gamma_star_optimal"] == solved["gamma_star"]
+    assert compared["iterations_optimal"] == solved["iterations"]
+    assert compared["inner_iterations_optimal"] == solved["inner_iterations"]
+
+
+def test_compare_solves_the_intuitive_gamma_once(tmp_path, monkeypatch):
+    from relaystop import cli, solver
+
+    calls, at_first_run = [], []
+    intuitive_rows, run_scenario2 = solver._intuitive_rows, cli.run_scenario2
+
+    def counting_rows(*args, **kwargs):
+        calls.append(1)
+        return intuitive_rows(*args, **kwargs)
+
+    def noting_run(*args, **kwargs):
+        at_first_run.append(len(calls))
+        return run_scenario2(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_intuitive_rows", counting_rows)
+    monkeypatch.setattr(cli, "run_scenario2", noting_run)
+    assert main(["compare", "--config", str(write_config(tmp_path, **SMALL_COMPARE))]) == 0
+    # both solves run before the first simulation; only the intuitive one
+    # solves the relay-level throughput rows
+    assert at_first_run[0] == 1
 
 
 def test_compare_without_relay_prob_is_config_error(tmp_path, capsys):
@@ -329,3 +385,9 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["solve", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("out", [5, True, ["runs"]])
+def test_non_string_out_is_config_error(tmp_path, capsys, out):
+    assert main(["solve", "--config", str(write_config(tmp_path, out=out))]) == 2
+    assert "out: must be a path string" in capsys.readouterr().err

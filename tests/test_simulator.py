@@ -8,7 +8,6 @@ from relaystop import (
     CappedPacketError,
     EstimatorConfig,
     FixedGain,
-    InsufficientDataError,
     InvalidParameterError,
     PolicyKind,
     PolicySpec,
@@ -20,8 +19,6 @@ from relaystop import (
     solve_full_csi_lambda,
     solve_main_gamma_intuitive,
     solve_main_gamma_optimal,
-    stopping_time_stats,
-    throughput_ci,
     success_prob,
 )
 from .conftest import hook_params, make_params
@@ -57,14 +54,14 @@ def test_scenario1_constant_rate_closed_form():
 def test_scenario1_never_stop_guard():
     spec = full_spec(2.0)  # threshold 4 above the constant rate 1
     with pytest.raises(CappedPacketError):
-        run_scenario1(DET, spec, SimConfig(packets=1, seed=7, main_observation_cap=50),
+        run_scenario1(DET, spec, SimConfig(packets=2, seed=7, main_observation_cap=50),
                       observation_sampler=fixed_rate_observations(1.0))
 
 
 def test_scenario1_requires_full_csi_policy():
     with pytest.raises(InvalidParameterError):
         run_scenario1(DET, PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=0.4),
-                      SimConfig(packets=1, seed=0))
+                      SimConfig(packets=2, seed=0))
 
 
 def test_scenario1_matches_solver(small_est):
@@ -100,14 +97,14 @@ def test_scenario1_deterministic_reruns_bit_identical():
     assert (a.throughput, a.throughput_stderr) == (b.throughput, b.throughput_stderr)
 
 
-# --- stopping-time statistics ---------------------------------------------------
+# --- stopping-time statistics, read from the columns ----------------------------
 
 def test_stopping_stats_threshold_zero():
     params = make_params()
     stats = run_scenario1(params, full_spec(0.0), SimConfig(packets=2000, seed=3))
-    st = stopping_time_stats(stats)
-    assert st.counts == {1: 2000}
-    assert st.mean_observations == 1.0
+    values, counts = np.unique(stats.main_observations, return_counts=True)
+    assert values.tolist() == [1] and counts.tolist() == [2000]
+    assert stats.main_observations.mean() == 1.0
 
 
 def test_stopping_stats_geometric_at_median():
@@ -116,9 +113,8 @@ def test_stopping_stats_geometric_at_median():
     rates = full_csi_rate_sampler(params)(np.random.default_rng(est.seed), est.mc_samples)
     median = float(np.median(rates))
     stats = run_scenario1(params, full_spec(median / 2.0), SimConfig(packets=20000, seed=18))
-    st = stopping_time_stats(stats)
-    assert st.mean_observations == pytest.approx(2.0, rel=0.05)
-    assert min(st.counts) == 1
+    assert stats.main_observations.mean() == pytest.approx(2.0, rel=0.05)
+    assert stats.main_observations.min() == 1
     assert np.all(stats.rate_at_stop >= median)
 
 
@@ -127,39 +123,31 @@ def test_stopping_stats_truncated_rate_distribution():
     params = make_params()
     threshold = 1.2
     stats = run_scenario1(params, full_spec(threshold / 2.0), SimConfig(packets=10000, seed=21))
-    st = stopping_time_stats(stats)
-    assert st.rate_cdf(threshold - 1e-9) == 0.0
+    assert stats.rate_at_stop.min() >= threshold
     reference = full_csi_rate_sampler(params)(np.random.default_rng(99), 10**6)
     conditional = reference[reference >= threshold]
-    _, pvalue = sps.ks_2samp(st.rate_samples, conditional)
+    _, pvalue = sps.ks_2samp(stats.rate_at_stop, conditional)
     assert pvalue > 0.01
 
 
 def test_scenario1_wald_contention_identity():
     params = make_params()
     stats = run_scenario1(params, full_spec(0.9), SimConfig(packets=20000, seed=44))
-    st = stopping_time_stats(stats)
     p_s = success_prob(params.num_sources, params.source_prob)
     contention = stats.elapsed - params.data_time
-    expected = (params.slot_time / p_s) * st.mean_observations
+    expected = (params.slot_time / p_s) * stats.main_observations.mean()
     assert contention.mean() == pytest.approx(expected, rel=0.02)
 
 
-# --- throughput_ci --------------------------------------------------------------
-
-def test_throughput_ci_matches_stats():
-    params = make_params()
-    stats = run_scenario1(params, full_spec(0.5), SimConfig(packets=500, seed=8))
-    est, se = throughput_ci(stats)
-    assert (est, se) == (stats.throughput, stats.throughput_stderr)
-    assert se > 0.0
-
+# --- throughput standard error --------------------------------------------------
 
 def test_throughput_ci_needs_two_packets():
+    # one renewal cycle gives no spread, so a run of one packet is refused up front
+    with pytest.raises(InvalidParameterError, match=">= 2"):
+        SimConfig(packets=1)
     params = make_params()
-    stats = run_scenario1(params, full_spec(0.5), SimConfig(packets=1, seed=8))
-    with pytest.raises(InsufficientDataError):
-        throughput_ci(stats)
+    stats = run_scenario1(params, full_spec(0.5), SimConfig(packets=2, seed=8))
+    assert np.isfinite(stats.throughput_stderr) and stats.throughput_stderr >= 0.0
 
 
 def test_throughput_ci_clt_scaling():
@@ -221,7 +209,7 @@ def test_scenario2_observation_caps_are_hard_errors():
     with pytest.raises(CappedPacketError, match="source-level"):
         # a gamma far above the optimum never lets the source level stop
         run_scenario2(params, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=5.0),
-                      SimConfig(packets=1, seed=6, sub_observation_cap=25,
+                      SimConfig(packets=2, seed=6, sub_observation_cap=25,
                                 main_observation_cap=25), est=DET_EST, **DET_HOPS)
     # a starved relay-level cap must raise, never silently truncate
     fading = make_params()
@@ -242,14 +230,14 @@ def test_scenario2_literal_contention_mode():
 
 def test_scenario2_requires_bilevel_policy():
     with pytest.raises(InvalidParameterError):
-        run_scenario2(det2_params(), full_spec(0.5), SimConfig(packets=1, seed=0))
+        run_scenario2(det2_params(), full_spec(0.5), SimConfig(packets=2, seed=0))
 
 
 def test_scenario2_requires_relay_prob():
     params = make_params(relay_prob=None)
     spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=0.4)
     with pytest.raises(InvalidParameterError):
-        run_scenario2(params, spec, SimConfig(packets=1, seed=0))
+        run_scenario2(params, spec, SimConfig(packets=2, seed=0))
 
 
 def test_scenario2_deterministic_reruns_bit_identical():
@@ -266,6 +254,9 @@ def test_scenario2_deterministic_reruns_bit_identical():
 def test_sim_config_validation():
     with pytest.raises(InvalidParameterError):
         SimConfig(packets=0)
+    # the throughput standard error needs two renewal cycles
+    with pytest.raises(InvalidParameterError, match=">= 2"):
+        SimConfig(packets=1)
     with pytest.raises(InvalidParameterError):
         SimConfig(packets=10, sub_observation_cap=0)
     # a NaN cap never compares above the count, so it would disable the guard

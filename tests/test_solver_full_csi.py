@@ -7,7 +7,6 @@ from relaystop import (
     EstimatorConfig,
     InvalidParameterError,
     SolverFailureError,
-    constant_rate_sampler,
     discrete_rate_sampler,
     expected_positive_part_full_csi,
     full_csi_rate_sampler,
@@ -47,7 +46,7 @@ def test_positive_part_vanishes_for_large_lambda():
 def test_positive_part_point_mass_example():
     # constant rate 1, T = 2, lam = 0.25: max(1 - 0.5, 0) = 0.5
     assert expected_positive_part_full_csi(
-        HOOK, 0.25, EST, constant_rate_sampler(1.0)) == pytest.approx(0.5, abs=1e-12)
+        HOOK, 0.25, EST, discrete_rate_sampler([1.0])) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_positive_part_rejects_negative_lambda():
@@ -57,7 +56,7 @@ def test_positive_part_rejects_negative_lambda():
 
 def test_constant_rate_closed_form():
     # lam* = (T r / 2) / (T + tau/p_s) = 1 / 2.2
-    sol = solve_full_csi_lambda(HOOK, EST, constant_rate_sampler(1.0))
+    sol = solve_full_csi_lambda(HOOK, EST, discrete_rate_sampler([1.0]))
     assert sol.value == pytest.approx(1.0 / 2.2, abs=1e-8)
     assert abs(sol.residual) <= EST.tol
     assert sol.bracket[0] <= sol.value <= sol.bracket[1]
@@ -79,7 +78,7 @@ def test_exponential_solver_contract():
 
 
 def test_degenerate_all_zero_rates():
-    sol = solve_full_csi_lambda(HOOK, EST, constant_rate_sampler(0.0))
+    sol = solve_full_csi_lambda(HOOK, EST, discrete_rate_sampler([0.0]))
     assert sol.value == 0.0
     assert sol.residual == 0.0
 
@@ -124,7 +123,7 @@ def test_oracle_two_point_grid():
 
 
 def test_oracle_constant_rate():
-    th, tp = oracle_threshold_search(HOOK, [0.0, 0.3, 0.9], EST, constant_rate_sampler(1.0))
+    th, tp = oracle_threshold_search(HOOK, [0.0, 0.3, 0.9], EST, discrete_rate_sampler([1.0]))
     assert tp == pytest.approx(1.0 / 2.2, abs=1e-12)
 
 
@@ -165,7 +164,9 @@ def test_oracle_validates_grid():
 
 def test_samplers_validate():
     with pytest.raises(InvalidParameterError):
-        constant_rate_sampler(-1.0)
+        discrete_rate_sampler([-1.0])
+    with pytest.raises(InvalidParameterError):
+        discrete_rate_sampler([float("inf")])
     with pytest.raises(InvalidParameterError):
         discrete_rate_sampler([])
     with pytest.raises(InvalidParameterError):

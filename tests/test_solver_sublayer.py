@@ -9,6 +9,7 @@ from relaystop import (
     EstimatorConfig,
     FixedGain,
     InvalidParameterError,
+    RayleighFading,
     af_rate,
     rate_saturation,
     solve_sub_layer_batch,
@@ -257,10 +258,8 @@ def test_w_residual_against_monte_carlo(rng):
     assert abs(lhs - rhs) < 4 * se
 
 
-class _DuckExponentialHop:
-    """Duck-typed hop model exercising the generic tail fallback."""
-
-    atom = None
+class _SampleOnlyHop:
+    """Hop model with a sampler and nothing else: enough to draw, not to solve."""
 
     def __init__(self, mean):
         self.mean = mean
@@ -268,27 +267,24 @@ class _DuckExponentialHop:
     def sample(self, rng, size=None):
         return rng.exponential(self.mean, size)
 
-    def tail_prob(self, required):
-        return np.exp(-np.maximum(np.asarray(required, dtype=float), 0.0) / self.mean)
 
-
-def test_custom_hop_object_matches_builtin():
-    from relaystop import RayleighFading
+def test_second_hop_must_be_a_known_model():
+    from relaystop import solve_main_gamma_intuitive
 
     params = make_params()
     f_sq = np.array([2.0, 0.3])
-    duck = _DuckExponentialHop(0.8)
-    builtin = RayleighFading(0.8)
-    for th in (0.2, 1.0):
-        assert sub_layer_tail_prob(params, f_sq, th, second_hop=duck) == pytest.approx(
-            sub_layer_tail_prob(params, f_sq, th, second_hop=builtin), abs=1e-12)
-    for lam in (0.0, 0.5):
-        assert sub_layer_expected_positive_part(params, f_sq, lam, EST, second_hop=duck) \
-            == pytest.approx(sub_layer_expected_positive_part(
-                params, f_sq, lam, EST, second_hop=builtin), abs=1e-12)
-    w_duck = solve_sub_w_batch(params, [f_sq], 0.6, EST, second_hop=duck)[0]
-    w_builtin = solve_sub_w_batch(params, [f_sq], 0.6, EST, second_hop=builtin)[0]
-    assert w_duck == pytest.approx(w_builtin, abs=1e-9)
+    hop = _SampleOnlyHop(0.8)
+    calls = [lambda: sub_layer_tail_prob(params, f_sq, 0.2, second_hop=hop),
+             lambda: sub_layer_expected_positive_part(params, f_sq, 0.5, EST, second_hop=hop),
+             lambda: solve_sub_layer_batch(params, [f_sq], EST, second_hop=hop),
+             lambda: solve_sub_w_batch(params, [f_sq], 0.6, EST, second_hop=hop)]
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match="RayleighFading or FixedGain"):
+            call()
+    # a first hop is only sampled, so a sample-only model is enough there
+    est = EstimatorConfig(mc_samples=200, quad_points=16, seed=1, tol=1e-9)
+    assert solve_main_gamma_intuitive(params, est, first_hop=hop) \
+        == solve_main_gamma_intuitive(params, est, first_hop=RayleighFading(0.8))
 
 
 def test_w_nonincreasing_in_gamma(rng):

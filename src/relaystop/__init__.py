@@ -8,9 +8,7 @@ from .channel import (
     rate_saturation,
 )
 from .contention import (
-    ContentionOutcome,
     sample_contention,
-    simulate_contention_slots,
     success_prob,
 )
 from .errors import (

@@ -515,17 +515,26 @@ def _write_outputs(cfg: ExperimentConfig, summary: ReportSummary,
         _write_packets_csv(cfg.out / name, stats)
 
 
+_PACKET_ROW = "%d,%d,%d,%.12g,%d,%.12g,%.12g\r\n"
+_CSV_BLOCK = 1024
+
+
 def _write_packets_csv(path: Path, stats: SimStats) -> None:
+    """The packet log in csv.writer's dialect: CRLF line ends, floats to 12
+    significant digits. Each block interleaves the columns into one tuple."""
+    n = stats.bits.size
+    columns = (stats.main_observations, stats.sub_observations, stats.rate_at_stop,
+               stats.relay, stats.elapsed, stats.bits)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["packet_index", "main_observations", "sub_observations",
-                         "rate_at_stop", "relay", "elapsed", "bits"])
-        columns = (stats.main_observations, stats.sub_observations, stats.rate_at_stop,
-                   stats.relay, stats.elapsed, stats.bits)
-        for i, (main, sub, rate, relay, elapsed, bits) in enumerate(
-                zip(*(c.tolist() for c in columns)), start=1):
-            writer.writerow([i, main, sub, f"{rate:.12g}", relay,
-                             f"{elapsed:.12g}", f"{bits:.12g}"])
+        fh.write("packet_index,main_observations,sub_observations,"
+                 "rate_at_stop,relay,elapsed,bits\r\n")
+        for i in range(0, n, _CSV_BLOCK):
+            k = min(_CSV_BLOCK, n - i)
+            cells = [None] * (7 * k)
+            cells[0::7] = range(i + 1, i + k + 1)
+            for j, column in enumerate(columns, start=1):
+                cells[j::7] = column[i:i + k].tolist()
+            fh.write(_PACKET_ROW * k % tuple(cells))
 
 
 def _write_sweep_csv(path: Path, rows: list[dict]) -> None:

@@ -1,8 +1,8 @@
 """Stopping policies as predicates over observations.
 
 Each rule is one comparison, so it works on a scalar or on a whole block of
-observations alike: a scalar input gives a ``bool``, an array input gives the
-elementwise boolean array. All thresholds are inclusive (stop on >=),
+observations alike: a scalar input gives a boolean scalar, an array input
+gives the elementwise boolean array. All thresholds are inclusive (stop on >=),
 matching the rule definitions the thresholds were solved for. Boundary hits
 are measure-zero under continuous fading but matter for the deterministic
 channel hooks used in tests.
@@ -54,45 +54,34 @@ def _require_kind(spec: PolicySpec, kind: PolicyKind) -> None:
         raise PolicyMismatchError(f"expected a {kind.value} policy, got {spec.kind.value}")
 
 
-# The scalar paths below run once per relay-level observation, so they use
-# isinstance and math instead of numpy's slower scalar dispatch.
-def _stop(mask):
-    """A plain bool for a scalar comparison, the boolean array otherwise."""
-    return mask if isinstance(mask, np.ndarray) else bool(mask)
-
-
-def _all_finite(x) -> bool:
-    return bool(np.isfinite(x).all()) if isinstance(x, np.ndarray) else math.isfinite(x)
-
-
 def full_csi_decide(spec: PolicySpec, rate):
     """Stop iff the observed best-relay rate reaches 2*lambda_star."""
     _require_kind(spec, PolicyKind.FULL_CSI)
-    return _stop(rate >= 2.0 * spec.lambda_star)
+    return rate >= 2.0 * spec.lambda_star
 
 
 def intuitive_main_decide(spec: PolicySpec, stats: SubLayerStats, t_data: float):
     """Source-level rule of the intuitive scheme, relay chosen later."""
     _require_kind(spec, PolicyKind.INTUITIVE_BILEVEL)
     g = spec.gamma_star
-    return _stop(stats.expected_bits - g * stats.expected_time >= g * t_data / 2.0)
+    return stats.expected_bits - g * stats.expected_time >= g * t_data / 2.0
 
 
 def intuitive_sub_decide(threshold, rate_m):
     """Relay-level rule of the intuitive scheme: stop iff rate >= threshold."""
-    if not _all_finite(threshold):
+    if not np.isfinite(threshold).all():
         raise InvalidParameterError("threshold must be finite")
-    return _stop(rate_m >= threshold)
+    return rate_m >= threshold
 
 
 def optimal_main_decide(spec: PolicySpec, w_star, t_data: float):
     """Source-level rule of the coupled scheme: stop iff W >= (T/2) gamma*."""
     _require_kind(spec, PolicyKind.OPTIMAL_BILEVEL)
-    return _stop(w_star >= 0.5 * t_data * spec.gamma_star)
+    return w_star >= 0.5 * t_data * spec.gamma_star
 
 
 def optimal_sub_decide(spec: PolicySpec, w_star, rate_m, t_data: float):
     """Relay-level rule of the coupled scheme."""
     _require_kind(spec, PolicyKind.OPTIMAL_BILEVEL)
     half_t = 0.5 * t_data
-    return _stop(half_t * rate_m >= w_star + half_t * spec.gamma_star)
+    return half_t * rate_m >= w_star + half_t * spec.gamma_star

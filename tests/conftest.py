@@ -2,12 +2,21 @@ import numpy as np
 import pytest
 
 from relaystop import (
+    ContentionDeadlockError,
     EstimatorConfig,
+    PolicyKind,
+    RayleighFading,
     SystemParams,
+    full_csi_rate_sampler,
+    intuitive_main_decide,
+    optimal_main_decide,
     rate_saturation,
+    solve_sub_layer_batch,
+    solve_sub_w_batch,
     sub_layer_expected_positive_part,
     success_prob,
 )
+from relaystop.solver import CHUNK_ROWS, _SecondHopKernel
 
 
 def make_params(**overrides) -> SystemParams:
@@ -50,6 +59,22 @@ def hook_params(**overrides) -> SystemParams:
     )
     fields.update(overrides)
     return SystemParams(**fields)
+
+
+# --- literal contention reference for the geometric draw ------------------------
+
+
+def simulate_contention_slots(rng: np.random.Generator, n: int, p: float,
+                              slot_cap: int = 1_000_000_000) -> tuple[int, int]:
+    """(slot count, 1-based winner) of one contention, simulating every slot:
+    a slot succeeds when exactly one of the n contenders transmits."""
+    if success_prob(n, p) <= 0.0:
+        raise ContentionDeadlockError(f"success probability is 0 for n={n}, p={p}")
+    for slots in range(1, slot_cap + 1):
+        contending = rng.random(n) < p
+        if int(contending.sum()) == 1:
+            return slots, int(np.argmax(contending)) + 1
+    raise ContentionDeadlockError(f"no successful contention within {slot_cap} slots")
 
 
 # --- scalar bisection reference for the relay-level batch engine ---------------
@@ -111,6 +136,65 @@ def reference_w(params: SystemParams, f_sq, gamma: float, est: EstimatorConfig,
     hi = half_t * (_max_saturation(params, f_sq) - gamma)
     return bisect_decreasing(lambda w: w_residual(params, f_sq, gamma, w, est, second_hop),
                              lo, hi, est.tol)
+
+
+# --- policy-value oracle: exact renewal-reward throughput of given thresholds ---
+#
+# A delivered packet is one renewal cycle, so the long-run throughput of a policy
+# is E[bits per cycle] / E[time per cycle] (renewal-reward theorem). Both
+# expectations are taken in closed form per observation and averaged over an
+# independent sample, and the ratio estimator's stderr comes with it.
+
+
+def policy_value(params: SystemParams, spec, samples: int, seed: int,
+                 est: EstimatorConfig | None = None) -> tuple[float, float]:
+    """Throughput of the thresholds in ``spec`` and its stderr, on ``samples`` fresh draws.
+
+    Full CSI: per rate R, bits (T/2) R 1{R >= 2 lam*} and time T 1{R >= 2 lam*}
+    + tau/p_s, the expected contention per observation. Two-part: per first-hop
+    row with relay-level threshold theta (lam(f) for the intuitive rule,
+    gamma* + W/(T/2) for the coupled rule), stop probability P = tail(theta),
+    expected bits (T/2)(excess(theta)/P + theta) = (T/2) E[R | R >= theta],
+    relay time T/2 + tau/(2 p_r P) (a geometric number of half-slot
+    contentions, then the forward leg); on a source-level stop the row adds
+    those bits and that time plus the broadcast T/2, and every row adds
+    tau/(2 p_s).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0AC1]))
+    t = params.data_time
+    if spec.kind is PolicyKind.FULL_CSI:
+        rates = full_csi_rate_sampler(params)(rng, samples)
+        stop = rates >= 2.0 * spec.lambda_star
+        x = np.where(stop, 0.5 * t * rates, 0.0)
+        y = t * stop + params.slot_time / success_prob(params.num_sources, params.source_prob)
+        return _ratio_with_stderr(x, y)
+    est = est if est is not None else EstimatorConfig(tol=1e-9)
+    rows = RayleighFading(params.first_hop_mean_gain).sample(rng, (samples, params.num_relays))
+    if spec.kind is PolicyKind.INTUITIVE_BILEVEL:
+        stats = solve_sub_layer_batch(params, rows, est)
+        theta = stats.threshold
+        stop = intuitive_main_decide(spec, stats, t)
+    else:
+        w = solve_sub_w_batch(params, rows, spec.gamma_star, est)
+        theta = spec.gamma_star + w / (0.5 * t)
+        stop = optimal_main_decide(spec, w, t)
+    p_r = success_prob(params.num_relays, params.relay_prob)
+    x = np.zeros(samples)
+    y = np.full(samples, params.slot_time / (2.0 * success_prob(params.num_sources,
+                                                                 params.source_prob)))
+    for i in range(0, samples, CHUNK_ROWS):
+        idx = i + np.flatnonzero(stop[i:i + CHUNK_ROWS])
+        kernel = _SecondHopKernel(params, rows[idx], est.quad_points, None)
+        tail = kernel.tail(theta[idx])
+        x[idx] = 0.5 * t * (kernel.excess(theta[idx]) / tail + theta[idx])
+        y[idx] += 0.5 * t + params.slot_time / (2.0 * p_r * tail) + 0.5 * t
+    return _ratio_with_stderr(x, y)
+
+
+def _ratio_with_stderr(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """sum(x) / sum(y) and its delta-method (ratio-estimator) standard error."""
+    ratio = float(x.sum() / y.sum())
+    return ratio, float(np.std(x - ratio * y, ddof=1) / np.sqrt(x.size) / y.mean())
 
 
 @pytest.fixture

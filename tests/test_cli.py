@@ -11,6 +11,7 @@ from relaystop import (
     PolicyKind,
     PolicySpec,
     SimConfig,
+    SimStats,
     run_scenario2,
 )
 from relaystop.cli import _write_packets_csv, load_config, main
@@ -353,6 +354,33 @@ def test_packets_csv_reads_back_as_columns(tmp_path):
     for j, column in enumerate(columns, start=1):
         # 12 significant digits: relative rounding error at most 5e-12
         np.testing.assert_allclose(table[:, j], column, rtol=5e-12, atol=0.0)
+
+
+def test_packets_csv_bytes_match_csv_writer(tmp_path):
+    # the block writer keeps csv.writer's dialect: CRLF, %.12g floats, plain ints,
+    # across block boundaries and for values whose repr is not 12 digits
+    n = 9000
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, 1e-300, 1.0 / 3.0, 2.0**60, np.inf, np.nan, 123456789.125])
+    floats = [np.resize(special, n) * rng.choice([1.0, -1.0, 7.0], n) for _ in range(3)]
+    main_obs = rng.geometric(0.01, n)
+    main_obs[0] = 2**40
+    stats = SimStats(main_obs, rng.integers(0, 3, n), floats[0], rng.integers(1, 5, n),
+                     floats[1], floats[2], 0.0, 0.0, 0.0, 0.0)
+    path = tmp_path / "packets.csv"
+    _write_packets_csv(path, stats)
+    ref = tmp_path / "reference.csv"
+    with ref.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["packet_index", "main_observations", "sub_observations",
+                         "rate_at_stop", "relay", "elapsed", "bits"])
+        columns = (stats.main_observations, stats.sub_observations, stats.rate_at_stop,
+                   stats.relay, stats.elapsed, stats.bits)
+        for i, (main_, sub, rate, relay, elapsed, bits) in enumerate(
+                zip(*(c.tolist() for c in columns)), start=1):
+            writer.writerow([i, main_, sub, f"{rate:.12g}", relay,
+                             f"{elapsed:.12g}", f"{bits:.12g}"])
+    assert path.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("route", ["flag", "sim", "estimator"])

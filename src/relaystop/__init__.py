@@ -42,7 +42,6 @@ from .solver import (
     ThresholdSolution,
     default_observations,
     discrete_rate_sampler,
-    expected_positive_part_full_csi,
     full_csi_rate_sampler,
     oracle_threshold_search,
     solve_full_csi_lambda,
@@ -50,8 +49,6 @@ from .solver import (
     solve_main_gamma_optimal,
     solve_sub_layer_batch,
     solve_sub_w_batch,
-    sub_layer_expected_positive_part,
-    sub_layer_tail_prob,
 )
 
 __version__ = "0.1.0"

@@ -305,6 +305,7 @@ def _threshold_dict(cfg: ExperimentConfig, sol: ThresholdSolution) -> dict:
         "residual": sol.residual,
         "iterations": sol.iterations,
         "inner_iterations": sol.inner_iterations,
+        "kernel_rows": sol.kernel_rows,
         "bracket": list(sol.bracket),
     }
     if cfg.scenario == "1":
@@ -403,6 +404,8 @@ def cmd_compare(cfg: ExperimentConfig) -> ReportSummary:
             "iterations_optimal": sol_opt.iterations,
             "inner_iterations_intuitive": sol_int.inner_iterations,
             "inner_iterations_optimal": sol_opt.inner_iterations,
+            "kernel_rows_intuitive": sol_int.kernel_rows,
+            "kernel_rows_optimal": sol_opt.kernel_rows,
         },
         verdicts=verdicts, runtime_s=time.perf_counter() - t0, config=cfg.echo())
     summary.results = {

@@ -18,6 +18,9 @@ method on the residual and its slope (Dinkelbach's method); the coupled solve
 starts at the intuitive root, which it dominates. Every relay-level solve,
 one realization or many, goes through one batch engine that runs guarded
 Newton on all rows at once, dropping converged rows from the kernel passes.
+A row's tangent root lies left of its root (the residual is convex), so the
+engine steps there from the right, and each coupled outer evaluation after
+the first starts every row at the tangent root for its new target.
 
 The second hop is either Rayleigh fading (exponential squared gain, the
 paper's channel) or a point mass (``FixedGain``); the point mass and the
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -80,13 +83,15 @@ class EstimatorConfig:
 @dataclass(frozen=True)
 class ThresholdSolution:
     """A solved threshold, its residual, residual evaluations, root enclosure,
-    and relay-level Newton iterations summed over chunks and evaluations."""
+    and relay-level work summed over chunks and evaluations: row-Newton
+    iterations and kernel rows (rows x relays over the row-Newton passes)."""
 
     value: float
     residual: float
     iterations: int
     bracket: tuple[float, float]
     inner_iterations: int = 0
+    kernel_rows: int = 0
 
 
 @dataclass(frozen=True)
@@ -203,16 +208,6 @@ def _draw_rates(params: SystemParams, est: EstimatorConfig, rate_sampler) -> np.
 # Full-CSI threshold (single-layer stopping)
 
 
-def expected_positive_part_full_csi(params: SystemParams, lam: float,
-                                    est: EstimatorConfig, rate_sampler=None) -> float:
-    """Monte Carlo estimate of E[max((T/2) R - lam T, 0)] on the fixed sample."""
-    if lam < 0:
-        raise InvalidParameterError("lam must be >= 0")
-    rates = _draw_rates(params, est, rate_sampler)
-    t = params.data_time
-    return float(np.maximum(0.5 * t * rates - lam * t, 0.0).mean())
-
-
 def solve_full_csi_lambda(params: SystemParams, est: EstimatorConfig,
                           rate_sampler=None) -> ThresholdSolution:
     """Solve the full-CSI rate-of-return fixed point.
@@ -310,7 +305,10 @@ class _SecondHopKernel:
             raise InvalidParameterError(
                 "second hop must be RayleighFading or FixedGain, got "
                 f"{type(hop).__name__}")
-        self.e0 = self.excess(np.zeros(rows.shape[0]))  # E[max(R, 0)] = E[R] per row
+
+    @cached_property
+    def e0(self) -> np.ndarray:  # E[max(R, 0)] = E[R] per row, one pass on first use
+        return self.excess(np.zeros(self.rows.shape[0]))
 
     def _fused_tails(self, half: np.ndarray, mid: np.ndarray, idx) -> np.ndarray:
         """Gain tails of rows idx at the mapped nodes, in leading scratch rows.
@@ -362,22 +360,6 @@ class _SecondHopKernel:
         return np.where(thetas <= 0.0, 1.0, hit)
 
 
-def sub_layer_tail_prob(params: SystemParams, f_sq, threshold: float,
-                        second_hop=None) -> float:
-    """P(relay-level observation rate >= threshold | first-hop gains)."""
-    rows = _as_rows(f_sq)
-    kernel = _SecondHopKernel(params, rows, 2, second_hop)
-    return float(kernel.tail(np.array([threshold], dtype=float))[0])
-
-
-def sub_layer_expected_positive_part(params: SystemParams, f_sq, lam: float,
-                                     est: EstimatorConfig, second_hop=None) -> float:
-    """E[max(R_m - lam, 0) | first-hop gains] by tail-integral quadrature."""
-    rows = _as_rows(f_sq)
-    kernel = _SecondHopKernel(params, rows, est.quad_points, second_hop)
-    return float(kernel.excess(np.array([lam], dtype=float))[0])
-
-
 def _as_rows(f_sq) -> np.ndarray:
     arr = np.asarray(f_sq, dtype=float)
     if arr.ndim == 1:
@@ -418,20 +400,21 @@ def _chunk_kernels(params, rows, est, second_hop):
 
 
 def _intuitive_rows(params, kernels, est):
-    """Relay-level throughput statistics over chunk kernels, and Newton iterations."""
+    """Relay-level throughput statistics over chunk kernels, and the relay-level work."""
     p_r = success_prob(params.num_relays, params.require_relay_prob())
     slope = params.slot_time / (params.data_time * p_r)
-    parts, inner = [], 0
+    parts, inner, kernel_rows = [], 0, 0
     for kernel in kernels:
-        lam, stop_prob, iters = _newton_rows(kernel, slope, np.zeros(kernel.rows.shape[0]),
-                                             est, theta_scale=1.0)
+        lam, stop_prob, _, iters, passes = _newton_rows(
+            kernel, slope, np.zeros(kernel.rows.shape[0]), est, theta_scale=1.0)
         parts.append((lam, stop_prob))
         inner += iters
+        kernel_rows += passes
     lam, stop_prob = (np.concatenate(arrs) for arrs in zip(*parts))
     with np.errstate(divide="ignore"):
         expected_time = (0.5 * params.data_time
                          + params.slot_time / (2.0 * p_r * stop_prob))
-    return SubLayerStats(lam, lam * expected_time, expected_time, stop_prob), inner
+    return SubLayerStats(lam, lam * expected_time, expected_time, stop_prob), (inner, kernel_rows)
 
 
 def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,
@@ -448,18 +431,20 @@ def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,
     if gamma < 0:
         raise InvalidParameterError("gamma must be >= 0")
     p_r = success_prob(params.num_relays, params.require_relay_prob())
-    kernels = _chunk_kernels(params, _as_rows(f_rows), est, second_hop)
-    return np.concatenate([_w_from_kernel(params, kernel, gamma, est, p_r)[0]
-                           for kernel in kernels])
-
-
-def _w_from_kernel(params, kernel, gamma, est, p_r):
-    """W per row, the stop probability at its threshold, and Newton iterations."""
     half_t = 0.5 * params.data_time
     target = gamma * params.slot_time / (params.data_time * p_r)
-    targets = np.full(kernel.rows.shape[0], target)
-    theta, stop_prob, iters = _newton_rows(kernel, 0.0, targets, est, theta_scale=half_t)
-    return half_t * (theta - gamma), stop_prob, iters
+    kernels = _chunk_kernels(params, _as_rows(f_rows), est, second_hop)
+    return np.concatenate([
+        half_t * (_newton_rows(kernel, 0.0, np.full(kernel.rows.shape[0], target), est,
+                               theta_scale=half_t)[0] - gamma)
+        for kernel in kernels])
+
+
+def _tangent_start(theta, residual, tail, old_target, target):
+    """Tangent root at theta of the reward residual moved from old_target to
+    target: a lower point of the new root (convexity); 0 where the tail is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(tail > 0.0, theta + (residual + old_target - target) / tail, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -481,21 +466,21 @@ def solve_main_gamma_intuitive(params: SystemParams, est: EstimatorConfig,
 
 
 def _intuitive_gamma(params, kernels, est) -> ThresholdSolution:
-    stats, inner = _intuitive_rows(params, kernels, est)
+    stats, work = _intuitive_rows(params, kernels, est)
     cost = params.slot_time / (2.0 * success_prob(params.num_sources, params.source_prob))
     evaluate = _piecewise_linear_residual(stats.expected_bits,
                                           stats.expected_time + 0.5 * params.data_time, cost)
     return _solve_convex(evaluate, cost, est, "two-part throughput (intuitive rule)",
-                         inner_iterations=inner)
+                         work=work)
 
 
 def _piecewise_linear_residual(gain0, per_unit, cost):
     """Residual mean(max(gain0 - x per_unit, 0)) - x cost, its right derivative
-    -mean(per_unit over rows still positive) - cost, and no inner iterations."""
+    -mean(per_unit over rows still positive) - cost, and no relay-level work."""
     def evaluate(x: float):
         gain = gain0 - x * per_unit
         slope = -float(np.where(gain > 0.0, per_unit, 0.0).sum()) / gain.size - cost
-        return float(np.maximum(gain, 0.0).mean() - x * cost), slope, 0
+        return float(np.maximum(gain, 0.0).mean() - x * cost), slope, (0, 0)
 
     return evaluate
 
@@ -515,8 +500,9 @@ def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
     Newton starts at the intuitive root, solved on the same rows and
     kernels; the coupled rule dominates it, so the start lies left of the
     root. A caller that already holds ``solve_main_gamma_intuitive`` on the
-    same arguments passes it as ``start`` and skips that solve; its inner
-    iterations are counted as if solved here.
+    same arguments passes it as ``start`` and skips that solve; its
+    relay-level work is counted as if solved here. Later evaluations start
+    each row at the tangent root of its last residual for the new target.
     """
     rows = _draw_first_hop_rows(params, est, first_hop)
     p_r = success_prob(params.num_relays, params.require_relay_prob())
@@ -526,22 +512,28 @@ def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
     kernels = list(_chunk_kernels(params, rows, est, second_hop))
     if start is None:
         start = _intuitive_gamma(params, kernels, est)
+    last = [None] * len(kernels)  # per chunk: (theta, residual, tail, target)
 
     def evaluate(gamma: float):
         g = max(gamma, GAMMA_FLOOR)
-        total, steep, inner = 0.0, 0.0, 0
-        for kernel in kernels:
-            w, stop_prob, iters = _w_from_kernel(params, kernel, g, est, p_r)
-            gain = w - half_t * g
+        target = k * g
+        total, steep, inner, kernel_rows = 0.0, 0.0, 0, 0
+        for i, kernel in enumerate(kernels):
+            warm = None if last[i] is None else _tangent_start(*last[i], target)
+            theta, stop_prob, residual, iters, passes = _newton_rows(
+                kernel, 0.0, np.full(kernel.rows.shape[0], target), est, half_t, warm)
+            last[i] = theta, residual, stop_prob, target
+            gain = half_t * (theta - g) - half_t * g
             total += float(np.maximum(gain, 0.0).sum())
             with np.errstate(divide="ignore"):
                 steep += float((2.0 + k / stop_prob[gain > 0.0]).sum())
             inner += iters
+            kernel_rows += passes
         n = rows.shape[0]
-        return total / n - g * cost, -half_t * steep / n - cost, inner
+        return total / n - g * cost, -half_t * steep / n - cost, (inner, kernel_rows)
 
     return _solve_convex(evaluate, cost, est, "two-part throughput (coupled rule)",
-                         start=start.value, inner_iterations=start.inner_iterations)
+                         start=start.value, work=(start.inner_iterations, start.kernel_rows))
 
 
 def _draw_first_hop_rows(params: SystemParams, est: EstimatorConfig, first_hop) -> np.ndarray:
@@ -555,12 +547,13 @@ def _draw_first_hop_rows(params: SystemParams, est: EstimatorConfig, first_hop) 
 
 
 def _solve_convex(evaluate, cost: float, est: EstimatorConfig, name: str,
-                  start: float = 0.0, inner_iterations: int = 0) -> ThresholdSolution:
+                  start: float = 0.0, work: tuple[int, int] = (0, 0)) -> ThresholdSolution:
     """Root on [0, inf) of a convex decreasing residual by Newton's method.
 
-    ``evaluate(x)`` returns (residual r, slope, inner iterations); the slope
-    is a subgradient, at most -cost < 0. Certified enclosure: a point with
-    r > 0 is a lower end and x + r / cost an upper one; a point with r <= 0
+    ``evaluate(x)`` returns (residual r, slope, relay-level work); the slope
+    is a subgradient, at most -cost < 0, and the work pairs (row-Newton
+    iterations, kernel rows), summed on top of ``work``. Certified enclosure:
+    a point with r > 0 is a lower end and x + r / cost an upper one; a point with r <= 0
     is an upper end, and its tangent (below the convex residual) crosses
     zero at a lower one. A start right of the root stays the upper end and
     Newton restarts from 0, with a RuntimeWarning; a step that leaves the
@@ -570,8 +563,8 @@ def _solve_convex(evaluate, cost: float, est: EstimatorConfig, name: str,
     seen_left = False
     x = start
     for iters in range(1, MAX_ITER + 1):
-        r, s, n = evaluate(x)
-        inner_iterations += n
+        r, s, (n, m) = evaluate(x)
+        work = (work[0] + n, work[1] + m)
         if not math.isfinite(r):
             raise SolverFailureError(f"{name}: residual {r} at {x}")
         if r > 0.0:
@@ -580,12 +573,12 @@ def _solve_convex(evaluate, cost: float, est: EstimatorConfig, name: str,
             bracket = (x, hi)
         elif x <= 0.0:
             # Degenerate input (zero expected reward): the root sits at 0.
-            return ThresholdSolution(0.0, r, iters, (0.0, 0.0), inner_iterations)
+            return ThresholdSolution(0.0, r, iters, (0.0, 0.0), *work)
         else:
             hi = x
             bracket = (max(lo, x - r / s), x)
         if abs(r) <= est.tol and bracket[1] - bracket[0] <= est.tol * max(1.0, abs(x)):
-            return ThresholdSolution(x, r, iters, bracket, inner_iterations)
+            return ThresholdSolution(x, r, iters, bracket, *work)
         step = x - r / s
         if r > 0.0 and x < step <= hi:
             x = step
@@ -601,20 +594,22 @@ def _solve_convex(evaluate, cost: float, est: EstimatorConfig, name: str,
 
 
 def _newton_rows(kernel: _SecondHopKernel, cost_slope: float, targets: np.ndarray,
-                 est: EstimatorConfig, theta_scale: float):
+                 est: EstimatorConfig, theta_scale: float, start: np.ndarray | None = None):
     """Solve excess(theta) - cost_slope * theta = target per row.
 
-    Returns (theta, tail(theta), iterations). The residual f is convex and
-    strictly decreasing with derivative -(tail(theta) + cost_slope), which
-    gives certified two-sided root enclosures: at an iterate left of the
-    root, the secant chord to the bracket's negative endpoint crosses zero
-    at or beyond the root; at an iterate right of the root, |f| / |f'(theta)|
-    bounds the distance back. Newton steps from the left (which cannot
-    overshoot) are forced to at least the bracket midpoint, so even against
-    the saturation boundary, where the tail's essential singularity makes
-    bare Newton crawl, the bracket contracts geometrically. Rows whose target
-    exceeds excess(0) are solved exactly on the linear branch theta <= 0,
-    where the positive part is the identity.
+    Returns (theta, tail(theta), residual, iterations, kernel rows: rows x
+    relays over the excess passes). The residual f is convex and strictly
+    decreasing with derivative -(tail(theta) + cost_slope), so the tangent
+    root from any point lies at or left of the root. Enclosures are
+    certified: from the left, the secant chord to the bracket's negative end
+    crosses zero at or beyond the root; from the right, the row steps back
+    to its tangent root when that lies above the bracket's lower end. From
+    the left the Newton step is taken when it covers a useful fraction of
+    the chord or at most half the row's previous step; else Newton crawls
+    against the tail's essential singularity at saturation and the row
+    bisects. Rows whose target exceeds excess(0) are solved exactly on the
+    linear branch theta <= 0, where the positive part is the identity; the
+    rest start at 0, or at ``start`` (a lower point, clamped to [0, sat]).
 
     A row is converged when its residual is inside tolerance and its
     enclosure is smaller than tol (all in caller units via ``theta_scale``,
@@ -623,15 +618,19 @@ def _newton_rows(kernel: _SecondHopKernel, cost_slope: float, targets: np.ndarra
     """
     e0 = kernel.e0
     # Linear branch: excess(theta) = e0 - theta for theta <= 0.
-    theta = np.where(targets >= e0, (e0 - targets) / (1.0 + cost_slope), 0.0)
-    tail = np.empty_like(theta)
+    linear = targets >= e0
+    theta = np.where(linear, (e0 - targets) / (1.0 + cost_slope), 0.0)
+    tail, residual = np.empty_like(theta), np.empty_like(theta)
     idx = np.arange(theta.size)
-    th, lo, tg = theta.copy(), theta.copy(), targets
+    lo, tg = theta.copy(), targets  # the cold start is a certified lower end
+    th = np.where(linear, theta, 0.0 if start is None else np.clip(start, 0.0, kernel.sat_top))
     hi = np.maximum(th, kernel.sat_top)
     f_hi = -cost_slope * hi - tg  # excess(sat_top) = 0, in closed form
+    prev, kernel_rows = np.full(theta.size, np.inf), 0
     for iters in range(1, MAX_ITER + 1):
         rows = idx if idx.size < theta.size else slice(None)  # no gathers while all iterate
         f = kernel.excess(th, rows) - cost_slope * th - tg
+        kernel_rows += th.size * kernel.rows.shape[1]
         p = kernel.tail(th, rows)
         slope = p + cost_slope
         pos = f > 0.0
@@ -652,16 +651,17 @@ def _newton_rows(kernel: _SecondHopKernel, cost_slope: float, targets: np.ndarra
                | (((hi - lo) * theta_scale) <= scaled_tol))
         theta[idx[done]] = th[done]
         tail[idx[done]] = p[done]
+        residual[idx[done]] = f[done]
         if bool(done.all()):
-            return theta, tail, iters
+            return theta, tail, residual, iters, kernel_rows
         mid = 0.5 * (lo + hi)
-        # A Newton step from the left never overshoots; take it while it
-        # covers a useful fraction of the certified remaining distance, and
-        # bisect the bracket when it stalls against the singularity.
-        advance = np.where(gap >= 0.125 * chord, th + gap, mid)
-        th = np.where(pos, advance, mid)
+        advance = np.where((gap >= 0.125 * chord) | (gap <= 0.5 * prev), th + gap, mid)
+        retreat = np.where(th - back > lo, th - back, mid)
+        th = np.where(pos, advance, retreat)
+        prev = np.where(pos, gap, back)
         keep = ~done
-        idx, th, lo, hi, f_hi, tg, f = (a[keep] for a in (idx, th, lo, hi, f_hi, tg, f))
+        idx, th, lo, hi, f_hi, tg, f, prev = (
+            a[keep] for a in (idx, th, lo, hi, f_hi, tg, f, prev))
     worst = int(np.argmax(np.abs(f)))
     raise SolverFailureError(
         f"row Newton did not converge within {MAX_ITER} iterations "

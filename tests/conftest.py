@@ -4,6 +4,7 @@ import pytest
 from relaystop import (
     ContentionDeadlockError,
     EstimatorConfig,
+    InvalidParameterError,
     PolicyKind,
     RayleighFading,
     SystemParams,
@@ -13,10 +14,9 @@ from relaystop import (
     rate_saturation,
     solve_sub_layer_batch,
     solve_sub_w_batch,
-    sub_layer_expected_positive_part,
     success_prob,
 )
-from relaystop.solver import CHUNK_ROWS, _SecondHopKernel
+from relaystop.solver import CHUNK_ROWS, _as_rows, _draw_rates, _SecondHopKernel
 
 
 def make_params(**overrides) -> SystemParams:
@@ -77,11 +77,38 @@ def simulate_contention_slots(rng: np.random.Generator, n: int, p: float,
     raise ContentionDeadlockError(f"no successful contention within {slot_cap} slots")
 
 
+# --- positive-part oracles: full CSI on the fixed sample, one relay-level row ---
+
+
+def expected_positive_part_full_csi(params: SystemParams, lam: float,
+                                    est: EstimatorConfig, rate_sampler=None) -> float:
+    """Monte Carlo estimate of E[max((T/2) R - lam T, 0)] on the fixed sample."""
+    if lam < 0:
+        raise InvalidParameterError("lam must be >= 0")
+    rates = _draw_rates(params, est, rate_sampler)
+    t = params.data_time
+    return float(np.maximum(0.5 * t * rates - lam * t, 0.0).mean())
+
+
+def sub_layer_tail_prob(params: SystemParams, f_sq, threshold: float,
+                        second_hop=None) -> float:
+    """P(relay-level observation rate >= threshold | first-hop gains)."""
+    kernel = _SecondHopKernel(params, _as_rows(f_sq), 2, second_hop)
+    return float(kernel.tail(np.array([threshold], dtype=float))[0])
+
+
+def sub_layer_expected_positive_part(params: SystemParams, f_sq, lam: float,
+                                     est: EstimatorConfig, second_hop=None) -> float:
+    """E[max(R_m - lam, 0) | first-hop gains] by tail-integral quadrature."""
+    kernel = _SecondHopKernel(params, _as_rows(f_sq), est.quad_points, second_hop)
+    return float(kernel.excess(np.array([lam], dtype=float))[0])
+
+
 # --- scalar bisection reference for the relay-level batch engine ---------------
 #
-# Written only against the public positive-part quadrature, independent of the
-# row-Newton engine: one first-hop realization, plain bisection on a bracket
-# whose ends are known in closed form.
+# Written only against the single-realization positive-part quadrature above,
+# independent of the row-Newton engine: one first-hop realization, plain
+# bisection on a bracket whose ends are known in closed form.
 
 
 def bisect_decreasing(f, lo: float, hi: float, tol: float) -> float:

@@ -21,7 +21,6 @@ from relaystop import (
     SimConfig,
     af_rate,
     discrete_rate_sampler,
-    expected_positive_part_full_csi,
     full_csi_rate_sampler,
     oracle_threshold_search,
     rate_saturation,
@@ -35,7 +34,7 @@ from relaystop import (
     success_prob,
 )
 from relaystop.channel import SystemParams
-from .conftest import reference_w
+from .conftest import expected_positive_part_full_csi, reference_w
 
 # Three standard exponential-channel configurations.
 CONFIG_A = SystemParams(num_sources=4, num_relays=2, source_power=10.0, relay_power=10.0,

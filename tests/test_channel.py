@@ -13,9 +13,8 @@ from relaystop import (
     default_observations,
     full_csi_rate_sampler,
     rate_saturation,
-    sub_layer_tail_prob,
 )
-from .conftest import make_params
+from .conftest import make_params, sub_layer_tail_prob
 
 LN2 = math.log(2.0)
 

@@ -217,6 +217,7 @@ def test_compare_optimal_matches_standalone_solve(tmp_path, capsys):
     assert compared["gamma_star_optimal"] == solved["gamma_star"]
     assert compared["iterations_optimal"] == solved["iterations"]
     assert compared["inner_iterations_optimal"] == solved["inner_iterations"]
+    assert compared["kernel_rows_optimal"] == solved["kernel_rows"]
 
 
 def test_compare_solves_the_intuitive_gamma_once(tmp_path, monkeypatch):

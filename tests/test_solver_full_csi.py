@@ -8,13 +8,12 @@ from relaystop import (
     InvalidParameterError,
     SolverFailureError,
     discrete_rate_sampler,
-    expected_positive_part_full_csi,
     full_csi_rate_sampler,
     oracle_threshold_search,
     solve_full_csi_lambda,
     success_prob,
 )
-from .conftest import hook_params, make_params
+from .conftest import expected_positive_part_full_csi, hook_params, make_params
 
 # tau/p_s = 0.2 with these hook constants (K=1, p0=1, tau=0.2)
 HOOK = hook_params(source_prob=1.0, relay_prob=1.0)

@@ -235,3 +235,33 @@ def test_inner_iterations_are_counted():
     assert intuitive.inner_iterations > 0
     # the coupled count includes the intuitive start and one W solve per evaluation
     assert coupled.inner_iterations > intuitive.inner_iterations + coupled.iterations
+
+
+@pytest.mark.parametrize("params, hops", [(make_params(), {}), (STRESS, {}),
+                                          (make_params(), dict(second_hop=FixedGain(0.8)))],
+                         ids=["base", "stress", "fixed"])
+def test_coupled_evaluations_are_warm_started(monkeypatch, params, hops):
+    est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=3, tol=1e-6)
+    engine = solver._newton_rows
+    calls = []
+
+    def spy(kernel, cost_slope, targets, est_, theta_scale, start=None):
+        out = engine(kernel, cost_slope, targets, est_, theta_scale, start)
+        calls.append((kernel, cost_slope, targets, theta_scale, start, out))
+        return out
+
+    monkeypatch.setattr(solver, "_newton_rows", spy)
+    sol = solve_main_gamma_optimal(params, est, **hops)
+    monkeypatch.undo()
+    coupled = [c for c in calls if c[1] == 0.0]
+    assert len(coupled) == sol.iterations
+    assert coupled[0][4] is None
+    assert all(start is not None for *_, start, _ in coupled[1:])
+    for kernel, cost_slope, targets, theta_scale, start, out in coupled[1:]:
+        assert out[3] <= 3
+        cold = engine(kernel, cost_slope, targets, est, theta_scale)
+        tol = est.tol * max(1.0, theta_scale * float(np.abs(cold[0]).max()))
+        np.testing.assert_allclose(theta_scale * out[0], theta_scale * cold[0],
+                                   rtol=0.0, atol=2.0 * tol)
+    assert sol.inner_iterations == sum(c[5][3] for c in calls)
+    assert sol.kernel_rows == sum(c[5][4] for c in calls)

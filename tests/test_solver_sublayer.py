@@ -14,16 +14,17 @@ from relaystop import (
     rate_saturation,
     solve_sub_layer_batch,
     solve_sub_w_batch,
-    sub_layer_expected_positive_part,
-    sub_layer_tail_prob,
     success_prob,
 )
+from relaystop import solver
 from .conftest import (
     hook_params,
     make_params,
     reference_sub_lambda,
     reference_w,
     stress_params,
+    sub_layer_expected_positive_part,
+    sub_layer_tail_prob,
     w_residual,
 )
 
@@ -294,3 +295,83 @@ def test_w_nonincreasing_in_gamma(rng):
     for row in rows:
         values = [reference_w(params, row, g, EST) for g in grid]
         assert np.all(np.diff(values) <= 1e-9)
+
+
+# --- row-Newton engine: tangent steps and the warm start -------------------------
+
+ENGINE_CASES = {"base": (make_params(), None), "stress": (STRESS, None),
+                "fixed": (make_params(), FixedGain(0.8))}
+
+
+def _engine_kernel(name, rows=300):
+    params, hop = ENGINE_CASES[name]
+    f_rows = np.random.default_rng(11).exponential(params.first_hop_mean_gain,
+                                                   (rows, params.num_relays))
+    return params, solver._SecondHopKernel(params, f_rows, EST.quad_points, hop)
+
+
+def _reward_rows(params, kernel, gamma, start=None):
+    """The reward target at gamma, and the engine's (theta, tail, residual,
+    iterations, kernel rows) for it on every row."""
+    target = gamma * params.slot_time / (
+        params.data_time * success_prob(params.num_relays, params.relay_prob))
+    targets = np.full(kernel.rows.shape[0], target)
+    return target, solver._newton_rows(kernel, 0.0, targets, EST,
+                                       0.5 * params.data_time, start)
+
+
+@pytest.mark.parametrize("name", list(ENGINE_CASES))
+def test_warm_started_w_matches_cold_solve(name):
+    params, kernel = _engine_kernel(name)
+    half_t = 0.5 * params.data_time
+    k = params.slot_time / (params.data_time
+                            * success_prob(params.num_relays, params.relay_prob))
+    # puts the rows whose mean rate is below the median on the linear branch
+    linear = float(np.median(kernel.e0)) / k
+    # rising, falling, the gamma floor, and the linear branch
+    gammas = [0.8, 0.9, 1.2, linear, 0.5, solver.GAMMA_FLOOR, solver.GAMMA_FLOOR, 0.3, 0.7,
+              0.69, 1.0]
+    last = None
+    for gamma in gammas:
+        target, cold = _reward_rows(params, kernel, gamma)
+        if gamma == linear:
+            assert 0 < np.count_nonzero(cold[0] < 0.0) < cold[0].size
+        # both roots lie inside certified enclosures narrower than the scaled tol
+        tol = EST.tol * max(1.0, half_t * float(np.abs(cold[0]).max()))
+        if last is not None:
+            start = solver._tangent_start(*last, target)
+            # the tangent root is a lower point of the root wherever it is defined
+            defined = last[2] > 0.0
+            assert np.all(start[defined] <= cold[0][defined] + 2.0 * tol / half_t), gamma
+        _, warm = _reward_rows(params, kernel, gamma, None if last is None else start)
+        last = (warm[0], warm[2], warm[1], target)
+        np.testing.assert_allclose(half_t * (warm[0] - gamma), half_t * (cold[0] - gamma),
+                                   rtol=0.0, atol=2.0 * tol)
+
+
+@pytest.mark.parametrize("cost", ["reward", "throughput"])
+def test_row_right_of_the_root_steps_to_its_tangent_point(cost):
+    params, kernel = _engine_kernel("base", rows=40)
+    slope = params.slot_time / (params.data_time
+                                * success_prob(params.num_relays, params.relay_prob))
+    cost_slope, targets = (0.0, np.full(40, 0.7 * slope)) if cost == "reward" \
+        else (slope, np.zeros(40))
+    root = solver._newton_rows(kernel, cost_slope, targets, EST, 1.0)[0]  # caches e0
+    start = root + 0.1
+    passes = []
+    excess = kernel.excess
+
+    def recording(thetas, idx=slice(None)):
+        passes.append(np.copy(thetas))
+        return excess(thetas, idx)
+
+    kernel.excess = recording
+    kernel_rows = solver._newton_rows(kernel, cost_slope, targets, EST, 1.0, start)[4]
+    # kernel rows count rows x relays over the excess passes
+    assert kernel_rows == sum(thetas.size for thetas in passes) * kernel.rows.shape[1]
+    f = excess(start) - cost_slope * start - targets
+    assert np.all(f < 0.0)
+    tangent = start + f / (kernel.tail(start) + cost_slope)
+    assert np.all((tangent > 0.0) & (tangent <= root + EST.tol))
+    np.testing.assert_array_equal(passes[0], start)
+    np.testing.assert_array_equal(passes[1], tangent)

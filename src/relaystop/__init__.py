@@ -32,7 +32,6 @@ from .policies import (
 from .simulator import (
     SimConfig,
     SimStats,
-    fixed_rate_observations,
     run_scenario1,
     run_scenario2,
 )
@@ -41,7 +40,6 @@ from .solver import (
     SubLayerStats,
     ThresholdSolution,
     default_observations,
-    discrete_rate_sampler,
     full_csi_rate_sampler,
     oracle_threshold_search,
     solve_full_csi_lambda,

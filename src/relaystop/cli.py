@@ -15,7 +15,9 @@ import json
 import math
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,19 +45,6 @@ MIN_PRODUCTION_MC_SAMPLES = 1000
 
 # config "kind" of each gain model of the "channel" section
 _HOPS = {"fixed": FixedGain, "rayleigh": RayleighFading}
-
-_PARAM_FIELDS = {
-    "num_sources": int,
-    "num_relays": int,
-    "source_power": float,
-    "relay_power": float,
-    "first_hop_mean_gain": float,
-    "second_hop_mean_gain": float,
-    "slot_time": float,
-    "data_time": float,
-    "source_prob": float,
-    "relay_prob": float,
-}
 
 
 @dataclass(frozen=True)
@@ -115,30 +104,21 @@ class Verdict:
 
 @dataclass
 class ReportSummary:
+    """One command's report; the fields are summary.json's keys, in order.
+    ``main`` sets the command's runtime and the config echo."""
+
     command: str
     scenario: str
     seed: int
     thresholds: dict
+    results: dict
     verdicts: list[Verdict]
-    runtime_s: float
-    config: dict
-    results: dict = field(default_factory=dict)
+    runtime_s: float = 0.0
+    config: dict = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "thresholds": self.thresholds,
-            "results": self.results,
-            "verdicts": [dataclasses.asdict(v) for v in self.verdicts],
-            "runtime_s": self.runtime_s,
-            "config": self.config,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +140,12 @@ def load_config(path) -> ExperimentConfig:
 
     if not isinstance(raw.get("params"), dict):
         raise ConfigError("params: section is required and must be an object")
-    params = _build_section("params", raw["params"], SystemParams, _PARAM_FIELDS)
-    estimator = _build_section("estimator", raw.get("estimator", {}), EstimatorConfig,
-                               {"tol": float}, default_kind=int)
+    params = _build_section("params", raw["params"], SystemParams)
+    estimator = _build_section("estimator", raw.get("estimator", {}), EstimatorConfig)
     if estimator.mc_samples < MIN_PRODUCTION_MC_SAMPLES:
         raise ConfigError(
             f"estimator.mc_samples: must be >= {MIN_PRODUCTION_MC_SAMPLES} for CLI runs")
-    sim = _build_section("sim", raw.get("sim", {}), SimConfig, {}, default_kind=int,
-                         packets=10_000)
+    sim = _build_section("sim", raw.get("sim", {}), SimConfig, packets=10_000)
     scenario = raw.get("scenario", "1")
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario: must be one of {SCENARIOS}, got {scenario!r}")
@@ -182,25 +160,27 @@ def load_config(path) -> ExperimentConfig:
                             first_hop=first_hop, second_hop=second_hop)
 
 
-def _build_section(name: str, section, cls, kinds: dict, default_kind=float, **defaults):
+def _build_section(name: str, section, cls, **defaults):
     """Build the dataclass ``cls`` from one config section.
 
-    Each given field is cast to its kind in ``kinds`` (else ``default_kind``);
-    unknown and missing fields, bad values and the dataclass's own validation
-    errors are config errors named after the section or field.
+    Each given field is cast to the kind its annotation names (int, else
+    float); a null keeps a field whose default is None. Unknown and missing
+    fields, bad values and the dataclass's own validation errors are config
+    errors named after the section or field.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: must be an object")
-    fields = dataclasses.fields(cls)
-    unknown = set(section) - {f.name for f in fields}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(section) - set(fields)
     if unknown:
         raise ConfigError(f"{name}: unknown fields {sorted(unknown)}")
+    kinds = _field_kinds(cls)
     kwargs = dict(defaults)
     for key, value in section.items():
-        kind = kinds.get(key, default_kind)
-        kwargs[key] = _cast(f"{name}.{key}", value, kind)
-    missing = [f.name for f in fields
-               if f.default is dataclasses.MISSING and f.name not in kwargs]
+        if value is not None or fields[key].default is not None:
+            kwargs[key] = _cast(f"{name}.{key}", value, kinds[key])
+    missing = [key for key, f in fields.items()
+               if f.default is dataclasses.MISSING and key not in kwargs]
     if missing:
         raise ConfigError(f"{name}.{missing[0]}: field is required")
     try:
@@ -228,13 +208,11 @@ def _build_hop(name: str, section):
     kind = fields.pop("kind")
     if not isinstance(kind, str) or kind not in _HOPS:
         raise ConfigError(f"{name}.kind: must be one of {sorted(_HOPS)}, got {kind!r}")
-    return _build_section(name, fields, _HOPS[kind], {})
+    return _build_section(name, fields, _HOPS[kind])
 
 
 def _build_oracle(section) -> OracleSettings:
-    if isinstance(section, dict) and "hi" in section and section["hi"] is None:
-        section = {k: v for k, v in section.items() if k != "hi"}  # null: the default
-    oracle = _build_section("oracle", section, OracleSettings, {"points": int})
+    oracle = _build_section("oracle", section, OracleSettings)
     if oracle.points < 2:
         raise ConfigError("oracle.points: must be >= 2")
     # JSON parsers accept NaN and Infinity; neither bounds a grid
@@ -243,6 +221,12 @@ def _build_oracle(section) -> OracleSettings:
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"oracle.{key}: must be finite, got {value!r}")
     return oracle
+
+
+def _field_kinds(cls) -> dict:
+    """The config kind of each field of ``cls``: int where annotated int, else float."""
+    return {key: int if hint is int else float
+            for key, hint in typing.get_type_hints(cls).items()}
 
 
 def _cast(name: str, value, kind):
@@ -276,6 +260,9 @@ def apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # Commands
+#
+# Each command returns its report and its output files: file name -> writer
+# of that file's path. ``main`` times the command and writes the outputs.
 
 
 def _solve_for_scenario(cfg: ExperimentConfig) -> tuple[ThresholdSolution, PolicySpec]:
@@ -283,7 +270,6 @@ def _solve_for_scenario(cfg: ExperimentConfig) -> tuple[ThresholdSolution, Polic
         sampler = full_csi_rate_sampler(cfg.params, cfg.first_hop, cfg.second_hop)
         sol = solve_full_csi_lambda(cfg.params, cfg.estimator, rate_sampler=sampler)
         return sol, PolicySpec(PolicyKind.FULL_CSI, lambda_star=sol.value)
-    _require_relay_prob(cfg)
     if cfg.scenario == "2-intuitive":
         sol = solve_main_gamma_intuitive(cfg.params, cfg.estimator,
                                          first_hop=cfg.first_hop, second_hop=cfg.second_hop)
@@ -291,11 +277,6 @@ def _solve_for_scenario(cfg: ExperimentConfig) -> tuple[ThresholdSolution, Polic
     sol = solve_main_gamma_optimal(cfg.params, cfg.estimator,
                                    first_hop=cfg.first_hop, second_hop=cfg.second_hop)
     return sol, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=sol.value)
-
-
-def _require_relay_prob(cfg: ExperimentConfig) -> None:
-    if cfg.params.relay_prob is None:
-        raise ConfigError("params.relay_prob: field is required for scenario 2")
 
 
 def _threshold_dict(cfg: ExperimentConfig, sol: ThresholdSolution) -> dict:
@@ -313,15 +294,12 @@ def _threshold_dict(cfg: ExperimentConfig, sol: ThresholdSolution) -> dict:
     return out
 
 
-def cmd_solve(cfg: ExperimentConfig) -> ReportSummary:
-    t0 = time.perf_counter()
+def cmd_solve(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
     sol, _ = _solve_for_scenario(cfg)
     verdicts = [Verdict("solver_converged", abs(sol.residual) <= cfg.estimator.tol,
                         f"|residual|={abs(sol.residual):.3e} tol={cfg.estimator.tol:.1e}")]
-    return ReportSummary(
-        command="solve", scenario=cfg.scenario, seed=cfg.sim.seed,
-        thresholds=_threshold_dict(cfg, sol), verdicts=verdicts,
-        runtime_s=time.perf_counter() - t0, config=cfg.echo())
+    return ReportSummary("solve", cfg.scenario, cfg.sim.seed,
+                         _threshold_dict(cfg, sol), {}, verdicts), {}
 
 
 def _run_simulation(cfg: ExperimentConfig, spec: PolicySpec) -> SimStats:
@@ -342,17 +320,12 @@ def _match_verdict(name: str, simulated: float, stderr: float, target: float,
                    f"margin 3*stderr+tol = {margin:.3g}")
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> ReportSummary:
-    t0 = time.perf_counter()
+def cmd_simulate(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
     sol, spec = _solve_for_scenario(cfg)
     stats = _run_simulation(cfg, spec)
     verdicts = [_match_verdict("throughput_matches_threshold", stats.throughput,
                                stats.throughput_stderr, sol.value, cfg.estimator.tol)]
-    summary = ReportSummary(
-        command="simulate", scenario=cfg.scenario, seed=cfg.sim.seed,
-        thresholds=_threshold_dict(cfg, sol), verdicts=verdicts,
-        runtime_s=time.perf_counter() - t0, config=cfg.echo())
-    summary.results = {
+    results = {
         "throughput": stats.throughput,
         "throughput_stderr": stats.throughput_stderr,
         "packets": int(stats.bits.size),
@@ -362,13 +335,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> ReportSummary:
         "max_main_observations": int(stats.main_observations.max()),
         "max_sub_observations": int(stats.sub_observations.max()),
     }
-    _write_outputs(cfg, summary, {"packets.csv": stats})
-    return summary
+    summary = ReportSummary("simulate", cfg.scenario, cfg.sim.seed,
+                            _threshold_dict(cfg, sol), results, verdicts)
+    return summary, {"packets.csv": partial(_write_packets_csv, stats=stats)}
 
 
-def cmd_compare(cfg: ExperimentConfig) -> ReportSummary:
-    t0 = time.perf_counter()
-    _require_relay_prob(cfg)
+def cmd_compare(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
     hops = dict(first_hop=cfg.first_hop, second_hop=cfg.second_hop)
     sol_int = solve_main_gamma_intuitive(cfg.params, cfg.estimator, **hops)
     # the coupled solve starts at the intuitive root, so it reuses this one
@@ -393,51 +365,46 @@ def cmd_compare(cfg: ExperimentConfig) -> ReportSummary:
                 f"opt={stats_opt.throughput:.6g} int={stats_int.throughput:.6g} "
                 f"pooled_stderr={pooled:.3g}"),
     ]
-    summary = ReportSummary(
-        command="compare", scenario="2-optimal", seed=cfg.sim.seed,
-        thresholds={
-            "gamma_star_intuitive": sol_int.value,
-            "gamma_star_optimal": sol_opt.value,
-            "residual_intuitive": sol_int.residual,
-            "residual_optimal": sol_opt.residual,
-            "iterations_intuitive": sol_int.iterations,
-            "iterations_optimal": sol_opt.iterations,
-            "inner_iterations_intuitive": sol_int.inner_iterations,
-            "inner_iterations_optimal": sol_opt.inner_iterations,
-            "kernel_rows_intuitive": sol_int.kernel_rows,
-            "kernel_rows_optimal": sol_opt.kernel_rows,
-        },
-        verdicts=verdicts, runtime_s=time.perf_counter() - t0, config=cfg.echo())
-    summary.results = {
+    thresholds = {
+        "gamma_star_intuitive": sol_int.value,
+        "gamma_star_optimal": sol_opt.value,
+        "residual_intuitive": sol_int.residual,
+        "residual_optimal": sol_opt.residual,
+        "iterations_intuitive": sol_int.iterations,
+        "iterations_optimal": sol_opt.iterations,
+        "inner_iterations_intuitive": sol_int.inner_iterations,
+        "inner_iterations_optimal": sol_opt.inner_iterations,
+        "kernel_rows_intuitive": sol_int.kernel_rows,
+        "kernel_rows_optimal": sol_opt.kernel_rows,
+    }
+    results = {
         "throughput_intuitive": stats_int.throughput,
         "stderr_intuitive": stats_int.throughput_stderr,
         "throughput_optimal": stats_opt.throughput,
         "stderr_optimal": stats_opt.throughput_stderr,
         "gamma_gap": sol_opt.value - sol_int.value,
     }
-    _write_outputs(cfg, summary, {"packets_intuitive.csv": stats_int,
-                                  "packets_optimal.csv": stats_opt})
-    return summary
+    summary = ReportSummary("compare", "2-optimal", cfg.sim.seed, thresholds, results,
+                            verdicts)
+    return summary, {"packets_intuitive.csv": partial(_write_packets_csv, stats=stats_int),
+                     "packets_optimal.csv": partial(_write_packets_csv, stats=stats_opt)}
 
 
-def cmd_sweep(cfg: ExperimentConfig, axis: str, values, simulate: bool = False) -> ReportSummary:
-    t0 = time.perf_counter()
-    if axis not in _PARAM_FIELDS:
+def cmd_sweep(cfg: ExperimentConfig, axis: str, values,
+              simulate: bool = False) -> tuple[ReportSummary, dict]:
+    kind = _field_kinds(SystemParams).get(axis)
+    if kind is None:
         raise ConfigError(f"--axis: {axis!r} is not a SystemParams field")
     if not values:
         raise ConfigError("--values: at least one value is required")
     rows = []
     verdicts = []
     for value in values:
-        cast = _PARAM_FIELDS[axis]
         try:
-            point_params = dataclasses.replace(cfg.params, **{axis: _cast(axis, value, cast)})
+            params = dataclasses.replace(cfg.params, **{axis: _cast(axis, value, kind)})
         except RelayStopError as exc:
             raise ConfigError(f"sweep value {value!r} for {axis}: {exc}") from exc
-        point = ExperimentConfig(params=point_params, estimator=cfg.estimator,
-                                 sim=cfg.sim, scenario=cfg.scenario, out=None,
-                                 oracle=cfg.oracle, first_hop=cfg.first_hop,
-                                 second_hop=cfg.second_hop)
+        point = dataclasses.replace(cfg, params=params, out=None)
         sol, spec = _solve_for_scenario(point)
         row = {"axis": axis, "value": value, "threshold": sol.value,
                "residual": sol.residual, "throughput": None, "stderr": None}
@@ -452,19 +419,12 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values, simulate: bool = False) 
                                 abs(sol.residual) <= cfg.estimator.tol,
                                 f"residual={sol.residual:.3e}"))
         rows.append(row)
-    summary = ReportSummary(
-        command="sweep", scenario=cfg.scenario, seed=cfg.sim.seed,
-        thresholds={}, verdicts=verdicts,
-        runtime_s=time.perf_counter() - t0, config=cfg.echo())
-    summary.results = {"sweep": rows}
-    _write_outputs(cfg, summary, {})
-    if cfg.out is not None:
-        _write_sweep_csv(cfg.out / "sweep.csv", rows)
-    return summary
+    summary = ReportSummary("sweep", cfg.scenario, cfg.sim.seed, {}, {"sweep": rows},
+                            verdicts)
+    return summary, {"sweep.csv": partial(_write_sweep_csv, rows=rows)}
 
 
-def cmd_oracle(cfg: ExperimentConfig) -> ReportSummary:
-    t0 = time.perf_counter()
+def cmd_oracle(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
     if cfg.scenario != "1":
         raise ConfigError("oracle runs target scenario 1 only")
     sol, _ = _solve_for_scenario(cfg)
@@ -489,33 +449,19 @@ def cmd_oracle(cfg: ExperimentConfig) -> ReportSummary:
                 abs(best_tp - sol.value) <= 0.005 * max(sol.value, 1e-12),
                 f"oracle {best_tp:.6g} vs solver {sol.value:.6g}"),
     ]
-    summary = ReportSummary(
-        command="oracle", scenario="1", seed=cfg.sim.seed,
-        thresholds=_threshold_dict(cfg, sol), verdicts=verdicts,
-        runtime_s=time.perf_counter() - t0, config=cfg.echo())
-    summary.results = {
+    results = {
         "best_threshold": best_th,
         "best_throughput": best_tp,
         "grid_lo": float(grid[0]),
         "grid_hi": float(grid[-1]),
         "grid_points": int(grid.size),
     }
-    _write_outputs(cfg, summary, {})
-    return summary
+    return ReportSummary("oracle", "1", cfg.sim.seed, _threshold_dict(cfg, sol),
+                         results, verdicts), {}
 
 
 # ---------------------------------------------------------------------------
 # Output & entry point
-
-
-def _write_outputs(cfg: ExperimentConfig, summary: ReportSummary,
-                   packet_files: dict[str, SimStats]) -> None:
-    if cfg.out is None:
-        return
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    (cfg.out / "summary.json").write_text(json.dumps(summary.to_dict(), indent=2))
-    for name, stats in packet_files.items():
-        _write_packets_csv(cfg.out / name, stats)
 
 
 _PACKET_ROW = "%d,%d,%d,%.12g,%d,%.12g,%.12g\r\n"
@@ -592,20 +538,25 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = apply_overrides(load_config(args.config), args)
-        if args.command == "solve":
-            summary = cmd_solve(cfg)
-        elif args.command == "simulate":
-            summary = cmd_simulate(cfg)
-        elif args.command == "compare":
-            summary = cmd_compare(cfg)
-        elif args.command == "oracle":
-            summary = cmd_oracle(cfg)
-        else:
+        t0 = time.perf_counter()
+        if args.command == "sweep":
             values = [v for v in args.values.split(",") if v != ""]
-            summary = cmd_sweep(cfg, args.axis, values, simulate=args.simulate)
+            summary, files = cmd_sweep(cfg, args.axis, values, simulate=args.simulate)
+        else:
+            command = {"solve": cmd_solve, "simulate": cmd_simulate,
+                       "compare": cmd_compare, "oracle": cmd_oracle}[args.command]
+            summary, files = command(cfg)
     except RelayStopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    summary.runtime_s = time.perf_counter() - t0
+    summary.config = cfg.echo()
+    if cfg.out is not None:
+        cfg.out.mkdir(parents=True, exist_ok=True)
+        (cfg.out / "summary.json").write_text(
+            json.dumps(dataclasses.asdict(summary), indent=2))
+        for name, write in files.items():
+            write(cfg.out / name)
     _print_summary(summary)
     return 0 if summary.all_passed else 1
 

@@ -106,17 +106,6 @@ class SimStats:
     throughput_stderr: float
 
 
-def fixed_rate_observations(rate: float, relay: int = 1):
-    """Observation hook with a constant rate, for closed-form checks."""
-    if rate < 0 or not math.isfinite(rate):
-        raise InvalidParameterError("rate must be finite and >= 0")
-
-    def sampler(rng: np.random.Generator, n: int):
-        return np.full(n, float(rate)), np.full(n, relay, dtype=int)
-
-    return sampler
-
-
 def run_scenario1(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
                   observation_sampler=None) -> SimStats:
     """Simulate the full-CSI protocol under the pure-threshold policy.

@@ -23,15 +23,14 @@ engine steps there from the right, and each coupled outer evaluation after
 the first starts every row at the tangent root for its new target.
 
 The second hop is either Rayleigh fading (exponential squared gain, the
-paper's channel) or a point mass (``FixedGain``); the point mass and the
-finite-support rate samplers make the closed-form worked examples exact.
-The first hop and the best-relay draw only sample, so they take any object
-with a ``sample(rng, size)`` method.
+paper's channel) or a point mass (``FixedGain``); the point mass, and any
+finite-support ``rate_sampler`` a caller passes, make the closed-form worked
+examples exact. The first hop and the best-relay draw only sample, so they
+take any object with a ``sample(rng, size)`` method.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -117,7 +116,7 @@ class SubLayerStats:
 
 
 # ---------------------------------------------------------------------------
-# Rate samplers (full-CSI scenario) and channel hooks
+# Rate samplers (full-CSI scenario) and hop models
 
 
 def default_observations(params: SystemParams, first_hop=None, second_hop=None):
@@ -148,41 +147,6 @@ def full_csi_rate_sampler(params: SystemParams, first_hop=None, second_hop=None)
         return observations(rng, n)[0]
 
     return sampler
-
-
-def discrete_rate_sampler(values, weights=None):
-    """Finite-support rate distribution laid out as an exact balanced sample.
-
-    The sample contains deterministic proportions (largest-remainder
-    apportionment), so fixed points computed on it match finite-support
-    arithmetic exactly instead of fluctuating with multinomial noise.
-    """
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1 or vals.size == 0 or np.any(vals < 0) or not np.all(np.isfinite(vals)):
-        raise InvalidParameterError("values must be a non-empty 1-D array of finite rates >= 0")
-    if weights is None:
-        w = np.full(vals.size, 1.0 / vals.size)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != vals.shape or np.any(w < 0) or w.sum() <= 0:
-            raise InvalidParameterError("weights must be nonnegative and match values")
-        w = w / w.sum()
-
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        counts = _apportion(w, n)
-        return np.repeat(vals, counts)
-
-    return sampler
-
-
-def _apportion(weights: np.ndarray, n: int) -> np.ndarray:
-    exact = weights * n
-    counts = np.floor(exact).astype(int)
-    short = n - counts.sum()
-    if short > 0:
-        order = np.argsort(-(exact - counts), kind="stable")
-        counts[order[:short]] += 1
-    return counts
 
 
 def _first_hop_model(params: SystemParams, first_hop):
@@ -555,12 +519,12 @@ def _solve_convex(evaluate, cost: float, est: EstimatorConfig, name: str,
     iterations, kernel rows), summed on top of ``work``. Certified enclosure:
     a point with r > 0 is a lower end and x + r / cost an upper one; a point with r <= 0
     is an upper end, and its tangent (below the convex residual) crosses
-    zero at a lower one. A start right of the root stays the upper end and
-    Newton restarts from 0, with a RuntimeWarning; a step that leaves the
-    enclosure or stalls is replaced by bisection.
+    zero at a lower one. So the Newton step x - r / s lands at or left of
+    the root from either side, and a start right of the root steps back
+    along its tangent; a step that leaves the enclosure or stalls is
+    replaced by bisection.
     """
     lo, hi = 0.0, math.inf
-    seen_left = False
     x = start
     for iters in range(1, MAX_ITER + 1):
         r, s, (n, m) = evaluate(x)
@@ -568,7 +532,7 @@ def _solve_convex(evaluate, cost: float, est: EstimatorConfig, name: str,
         if not math.isfinite(r):
             raise SolverFailureError(f"{name}: residual {r} at {x}")
         if r > 0.0:
-            lo, seen_left = x, True
+            lo = x
             hi = min(hi, x + r / cost)
             bracket = (x, hi)
         elif x <= 0.0:
@@ -580,14 +544,7 @@ def _solve_convex(evaluate, cost: float, est: EstimatorConfig, name: str,
         if abs(r) <= est.tol and bracket[1] - bracket[0] <= est.tol * max(1.0, abs(x)):
             return ThresholdSolution(x, r, iters, bracket, *work)
         step = x - r / s
-        if r > 0.0 and x < step <= hi:
-            x = step
-        elif seen_left:
-            x = 0.5 * (lo + hi)
-        else:
-            warnings.warn(f"{name}: start {x} lies right of the root (residual {r}); "
-                          "Newton restarts from 0", RuntimeWarning, stacklevel=3)
-            x = 0.0
+        x = step if lo <= step <= hi and step != x else 0.5 * (lo + hi)
     raise SolverFailureError(
         f"{name}: Newton did not converge within {MAX_ITER} evaluations from "
         f"{start} (enclosure [{lo}, {hi}], residual {r})")

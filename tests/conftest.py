@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,55 @@ def hook_params(**overrides) -> SystemParams:
     )
     fields.update(overrides)
     return SystemParams(**fields)
+
+
+# --- closed-form observation and rate hooks ------------------------------------
+
+
+def fixed_rate_observations(rate: float, relay: int = 1):
+    """Observation hook with a constant rate, for closed-form checks."""
+    if rate < 0 or not math.isfinite(rate):
+        raise InvalidParameterError("rate must be finite and >= 0")
+
+    def sampler(rng: np.random.Generator, n: int):
+        return np.full(n, float(rate)), np.full(n, relay, dtype=int)
+
+    return sampler
+
+
+def discrete_rate_sampler(values, weights=None):
+    """Finite-support rate distribution laid out as an exact balanced sample.
+
+    The sample contains deterministic proportions (largest-remainder
+    apportionment), so fixed points computed on it match finite-support
+    arithmetic exactly instead of fluctuating with multinomial noise.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1 or vals.size == 0 or np.any(vals < 0) or not np.all(np.isfinite(vals)):
+        raise InvalidParameterError("values must be a non-empty 1-D array of finite rates >= 0")
+    if weights is None:
+        w = np.full(vals.size, 1.0 / vals.size)
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != vals.shape or np.any(w < 0) or w.sum() <= 0:
+            raise InvalidParameterError("weights must be nonnegative and match values")
+        w = w / w.sum()
+
+    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
+        counts = _apportion(w, n)
+        return np.repeat(vals, counts)
+
+    return sampler
+
+
+def _apportion(weights: np.ndarray, n: int) -> np.ndarray:
+    exact = weights * n
+    counts = np.floor(exact).astype(int)
+    short = n - counts.sum()
+    if short > 0:
+        order = np.argsort(-(exact - counts), kind="stable")
+        counts[order[:short]] += 1
+    return counts
 
 
 # --- literal contention reference for the geometric draw ------------------------

@@ -76,6 +76,35 @@ def test_load_config_names_offending_field(tmp_path):
         load_config(write_config(tmp_path, **{"estimator.mc_samples": 10}))
 
 
+ECHO_CASES = {"no-relay-prob": {"params.relay_prob": None},
+              "oracle-hi-null": {"oracle": {"points": 50, "hi": None}},
+              "fixed-hop": {"channel": {"first_hop": {"kind": "fixed", "gain": 3.0}}}}
+
+
+@pytest.mark.parametrize("changes", ECHO_CASES.values(), ids=ECHO_CASES.keys())
+def test_summary_config_echo_reloads(tmp_path, capsys, changes):
+    # the echo reproduces the run: it loads back to itself, nulls included
+    out_dir = tmp_path / "run"
+    rc = main(["simulate", "--config", str(write_config(tmp_path, **changes)),
+               "--out", str(out_dir)])
+    assert rc == 0
+    echo = json.loads((out_dir / "summary.json").read_text())["config"]
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(echo))
+    assert load_config(path).echo() == echo
+
+
+def test_null_means_the_default_only_where_it_is_none(tmp_path):
+    from relaystop import ConfigError
+
+    path = tmp_path / "config.json"
+    path.write_text(write_config(tmp_path).read_text().replace('"relay_prob": 0.5',
+                                                               '"relay_prob": null'))
+    assert load_config(path).params.relay_prob is None
+    with pytest.raises(ConfigError, match="oracle.points: expected int, got None"):
+        load_config(write_config(tmp_path, oracle={"points": None}))
+
+
 def test_solve_scenario1(tmp_path, capsys):
     rc = main(["solve", "--config", str(write_config(tmp_path))])
     out = capsys.readouterr().out

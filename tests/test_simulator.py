@@ -15,7 +15,6 @@ from relaystop import (
     SimConfig,
     af_rate,
     default_observations,
-    fixed_rate_observations,
     full_csi_rate_sampler,
     optimal_main_decide,
     optimal_sub_decide,
@@ -28,7 +27,13 @@ from relaystop import (
     success_prob,
 )
 from relaystop.simulator import _OBS_CHUNK, _decision_rules
-from .conftest import hook_params, make_params, policy_value, stress_params
+from .conftest import (
+    fixed_rate_observations,
+    hook_params,
+    make_params,
+    policy_value,
+    stress_params,
+)
 
 DET = hook_params(source_prob=1.0, relay_prob=1.0)  # every contention takes 1 slot
 

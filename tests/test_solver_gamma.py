@@ -194,26 +194,45 @@ def test_outer_newton_from_right_of_the_root(monkeypatch):
         sol, seen = _outer_residuals(monkeypatch, solve, STRESS, est)
         evaluate, cost = seen[-1]
         assert evaluate(1.5 * sol.value)[0] < 0.0
-        with pytest.warns(RuntimeWarning, match="right of the root"):
-            again = solver._solve_convex(evaluate, cost, est, "restart", start=1.5 * sol.value)
+        again = solver._solve_convex(evaluate, cost, est, "restart", start=1.5 * sol.value)
         assert again.value == pytest.approx(sol.value, abs=2.0 * est.tol)
         assert again.bracket[0] <= again.value <= again.bracket[1]
         assert abs(again.residual) <= est.tol
 
 
+def _coupled_started_at(monkeypatch, est, move):
+    """The coupled stress solve with its intuitive start moved to ``move(start)``."""
+    intuitive = solver._intuitive_gamma
+
+    def moved(*args):
+        start = intuitive(*args)
+        return dataclasses.replace(start, value=move(start.value))
+
+    monkeypatch.setattr(solver, "_intuitive_gamma", moved)
+    again = solve_main_gamma_optimal(STRESS, est)
+    monkeypatch.undo()
+    return again
+
+
 def test_coupled_fallback_when_start_is_right_of_the_root(monkeypatch):
     est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=3, tol=1e-6)
     sol = solve_main_gamma_optimal(STRESS, est)
-    intuitive = solver._intuitive_gamma
-
-    def too_far(*args):
-        start = intuitive(*args)
-        return dataclasses.replace(start, value=1.5 * start.value)
-
-    monkeypatch.setattr(solver, "_intuitive_gamma", too_far)
-    with pytest.warns(RuntimeWarning, match="coupled rule"):
-        again = solve_main_gamma_optimal(STRESS, est)
+    # every row is inactive at 1.5x the start: the slope is -cost and the
+    # tangent root is 0, so the solve climbs back from there
+    again = _coupled_started_at(monkeypatch, est, lambda start: 1.5 * start)
     assert again.iterations > sol.iterations
+    assert again.value == pytest.approx(sol.value, abs=2.0 * est.tol)
+    assert again.bracket[0] <= again.value <= again.bracket[1]
+    assert abs(again.residual) <= est.tol
+
+
+def test_coupled_start_just_right_of_the_root_steps_back(monkeypatch):
+    est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=3, tol=1e-6)
+    sol = solve_main_gamma_optimal(STRESS, est)
+    # a start a hair right of the root, as when gamma_int is within noise of
+    # gamma_opt: the tangent step lands just left of the root
+    again = _coupled_started_at(monkeypatch, est, lambda start: sol.value + 4e-4)
+    assert again.iterations <= 4
     assert again.value == pytest.approx(sol.value, abs=2.0 * est.tol)
     assert again.bracket[0] <= again.value <= again.bracket[1]
     assert abs(again.residual) <= est.tol

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import policies
 from .channel import SystemParams, af_rate
-from .contention import sample_contention, success_prob
+from .contention import sample_contention
 from .errors import CappedPacketError, InvalidParameterError
 from .policies import PolicyKind, PolicySpec
 # perfbench/child.py wraps sample_contention, af_rate and both batch solvers here.
@@ -54,6 +54,7 @@ from .solver import (
     _SecondHopKernel,
     _as_rows,
     _first_hop_model,
+    _reward_target,
     _second_hop_model,
 )
 
@@ -226,13 +227,9 @@ def _decision_rules(params, est, spec, rows, second_hop):
         stats = solve_sub_layer_batch(params, rows, est, second_hop)
         return (policies.intuitive_main_decide(spec, stats, params.data_time),
                 lambda i, rates: policies.intuitive_sub_decide(stats.threshold[i], rates))
-    gamma = spec.gamma_star
-    if gamma < 0:
-        raise InvalidParameterError("gamma must be >= 0")
-    target = gamma * params.slot_time / (
-        params.data_time * success_prob(params.num_relays, params.relay_prob))
+    target = _reward_target(params, spec.gamma_star)
     kernel = _SecondHopKernel(params, rows, est.quad_points, second_hop)
-    return (kernel.excess(np.full(rows.shape[0], 2.0 * gamma)) >= target,
+    return (kernel.excess(np.full(rows.shape[0], 2.0 * spec.gamma_star)) >= target,
             lambda i, rates: kernel.excess(rates, i) <= target)
 
 

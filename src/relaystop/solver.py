@@ -13,14 +13,14 @@ seed-determined Monte Carlo sample that is reused for every candidate
 threshold (common random numbers), so each realized residual is itself a
 convex decreasing function with a unique root.
 
-The source-level thresholds are rate-of-return problems, solved by Newton's
-method on the residual and its slope (Dinkelbach's method); the coupled solve
-starts at the intuitive root, which it dominates. Every relay-level solve,
-one realization or many, goes through one batch engine that runs guarded
-Newton on all rows at once, dropping converged rows from the kernel passes.
-A row's tangent root lies left of its root (the residual is convex), so the
-engine steps there from the right, and each coupled outer evaluation after
-the first starts every row at the tangent root for its new target.
+One guarded-Newton engine finds every root, on a batch of rows at once,
+dropping converged rows from the residual passes. A relay-level solve, one
+realization or many, is a batch of kernel rows; a source-level threshold, a
+rate-of-return problem (Dinkelbach's method), is a one-row run whose
+evaluations may run relay-level batches. A tangent root lies left of the
+root (the residual is convex), so the engine steps there from the right.
+The coupled solve starts at the intuitive root, which it dominates, and each
+outer evaluation after the first starts every row at its new tangent root.
 
 The second hop is either Rayleigh fading (exponential squared gain, the
 paper's channel) or a point mass (``FixedGain``); the point mass, and any
@@ -367,18 +367,15 @@ def _intuitive_rows(params, kernels, est):
     """Relay-level throughput statistics over chunk kernels, and the relay-level work."""
     p_r = success_prob(params.num_relays, params.require_relay_prob())
     slope = params.slot_time / (params.data_time * p_r)
-    parts, inner, kernel_rows = [], 0, 0
-    for kernel in kernels:
-        lam, stop_prob, _, iters, passes = _newton_rows(
-            kernel, slope, np.zeros(kernel.rows.shape[0]), est, theta_scale=1.0)
-        parts.append((lam, stop_prob))
-        inner += iters
-        kernel_rows += passes
-    lam, stop_prob = (np.concatenate(arrs) for arrs in zip(*parts))
+    lam, stop_prob, _, inner, kernel_rows = zip(*(
+        _newton_rows(kernel, slope, np.zeros(kernel.rows.shape[0]), est, theta_scale=1.0)
+        for kernel in kernels))
+    lam, stop_prob = np.concatenate(lam), np.concatenate(stop_prob)
     with np.errstate(divide="ignore"):
         expected_time = (0.5 * params.data_time
                          + params.slot_time / (2.0 * p_r * stop_prob))
-    return SubLayerStats(lam, lam * expected_time, expected_time, stop_prob), (inner, kernel_rows)
+    return (SubLayerStats(lam, lam * expected_time, expected_time, stop_prob),
+            (sum(inner), sum(kernel_rows)))
 
 
 def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,
@@ -392,16 +389,21 @@ def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,
     supremum of the reward, (T/2) * max saturation, and the solver lands at
     the float-tail boundary just below it.
     """
-    if gamma < 0:
-        raise InvalidParameterError("gamma must be >= 0")
-    p_r = success_prob(params.num_relays, params.require_relay_prob())
+    target = _reward_target(params, gamma)
     half_t = 0.5 * params.data_time
-    target = gamma * params.slot_time / (params.data_time * p_r)
     kernels = _chunk_kernels(params, _as_rows(f_rows), est, second_hop)
     return np.concatenate([
         half_t * (_newton_rows(kernel, 0.0, np.full(kernel.rows.shape[0], target), est,
                                theta_scale=half_t)[0] - gamma)
         for kernel in kernels])
+
+
+def _reward_target(params: SystemParams, gamma: float) -> float:
+    """The relay-level reward target gamma tau / (T p_r) at the imposed rate gamma."""
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise InvalidParameterError("gamma must be finite and >= 0")
+    return gamma * params.slot_time / (
+        params.data_time * success_prob(params.num_relays, params.require_relay_prob()))
 
 
 def _tangent_start(theta, residual, tail, old_target, target):
@@ -430,12 +432,15 @@ def solve_main_gamma_intuitive(params: SystemParams, est: EstimatorConfig,
 
 
 def _intuitive_gamma(params, kernels, est) -> ThresholdSolution:
-    stats, work = _intuitive_rows(params, kernels, est)
+    name = "two-part throughput (intuitive rule)"
+    try:
+        stats, work = _intuitive_rows(params, kernels, est)
+    except SolverFailureError as err:
+        raise SolverFailureError(f"{name}: {err}") from err
     cost = params.slot_time / (2.0 * success_prob(params.num_sources, params.source_prob))
     evaluate = _piecewise_linear_residual(stats.expected_bits,
                                           stats.expected_time + 0.5 * params.data_time, cost)
-    return _solve_convex(evaluate, cost, est, "two-part throughput (intuitive rule)",
-                         work=work)
+    return _solve_convex(evaluate, cost, est, name, work=work)
 
 
 def _piecewise_linear_residual(gain0, per_unit, cost):
@@ -507,119 +512,113 @@ def _draw_first_hop_rows(params: SystemParams, est: EstimatorConfig, first_hop) 
 
 
 # ---------------------------------------------------------------------------
-# Root-finding engines
+# Root-finding engine
 
 
 def _solve_convex(evaluate, cost: float, est: EstimatorConfig, name: str,
                   start: float = 0.0, work: tuple[int, int] = (0, 0)) -> ThresholdSolution:
-    """Root on [0, inf) of a convex decreasing residual by Newton's method.
+    """Root on [0, inf) of a convex decreasing residual (Dinkelbach's method),
+    as a one-row ``_newton`` run from ``start`` with the slope bound ``cost``.
 
-    ``evaluate(x)`` returns (residual r, slope, relay-level work); the slope
-    is a subgradient, at most -cost < 0, and the work pairs (row-Newton
-    iterations, kernel rows), summed on top of ``work``. Certified enclosure:
-    a point with r > 0 is a lower end and x + r / cost an upper one; a point with r <= 0
-    is an upper end, and its tangent (below the convex residual) crosses
-    zero at a lower one. So the Newton step x - r / s lands at or left of
-    the root from either side, and a start right of the root steps back
-    along its tangent; a step that leaves the enclosure or stalls is
-    replaced by bisection.
+    ``evaluate(x)`` returns (residual, slope <= -cost < 0, relay-level work:
+    row-Newton iterations and kernel rows, summed on top of ``work``).
     """
-    lo, hi = 0.0, math.inf
-    x = start
-    for iters in range(1, MAX_ITER + 1):
-        r, s, (n, m) = evaluate(x)
-        work = (work[0] + n, work[1] + m)
-        if not math.isfinite(r):
-            raise SolverFailureError(f"{name}: residual {r} at {x}")
-        if r > 0.0:
-            lo = x
-            hi = min(hi, x + r / cost)
-            bracket = (x, hi)
-        elif x <= 0.0:
-            # Degenerate input (zero expected reward): the root sits at 0.
-            return ThresholdSolution(0.0, r, iters, (0.0, 0.0), *work)
-        else:
-            hi = x
-            bracket = (max(lo, x - r / s), x)
-        if abs(r) <= est.tol and bracket[1] - bracket[0] <= est.tol * max(1.0, abs(x)):
-            return ThresholdSolution(x, r, iters, bracket, *work)
-        step = x - r / s
-        x = step if lo <= step <= hi and step != x else 0.5 * (lo + hi)
-    raise SolverFailureError(
-        f"{name}: Newton did not converge within {MAX_ITER} evaluations from "
-        f"{start} (enclosure [{lo}, {hi}], residual {r})")
+    work = list(work)
+
+    def residual(x, rows):
+        try:
+            r, s, (n, m) = evaluate(float(x[0]))
+        except SolverFailureError as err:
+            raise SolverFailureError(f"{name} at {x[0]}: {err}") from err
+        work[:] = work[0] + n, work[1] + m
+        return np.array([r]), np.array([-s])
+
+    (x,), (r,), (lower,), (upper,), iters = _newton(
+        residual, np.array([float(start)]), np.zeros(1), np.full(1, math.inf), np.zeros(1),
+        est.tol, 1.0, name, cost)
+    return ThresholdSolution(float(x), float(r), iters, (float(lower), float(upper)), *work)
 
 
 def _newton_rows(kernel: _SecondHopKernel, cost_slope: float, targets: np.ndarray,
                  est: EstimatorConfig, theta_scale: float, start: np.ndarray | None = None):
-    """Solve excess(theta) - cost_slope * theta = target per row.
+    """Solve excess(theta) - cost_slope * theta = target per row by ``_newton``.
 
     Returns (theta, tail(theta), residual, iterations, kernel rows: rows x
-    relays over the excess passes). The residual f is convex and strictly
-    decreasing with derivative -(tail(theta) + cost_slope), so the tangent
-    root from any point lies at or left of the root. Enclosures are
-    certified: from the left, the secant chord to the bracket's negative end
-    crosses zero at or beyond the root; from the right, the row steps back
-    to its tangent root when that lies above the bracket's lower end. From
-    the left the Newton step is taken when it covers a useful fraction of
-    the chord or at most half the row's previous step; else Newton crawls
-    against the tail's essential singularity at saturation and the row
-    bisects. Rows whose target exceeds excess(0) are solved exactly on the
-    linear branch theta <= 0, where the positive part is the identity; the
-    rest start at 0, or at ``start`` (a lower point, clamped to [0, sat]).
-
-    A row is converged when its residual is inside tolerance and its
-    enclosure is smaller than tol (all in caller units via ``theta_scale``,
-    T/2 for reward solves); converged rows leave the state arrays and the
-    kernel passes while the rest iterate.
+    relays over the excess passes). The slope is -(tail + cost_slope); the
+    top saturation rate, where excess vanishes, is a closed-form upper end.
+    Rows with target >= excess(0) are solved exactly on the linear branch
+    theta <= 0; the rest start at 0 or at ``start`` (clamped to [0, sat]).
+    Tolerances are in caller units via ``theta_scale``, T/2 for reward solves.
     """
     e0 = kernel.e0
     # Linear branch: excess(theta) = e0 - theta for theta <= 0.
     linear = targets >= e0
-    theta = np.where(linear, (e0 - targets) / (1.0 + cost_slope), 0.0)
-    tail, residual = np.empty_like(theta), np.empty_like(theta)
-    idx = np.arange(theta.size)
-    lo, tg = theta.copy(), targets  # the cold start is a certified lower end
-    th = np.where(linear, theta, 0.0 if start is None else np.clip(start, 0.0, kernel.sat_top))
+    lo = np.where(linear, (e0 - targets) / (1.0 + cost_slope), 0.0)  # a certified lower end
+    th = np.where(linear, lo, 0.0 if start is None else np.clip(start, 0.0, kernel.sat_top))
     hi = np.maximum(th, kernel.sat_top)
-    f_hi = -cost_slope * hi - tg  # excess(sat_top) = 0, in closed form
-    prev, kernel_rows = np.full(theta.size, np.inf), 0
-    for iters in range(1, MAX_ITER + 1):
-        rows = idx if idx.size < theta.size else slice(None)  # no gathers while all iterate
-        f = kernel.excess(th, rows) - cost_slope * th - tg
+    tail, kernel_rows = np.empty_like(lo), 0
+
+    def residual(th, rows):
+        nonlocal kernel_rows
+        f = kernel.excess(th, rows) - cost_slope * th - targets[rows]
         kernel_rows += th.size * kernel.rows.shape[1]
-        p = kernel.tail(th, rows)
-        slope = p + cost_slope
-        pos = f > 0.0
-        neg = f < 0.0
+        tail[rows] = p = kernel.tail(th, rows)
+        return f, p + cost_slope
+
+    theta, f, _, _, iters = _newton(residual, th, lo, hi, -cost_slope * hi - targets,
+                                    est.tol, theta_scale, "relay-level rows")
+    return theta, tail, f, iters, kernel_rows
+
+
+def _newton(residual, x, lo, hi, f_hi, tol: float, scale: float, name: str, cost: float = 0.0):
+    """Guarded Newton on a batch of convex decreasing residuals, a root per row.
+
+    ``residual(x, rows)`` returns (f, -f') for the rows still iterating (an
+    index array, or ``slice(None)`` while all do). Each row starts at x in a
+    certified enclosure [lo, hi], f(hi) <= f_hi <= 0. A point with f > 0 is a
+    lower end, and x + f / cost an upper one (slope <= -cost); f < 0 makes an
+    upper end, and f <= 0 at the lower end the root. A tangent root lies at
+    or left of the root: right of it a row steps back there if that is above
+    lo. Left of it the chord to the upper end crosses zero at or beyond the
+    root; the Newton step is taken if it covers 1/8 of the chord or at most
+    half the last step, else the row bisects (Newton crawls at a singularity).
+    Converged rows (|f| and the enclosure inside tol, in caller units via
+    ``scale``) leave the residual passes. Returns (x, f, lower, upper,
+    iterations): per row the root, its residual and enclosure. A non-finite
+    residual or MAX_ITER iterations raise SolverFailureError naming the
+    worst row.
+    """
+    out = np.empty((4, x.size))
+    idx, th, prev = np.arange(x.size), x, np.full(x.size, math.inf)
+    for iters in range(1, MAX_ITER + 1):
+        f, d = residual(th, idx if idx.size < x.size else slice(None))  # no gathers while all iterate
+        if not np.isfinite(f).all():
+            break
+        pos, neg = f > 0.0, f < 0.0
         lo = np.where(pos, th, lo)
         hi = np.where(neg, th, hi)
         f_hi = np.where(neg, f, f_hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            gap = np.where(pos, f / np.maximum(slope, 1e-300), 0.0)
-            # chord from (theta, f > 0) to (hi, f_hi <= 0) overestimates the
-            # root of a convex decreasing residual
-            chord = np.where(pos, f * (hi - th) / np.maximum(f - f_hi, 1e-300), 0.0)
-            back = np.where(neg, -f / np.maximum(slope, 1e-300), 0.0)
-        enclosure = np.where(pos, chord, back)
-        scaled_tol = est.tol * np.maximum(1.0, theta_scale * np.abs(th))
-        done = ((np.abs(f) * theta_scale) <= est.tol) \
-            & (((enclosure * theta_scale) <= scaled_tol)
-               | (((hi - lo) * theta_scale) <= scaled_tol))
-        theta[idx[done]] = th[done]
-        tail[idx[done]] = p[done]
-        residual[idx[done]] = f[done]
+            bound = np.where(pos, th + f / cost, math.inf)
+            f_hi = np.where(bound < hi, 0.0, f_hi)
+            hi = np.minimum(hi, bound)
+            newton = f / np.maximum(d, 1e-300)  # from th to its tangent root
+            chord = np.where(pos, f * (hi - th) / (f - f_hi), 0.0)
+        step = th + newton
+        scaled_tol = tol * np.maximum(1.0, scale * np.abs(th))
+        done = (~pos & (th == lo)) | ((np.abs(f) * scale <= tol)
+                                      & ((np.where(pos, chord, -newton) * scale <= scaled_tol)
+                                         | ((hi - lo) * scale <= scaled_tol)))
+        out[:, idx[done]] = np.array([th, f, np.where(pos, th, np.maximum(lo, step)),
+                                      np.where(pos, hi, th)])[:, done]
         if bool(done.all()):
-            return theta, tail, residual, iters, kernel_rows
-        mid = 0.5 * (lo + hi)
-        advance = np.where((gap >= 0.125 * chord) | (gap <= 0.5 * prev), th + gap, mid)
-        retreat = np.where(th - back > lo, th - back, mid)
-        th = np.where(pos, advance, retreat)
-        prev = np.where(pos, gap, back)
-        keep = ~done
-        idx, th, lo, hi, f_hi, tg, f, prev = (
-            a[keep] for a in (idx, th, lo, hi, f_hi, tg, f, prev))
-    worst = int(np.argmax(np.abs(f)))
+            return *out, iters
+        take = np.where(pos, ((newton >= 0.125 * chord) | (newton <= 0.5 * prev)) & (step <= hi),
+                        step > lo) & (step != th)
+        th = np.where(take, step, 0.5 * (lo + hi))
+        prev = np.abs(newton)
+        idx, th, lo, hi, f_hi, prev, f = (a[~done] for a in (idx, th, lo, hi, f_hi, prev, f))
+    worst = int(np.argmax(np.abs(f)))  # the first NaN, if any
     raise SolverFailureError(
-        f"row Newton did not converge within {MAX_ITER} iterations "
-        f"(worst row {idx[worst]}: theta {th[worst]}, residual {f[worst]})")
+        f"{name}: no root after {iters} Newton iteration(s) (worst row {idx[worst]}: "
+        f"residual {f[worst]}, enclosure [{lo[worst]}, {hi[worst]}])")

@@ -21,6 +21,11 @@ from relaystop import (
 from relaystop.solver import CHUNK_ROWS, _as_rows, _draw_rates, _SecondHopKernel
 
 
+# A root search's failure: it names the worst row, its residual and its enclosure.
+ENGINE_FAILURE = (r"no root after {} Newton iteration\(s\) \(worst row {}: residual {}, "
+                  r"enclosure \[\S+, \S+\]\)")
+
+
 def make_params(**overrides) -> SystemParams:
     """Default two-source, two-relay configuration used across tests."""
     fields = dict(

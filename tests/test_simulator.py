@@ -225,6 +225,13 @@ def test_scenario2_observation_caps_are_hard_errors():
                       SimConfig(packets=50, seed=9, sub_observation_cap=1), est=est)
 
 
+def test_scenario2_coupled_rejects_negative_gamma():
+    spec = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=-0.1)
+    with pytest.raises(InvalidParameterError, match="gamma must be finite and >= 0"):
+        run_scenario2(det2_params(), spec, SimConfig(packets=2, seed=0), est=DET_EST,
+                      **DET_HOPS)
+
+
 def test_scenario2_requires_bilevel_policy():
     with pytest.raises(InvalidParameterError):
         run_scenario2(det2_params(), full_spec(0.5), SimConfig(packets=2, seed=0))

@@ -8,6 +8,7 @@ import pytest
 from relaystop import (
     EstimatorConfig,
     FixedGain,
+    SolverFailureError,
     solve_full_csi_lambda,
     solve_main_gamma_intuitive,
     solve_main_gamma_optimal,
@@ -16,7 +17,7 @@ from relaystop import (
     success_prob,
 )
 from relaystop import solver
-from .conftest import hook_params, make_params, stress_params
+from .conftest import ENGINE_FAILURE, hook_params, make_params, stress_params
 
 EST = EstimatorConfig(mc_samples=1000, quad_points=64, seed=1, tol=1e-9)
 # K = L = 1 with p0 = p1 = 0.5 and constant rate 1 (F = 3, g = 2)
@@ -284,3 +285,40 @@ def test_coupled_evaluations_are_warm_started(monkeypatch, params, hops):
                                    rtol=0.0, atol=2.0 * tol)
     assert sol.inner_iterations == sum(c[5][3] for c in calls)
     assert sol.kernel_rows == sum(c[5][4] for c in calls)
+
+
+W_ROWS = np.random.default_rng(11).exponential(STRESS.first_hop_mean_gain, (300, 4))
+CAP_CASES = {
+    "full-csi": (lambda est, start: solve_full_csi_lambda(STRESS, est), "full-CSI throughput"),
+    "intuitive": (lambda est, start: solve_main_gamma_intuitive(STRESS, est),
+                  r"two-part throughput \(intuitive rule\): relay-level rows"),
+    # started at the solved intuitive root, the coupled solve's own rows hit the cap
+    "coupled": (lambda est, start: solve_main_gamma_optimal(STRESS, est, start=start),
+                r"two-part throughput \(coupled rule\) at 0\.7\d+: relay-level rows"),
+    "w": (lambda est, start: solve_sub_w_batch(STRESS, W_ROWS, 0.7, est), "relay-level rows"),
+}
+
+
+@pytest.mark.parametrize("name", list(CAP_CASES))
+def test_iteration_cap_failure_names_the_solve(monkeypatch, name):
+    solve, where = CAP_CASES[name]
+    est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=1, tol=1e-6)
+    start = solve_main_gamma_intuitive(STRESS, est)
+    monkeypatch.setattr(solver, "MAX_ITER", 2)
+    worst = "0" if name == "full-csi" else r"\d+"
+    with pytest.raises(SolverFailureError,
+                       match=f"^{where}: " + ENGINE_FAILURE.format(2, worst, r"\S+")):
+        solve(est, start)
+
+
+def test_stress_solve_work_budget():
+    # The evaluations the solves take on the stress config at seed 1, as
+    # upper bounds: an engine change that costs evaluations fails here.
+    est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=1, tol=1e-6)
+    budgets = {solve_full_csi_lambda: (5, 0, 0),
+               solve_main_gamma_intuitive: (4, 6, 40_004),
+               solve_main_gamma_optimal: (4, 21, 120_048)}
+    for solve, budget in budgets.items():
+        sol = solve(STRESS, est)
+        work = (sol.iterations, sol.inner_iterations, sol.kernel_rows)
+        assert all(used <= most for used, most in zip(work, budget)), (solve.__name__, work)

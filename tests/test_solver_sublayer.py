@@ -10,6 +10,7 @@ from relaystop import (
     FixedGain,
     InvalidParameterError,
     RayleighFading,
+    SolverFailureError,
     af_rate,
     rate_saturation,
     solve_sub_layer_batch,
@@ -18,6 +19,7 @@ from relaystop import (
 )
 from relaystop import solver
 from .conftest import (
+    ENGINE_FAILURE,
     hook_params,
     make_params,
     reference_sub_lambda,
@@ -205,11 +207,20 @@ def test_w_gamma_zero_boundary():
     assert abs(w_residual(HOOK, [3.0], 0.0, w, EST)) <= EST.tol
     assert w <= 0.5 * HOOK.data_time * sat
     assert w == pytest.approx(0.5 * HOOK.data_time * sat, abs=0.01)
+    # A stress batch: near saturation some rows' residuals and slopes fall
+    # below 1e-300, and every row still converges.
+    rows = np.random.default_rng(1).exponential(STRESS.first_hop_mean_gain, (500, 4))
+    w = solve_sub_w_batch(STRESS, rows, 0.0, EST)
+    tops = 0.5 * STRESS.data_time * rate_saturation(STRESS.source_power, rows).max(axis=1)
+    assert np.all(w <= tops)
+    assert abs(w_residual(STRESS, rows[159], 0.0, w[159], EST)) <= EST.tol
 
 
 def test_w_rejects_negative_gamma():
-    with pytest.raises(InvalidParameterError):
-        solve_sub_w_batch(HOOK, [[1.0]], -0.1, EST)
+    # a non-finite gamma is rejected too, before it reaches the row engine
+    for gamma in (-0.1, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError, match="gamma must be finite and >= 0"):
+            solve_sub_w_batch(HOOK, [[1.0]], gamma, EST)
 
 
 def test_w_batch_matches_scalar(rng):
@@ -375,3 +386,21 @@ def test_row_right_of_the_root_steps_to_its_tangent_point(cost):
     assert np.all((tangent > 0.0) & (tangent <= root + EST.tol))
     np.testing.assert_array_equal(passes[0], start)
     np.testing.assert_array_equal(passes[1], tangent)
+
+
+def test_non_finite_target_fails_after_one_pass():
+    _, kernel = _engine_kernel("base", rows=40)
+    kernel.e0  # the E[R] pass, made before counting
+    passes = []
+    excess = kernel.excess
+
+    def counting(thetas, idx=slice(None)):
+        passes.append(thetas.size)
+        return excess(thetas, idx)
+
+    kernel.excess = counting
+    targets = np.full(40, 0.1)
+    targets[7] = np.nan
+    with pytest.raises(SolverFailureError, match=ENGINE_FAILURE.format(1, 7, "nan")):
+        solver._newton_rows(kernel, 0.0, targets, EST, 1.0)
+    assert passes == [40]

@@ -228,7 +228,7 @@ def _decision_rules(params, est, spec, rows, second_hop):
         return (policies.intuitive_main_decide(spec, stats, params.data_time),
                 lambda i, rates: policies.intuitive_sub_decide(stats.threshold[i], rates))
     target = _reward_target(params, spec.gamma_star)
-    kernel = _SecondHopKernel(params, rows, est.quad_points, second_hop)
+    kernel = _SecondHopKernel(params, rows, second_hop)
     return (kernel.excess(np.full(rows.shape[0], 2.0 * spec.gamma_star)) >= target,
             lambda i, rates: kernel.excess(rates, i) <= target)
 

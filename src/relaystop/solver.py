@@ -7,11 +7,12 @@ the left of the root never overshoot, and convexity certifies enclosures.
 
 Expectations are split by hop. Second-hop (single-gain) expectations are
 computed deterministically: the rate tail inverts in closed form for an
-exponential gain, and the positive part is the tail integral, evaluated with
-fixed Gauss-Legendre nodes. First-hop expectations use a fixed,
-seed-determined Monte Carlo sample that is reused for every candidate
-threshold (common random numbers), so each realized residual is itself a
-convex decreasing function with a unique root.
+exponential gain, and the positive part, its integral, is a difference of
+two exponential integrals, evaluated by a power series or a continued
+fraction. First-hop expectations use a fixed, seed-determined Monte Carlo
+sample that is reused for every candidate threshold (common random numbers),
+so each realized residual is itself a convex decreasing function with a
+unique root.
 
 One guarded-Newton engine finds every root, on a batch of rows at once,
 dropping converged rows from the residual passes. A relay-level solve, one
@@ -32,16 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .channel import FixedGain, RayleighFading, SystemParams, af_rate, rate_saturation
+from .channel import (GAIN_CAP, LN2, FixedGain, RayleighFading, SystemParams, af_rate,
+                      rate_saturation)
 from .contention import success_prob
 from .errors import InvalidParameterError, SolverFailureError
 
 # Row-chunk size for batched inner solves; bounds peak memory at roughly
-# chunk * num_relays * quad_points floats per temporary.
+# chunk * num_relays floats per temporary.
 CHUNK_ROWS = 8192
 
 # The relay-level reward equation degenerates at a source-level rate of
@@ -58,7 +60,8 @@ class EstimatorConfig:
     """Numerical settings shared by the solvers.
 
     mc_samples: first-hop Monte Carlo sample count (fixed per seed).
-    quad_points: Gauss-Legendre nodes for second-hop tail integrals.
+    quad_points: validated and echoed for config compatibility; no kernel
+        reads it, since the second-hop integrals are in closed form.
     seed: root seed of the fixed sample set.
     tol: residual and bracket tolerance for root finding.
     """
@@ -226,27 +229,19 @@ def oracle_threshold_search(params: SystemParams, grid, est: EstimatorConfig,
 # part for x < 0, where the positive part is the identity).
 
 
-@lru_cache(maxsize=None)
-def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 class _SecondHopKernel:
     """Positive-part and tail evaluator for a fixed block of realizations.
 
-    Precomputes everything that does not depend on the threshold and reuses
-    two scratch arrays, so the per-iteration cost inside the root finders is
-    one fused quadrature sweep. The second hop picks the path: Rayleigh
-    fading gets the fused closed-form tail, a ``FixedGain`` point mass gets
-    exact finite arithmetic, and any other hop object is an
-    InvalidParameterError. Instances are not safe to share across threads
-    (scratch buffers); build one kernel per thread.
+    Precomputes everything that does not depend on the threshold, so each
+    evaluation inside the root finders is one closed-form pass that returns
+    the positive part and the tail together. The second hop picks the path:
+    Rayleigh fading gets the exponential-integral closed form, a
+    ``FixedGain`` point mass gets exact finite arithmetic, and any other hop
+    object is an InvalidParameterError. An instance holds no scratch state;
+    its one lazy value, ``e0``, is the same whichever thread computes it.
     """
 
-    def __init__(self, params: SystemParams, rows: np.ndarray, quad_points: int, second_hop):
+    def __init__(self, params: SystemParams, rows: np.ndarray, second_hop):
         self.rows = rows
         hop = _second_hop_model(params, second_hop)
         ps, pr = params.source_power, params.relay_power
@@ -257,14 +252,11 @@ class _SecondHopKernel:
         elif isinstance(hop, RayleighFading):
             self.sat = rate_saturation(ps, rows)
             self.sat_top = np.atleast_1d(self.sat).max(axis=1)
-            a = ps * np.minimum(rows, 1e300)
-            self.scaled3 = ((1.0 + a) / pr)[..., None]
-            self.a3 = a[..., None]
-            self.nodes, self.weights = _leggauss(quad_points)
-            self.inv_mean = 1.0 / hop.mean_gain
-            shape = (*rows.shape, quad_points)
-            self._t = np.empty(shape)
-            self._c = np.empty(shape)
+            self.a = ps * np.minimum(rows, GAIN_CAP)
+            self.scale = 1.0 + self.a
+            self.inv_mean = 1.0 / (pr * hop.mean_gain)  # kappa / (1 + a)
+            with np.errstate(over="ignore"):  # kappa = inf only zeroes S(kappa (u0 + 1))
+                self.kappa = self.scale * self.inv_mean
         else:
             raise InvalidParameterError(
                 "second hop must be RayleighFading or FixedGain, got "
@@ -274,54 +266,86 @@ class _SecondHopKernel:
     def e0(self) -> np.ndarray:  # E[max(R, 0)] = E[R] per row, one pass on first use
         return self.excess(np.zeros(self.rows.shape[0]))
 
-    def _fused_tails(self, half: np.ndarray, mid: np.ndarray, idx) -> np.ndarray:
-        """Gain tails of rows idx at the mapped nodes, in leading scratch rows.
+    def excess_tail(self, thetas: np.ndarray, idx=slice(None)):
+        """(E[max(R - theta, 0)], P(R >= theta)) for the rows ``idx``.
 
-        c = 2^t - 1 instead of expm1(t ln 2): for tiny t the relative error
-        of c is ~eps/t, but the needed gain stays O(c) and the tail error is
-        O(need * eps / t), far below quadrature resolution.
+        thetas may be negative; the tail is 1 for theta <= 0. For Rayleigh
+        fading the rate tail above x is exp(-kappa u), u = c / (a - c),
+        c = 2^x - 1, a = Ps |f|^2, kappa = (1 + a) / (Pr E|g|^2), and
+        substituting u for x turns its integral above lo = clip(theta, 0,
+        sat) into exp(-kappa u0) [S(kappa (u0 + 1/(1+a))) - S(kappa (u0 + 1))]
+        / ln 2 with S(z) = e^z E1(z). A relay with a <= c has no rate above
+        lo, so u0 = inf zeroes its terms.
         """
-        m = half.shape[0]
-        t, c = self._t[:m], self._c[:m]
-        np.multiply(half[..., None], self.nodes, out=t)
-        t += mid[..., None]
-        np.exp2(t, out=c)
-        c -= 1.0
-        np.subtract(self.a3[idx], c, out=t)  # t now holds a - c (the denominator)
-        dead = t <= 0.0
-        c *= self.scaled3[idx]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            c /= t
-            c *= -self.inv_mean
-            np.exp(c, out=c)
-        c[dead] = 0.0
-        return c
+        thetas = np.asarray(thetas, dtype=float)
+        if self.point_mass:
+            rates = self.rates[idx]
+            excess = np.maximum(rates - thetas[:, None], 0.0).mean(axis=1)
+            hit = (rates >= thetas[:, None]).mean(axis=1)
+        else:
+            lo = np.minimum(np.maximum(thetas, 0.0)[:, None], self.sat[idx])
+            c = np.expm1(lo * LN2)
+            gap = self.a[idx] - c
+            u = np.divide(c, gap, out=np.full_like(c, np.inf), where=gap > 0.0)
+            with np.errstate(over="ignore"):  # kappa u0 = inf is a zero tail
+                u *= self.scale[idx]
+                u *= self.inv_mean  # kappa u0, never inf * 0 where kappa overflows
+            z = np.empty((2, *u.shape))
+            np.add(u, self.inv_mean, out=z[0])
+            np.add(u, self.kappa[idx], out=z[1])
+            s = _scaled_exp1(z)
+            np.negative(u, out=u)
+            tails = np.exp(u, out=u)
+            s[0] -= s[1]
+            s[0] *= tails
+            excess = s[0].mean(axis=1) / LN2 + np.maximum(-thetas, 0.0)
+            hit = tails.mean(axis=1)
+        return excess, np.where(thetas <= 0.0, 1.0, hit)
 
     def excess(self, thetas: np.ndarray, idx=slice(None)) -> np.ndarray:
         """E[max(R - theta, 0)] for the rows ``idx``; thetas may be negative."""
-        thetas = np.asarray(thetas, dtype=float)
-        if self.point_mass:
-            return np.maximum(self.rates[idx] - thetas[:, None], 0.0).mean(axis=1)
-        sat = self.sat[idx]
-        lo = np.minimum(np.maximum(thetas[:, None], 0.0), sat)
-        half = 0.5 * (sat - lo)
-        mid = 0.5 * (sat + lo)
-        per_relay = (self._fused_tails(half, mid, idx) @ self.weights) * half
-        return per_relay.mean(axis=1) + np.maximum(-thetas, 0.0)
+        return self.excess_tail(thetas, idx)[0]
 
-    def tail(self, thetas: np.ndarray, idx=slice(None)) -> np.ndarray:
-        """P(R >= theta) for the rows ``idx``; 1 for theta <= 0."""
-        thetas = np.asarray(thetas, dtype=float)
-        if self.point_mass:
-            hit = (self.rates[idx] >= thetas[:, None]).mean(axis=1)
-        else:
-            t = np.maximum(thetas, 0.0)[:, None, None]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                c = np.exp2(t) - 1.0
-                denom = self.a3[idx] - c
-                need = np.where(denom > 0.0, c * self.scaled3[idx] / denom, np.inf)
-            hit = np.exp(-need * self.inv_mean)[..., 0].mean(axis=1)
-        return np.where(thetas <= 0.0, 1.0, hit)
+
+# S(z) = e^z E1(z) takes the power series E1 = -gamma - ln z + sum c_k z^k
+# (A&S 5.1.11) below SERIES_TOP and the continued fraction
+# S = 1/(z+1- 1/(z+3- 4/(z+5- ...))) (A&S 5.1.22, contracted) from it on.
+# Below z = 4 the series alternates with falling terms, so its first omitted
+# term, 3^30/(30 30!) = 3e-20 at the split, bounds the truncation, under eps
+# E1(3); rounding costs up to ~230 ulp there, by cancellation. 38 terms of
+# the fraction hold full precision from z = 3 up (checked against 30-digit
+# values); at z = inf every term is 0.
+SERIES_TOP = 3.0
+_EULER_GAMMA = 0.5772156649015329
+_EIN = tuple((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 30))
+_FRACTION_TERMS = 38
+
+
+def _scaled_exp1(z: np.ndarray) -> np.ndarray:
+    """S(z) = e^z E1(z) elementwise for z > 0, with S(inf) = 0."""
+    out = np.empty_like(z)
+    low = z < SERIES_TOP
+    x = z[low]
+    acc = np.full_like(x, _EIN[-1])
+    for coef in _EIN[-2::-1]:
+        acc *= x
+        acc += coef
+    acc *= x
+    acc -= np.log(x)
+    acc -= _EULER_GAMMA
+    acc *= np.exp(x)
+    out[low] = acc
+    high = ~low
+    x = z[high]
+    t = np.zeros_like(x)
+    for k in range(_FRACTION_TERMS, 0, -1):
+        np.subtract(x, t, out=t)
+        t += 2 * k + 1
+        np.divide(k * k, t, out=t)
+    np.subtract(x, t, out=t)
+    t += 1.0
+    out[high] = np.divide(1.0, t, out=t)
+    return out
 
 
 def _as_rows(f_sq) -> np.ndarray:
@@ -353,14 +377,14 @@ def solve_sub_layer_batch(params: SystemParams, f_rows, est: EstimatorConfig,
     geometric observation count. All-zero first-hop gains give threshold 0
     and stop probability 1 rather than an error.
     """
-    kernels = _chunk_kernels(params, _as_rows(f_rows), est, second_hop)
+    kernels = _chunk_kernels(params, _as_rows(f_rows), second_hop)
     return _intuitive_rows(params, kernels, est)[0]
 
 
-def _chunk_kernels(params, rows, est, second_hop):
+def _chunk_kernels(params, rows, second_hop):
     """One second-hop kernel per CHUNK_ROWS rows, built as iterated."""
     for i in range(0, rows.shape[0], CHUNK_ROWS):
-        yield _SecondHopKernel(params, rows[i:i + CHUNK_ROWS], est.quad_points, second_hop)
+        yield _SecondHopKernel(params, rows[i:i + CHUNK_ROWS], second_hop)
 
 
 def _intuitive_rows(params, kernels, est):
@@ -391,7 +415,7 @@ def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,
     """
     target = _reward_target(params, gamma)
     half_t = 0.5 * params.data_time
-    kernels = _chunk_kernels(params, _as_rows(f_rows), est, second_hop)
+    kernels = _chunk_kernels(params, _as_rows(f_rows), second_hop)
     return np.concatenate([
         half_t * (_newton_rows(kernel, 0.0, np.full(kernel.rows.shape[0], target), est,
                                theta_scale=half_t)[0] - gamma)
@@ -428,7 +452,7 @@ def solve_main_gamma_intuitive(params: SystemParams, est: EstimatorConfig,
     bits - gamma* time >= gamma* T/2.
     """
     rows = _draw_first_hop_rows(params, est, first_hop)
-    return _intuitive_gamma(params, _chunk_kernels(params, rows, est, second_hop), est)
+    return _intuitive_gamma(params, _chunk_kernels(params, rows, second_hop), est)
 
 
 def _intuitive_gamma(params, kernels, est) -> ThresholdSolution:
@@ -478,7 +502,7 @@ def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
     cost = params.slot_time / (2.0 * success_prob(params.num_sources, params.source_prob))
     half_t = 0.5 * params.data_time
     k = params.slot_time / (params.data_time * p_r)
-    kernels = list(_chunk_kernels(params, rows, est, second_hop))
+    kernels = list(_chunk_kernels(params, rows, second_hop))
     if start is None:
         start = _intuitive_gamma(params, kernels, est)
     last = [None] * len(kernels)  # per chunk: (theta, residual, tail, target)
@@ -560,10 +584,10 @@ def _newton_rows(kernel: _SecondHopKernel, cost_slope: float, targets: np.ndarra
 
     def residual(th, rows):
         nonlocal kernel_rows
-        f = kernel.excess(th, rows) - cost_slope * th - targets[rows]
+        excess, p = kernel.excess_tail(th, rows)
         kernel_rows += th.size * kernel.rows.shape[1]
-        tail[rows] = p = kernel.tail(th, rows)
-        return f, p + cost_slope
+        tail[rows] = p
+        return excess - cost_slope * th - targets[rows], p + cost_slope
 
     theta, f, _, _, iters = _newton(residual, th, lo, hi, -cost_slope * hi - targets,
                                     est.tol, theta_scale, "relay-level rows")

@@ -149,20 +149,20 @@ def expected_positive_part_full_csi(params: SystemParams, lam: float,
 def sub_layer_tail_prob(params: SystemParams, f_sq, threshold: float,
                         second_hop=None) -> float:
     """P(relay-level observation rate >= threshold | first-hop gains)."""
-    kernel = _SecondHopKernel(params, _as_rows(f_sq), 2, second_hop)
-    return float(kernel.tail(np.array([threshold], dtype=float))[0])
+    kernel = _SecondHopKernel(params, _as_rows(f_sq), second_hop)
+    return float(kernel.excess_tail(np.array([threshold], dtype=float))[1][0])
 
 
 def sub_layer_expected_positive_part(params: SystemParams, f_sq, lam: float,
                                      est: EstimatorConfig, second_hop=None) -> float:
-    """E[max(R_m - lam, 0) | first-hop gains] by tail-integral quadrature."""
-    kernel = _SecondHopKernel(params, _as_rows(f_sq), est.quad_points, second_hop)
+    """E[max(R_m - lam, 0) | first-hop gains], the closed-form tail integral."""
+    kernel = _SecondHopKernel(params, _as_rows(f_sq), second_hop)
     return float(kernel.excess(np.array([lam], dtype=float))[0])
 
 
 # --- scalar bisection reference for the relay-level batch engine ---------------
 #
-# Written only against the single-realization positive-part quadrature above,
+# Written only against the single-realization positive part above,
 # independent of the row-Newton engine: one first-hop realization, plain
 # bisection on a bracket whose ends are known in closed form.
 
@@ -267,9 +267,9 @@ def policy_value(params: SystemParams, spec, samples: int, seed: int,
                                                                  params.source_prob)))
     for i in range(0, samples, CHUNK_ROWS):
         idx = i + np.flatnonzero(stop[i:i + CHUNK_ROWS])
-        kernel = _SecondHopKernel(params, rows[idx], est.quad_points, None)
-        tail = kernel.tail(theta[idx])
-        x[idx] = 0.5 * t * (kernel.excess(theta[idx]) / tail + theta[idx])
+        kernel = _SecondHopKernel(params, rows[idx], None)
+        excess, tail = kernel.excess_tail(theta[idx])
+        x[idx] = 0.5 * t * (excess / tail + theta[idx])
         y[idx] += 0.5 * t + params.slot_time / (2.0 * p_r * tail) + 0.5 * t
     return _ratio_with_stderr(x, y)
 

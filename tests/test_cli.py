@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relaystop
 from relaystop import (
     EstimatorConfig,
     PolicyKind,
@@ -449,3 +454,17 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
 def test_non_string_out_is_config_error(tmp_path, capsys, out):
     assert main(["solve", "--config", str(write_config(tmp_path, out=out))]) == 2
     assert "out: must be a path string" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only, and importing it would add about 0.4 s to
+    # every CLI start; a fresh interpreter sees what the CLI alone pulls in
+    src = str(Path(relaystop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, relaystop.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -16,8 +16,6 @@ from relaystop import (
     af_rate,
     default_observations,
     full_csi_rate_sampler,
-    optimal_main_decide,
-    optimal_sub_decide,
     run_scenario1,
     run_scenario2,
     solve_full_csi_lambda,
@@ -28,6 +26,7 @@ from relaystop import (
 )
 from relaystop.simulator import _OBS_CHUNK, _decision_rules
 from .conftest import (
+    coupled_sign_rules,
     fixed_rate_observations,
     hook_params,
     make_params,
@@ -407,8 +406,8 @@ def test_scenario2_packets_span_chunk_boundaries(kind):
 
 @pytest.mark.parametrize("params", [make_params(), stress_params()], ids=["base", "stress"])
 def test_coupled_sign_decisions_match_the_solved_rule(params):
-    # excess(theta) strictly decreases, so the sign of one kernel evaluation decides
-    # what the solved W decides, wherever the decision is not within solver tolerance
+    # the simulator decides by the solved W; the exact reference decides by the sign
+    # of one kernel evaluation, and the two agree wherever W is not within tolerance
     est = EstimatorConfig(mc_samples=4000, quad_points=64, seed=12, tol=1e-6)
     gamma = solve_main_gamma_optimal(params, est).value
     spec = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=gamma)
@@ -416,24 +415,24 @@ def test_coupled_sign_decisions_match_the_solved_rule(params):
     n, t = _OBS_CHUNK, params.data_time
     rows = RayleighFading(params.first_hop_mean_gain).sample(rng, (n, params.num_relays))
     source_stop, relay_stop = _decision_rules(params, est, spec, rows, None)
+    sign_source, sign_relay = coupled_sign_rules(params, spec, rows)
     w = solve_sub_w_batch(params, rows, gamma, est)
     clear = np.abs(w - 0.5 * t * gamma) > 10 * est.tol
     assert clear.mean() > 0.99
-    solved = optimal_main_decide(spec, w, t)
-    assert 0 < solved.sum() < n
-    assert np.array_equal(source_stop[clear], solved[clear])
+    assert 0 < sign_source.sum() < n
+    assert np.array_equal(source_stop[clear], sign_source[clear])
     # relay level: one observation per row, decided for rows in shuffled order
     winners = rng.integers(0, params.num_relays, n)
     gains = RayleighFading(params.second_hop_mean_gain).sample(rng, n)
     rates = af_rate(params.source_power, params.relay_power, rows[np.arange(n), winners], gains)
     order = rng.permutation(n)
-    signed = np.empty(n, dtype=bool)
-    signed[order] = relay_stop(order, rates[order])
+    solved, signed = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    solved[order] = relay_stop(order, rates[order])
+    signed[order] = sign_relay(order, rates[order])
     clear = np.abs(rates - (gamma + w / (0.5 * t))) > 10 * est.tol
     assert clear.mean() > 0.99
-    solved = optimal_sub_decide(spec, w, rates, t)
-    assert 0 < solved.sum() < n
-    assert np.array_equal(signed[clear], solved[clear])
+    assert 0 < signed.sum() < n
+    assert np.array_equal(solved[clear], signed[clear])
 
 
 def _assert_matches_policy_value(stats, value):

@@ -123,6 +123,13 @@ def test_scaled_exp1_matches_scipy():
     strict = big < 1e8
     assert np.all((1.0 / (big[strict] + 1.0) < s[:-1][strict])
                   & (s[:-1][strict] < 1.0 / big[strict]))
+    # one branch only, no branch, and nothing to evaluate
+    low = np.geomspace(1e-12, 0.999 * solver.SERIES_TOP, 301)
+    np.testing.assert_allclose(solver._scaled_exp1(low), np.exp(low) * special.exp1(low),
+                               rtol=1.7e-13, atol=0.0)
+    assert np.array_equal(solver._scaled_exp1(np.full((2, 3), np.inf)), np.zeros((2, 3)))
+    empty = solver._scaled_exp1(np.empty((2, 0)))
+    assert empty.shape == (2, 0) and empty.dtype == float
 
 
 def _reference_tail(x, a, kappa):
@@ -201,7 +208,7 @@ def test_excess_slope_is_minus_tail(snr):
     keep = tail >= 1e-3
 
     def central(h):
-        return (kernel.excess(theta + h) - kernel.excess(theta - h)) / (2.0 * h)
+        return (kernel.excess_tail(theta + h)[0] - kernel.excess_tail(theta - h)[0]) / (2.0 * h)
 
     h = 1e-5 * theta
     slope = central(h)

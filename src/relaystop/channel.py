@@ -35,8 +35,8 @@ class SystemParams:
         zero-mean complex Gaussian channel coefficient).
     slot_time:
         contention slot duration. Full-CSI operation uses whole slots; the
-        two-part access scheme halves them, which the contention helpers
-        receive explicitly from the caller.
+        two-part access scheme halves them. The contention helpers only
+        count slots; the simulator scales the counts by the slot duration.
     data_time:
         total data transmission time per delivered packet, split evenly
         between the two hops.

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import FixedGain, RayleighFading, SystemParams
-from .errors import ConfigError, RelayStopError
+from .errors import ConfigError, InvalidParameterError, RelayStopError
 from .policies import PolicyKind, PolicySpec
 from .simulator import SimConfig, SimStats, run_scenario1, run_scenario2
 from .solver import (
@@ -279,16 +279,15 @@ def _solve_for_scenario(cfg: ExperimentConfig) -> tuple[ThresholdSolution, Polic
     return sol, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=sol.value)
 
 
+def _solution_items(sol: ThresholdSolution, name: str) -> dict:
+    """A solved threshold's report items in order: its value as ``name``, then its counters."""
+    return {name: sol.value, "residual": sol.residual, "iterations": sol.iterations,
+            "inner_iterations": sol.inner_iterations, "kernel_rows": sol.kernel_rows}
+
+
 def _threshold_dict(cfg: ExperimentConfig, sol: ThresholdSolution) -> dict:
     name = "lambda_star" if cfg.scenario == "1" else "gamma_star"
-    out = {
-        name: sol.value,
-        "residual": sol.residual,
-        "iterations": sol.iterations,
-        "inner_iterations": sol.inner_iterations,
-        "kernel_rows": sol.kernel_rows,
-        "bracket": list(sol.bracket),
-    }
+    out = {**_solution_items(sol, name), "bracket": list(sol.bracket)}
     if cfg.scenario == "1":
         out["rate_threshold"] = 2.0 * sol.value
     return out
@@ -310,11 +309,11 @@ def _run_simulation(cfg: ExperimentConfig, spec: PolicySpec) -> SimStats:
                          first_hop=cfg.first_hop, second_hop=cfg.second_hop)
 
 
-def _match_verdict(name: str, simulated: float, stderr: float, target: float,
-                   tol: float) -> Verdict:
+def _match_verdict(name: str, stats: SimStats, sol: ThresholdSolution, tol: float) -> Verdict:
+    simulated, target = stats.throughput, sol.value
     diff = abs(simulated - target)
     # the target itself is only solved to the estimator tolerance
-    margin = 3.0 * stderr + tol * max(1.0, abs(target))
+    margin = 3.0 * stats.throughput_stderr + tol * max(1.0, abs(target))
     return Verdict(name, diff <= margin,
                    f"|{simulated:.6g} - {target:.6g}| = {diff:.3g}, "
                    f"margin 3*stderr+tol = {margin:.3g}")
@@ -323,8 +322,7 @@ def _match_verdict(name: str, simulated: float, stderr: float, target: float,
 def cmd_simulate(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
     sol, spec = _solve_for_scenario(cfg)
     stats = _run_simulation(cfg, spec)
-    verdicts = [_match_verdict("throughput_matches_threshold", stats.throughput,
-                               stats.throughput_stderr, sol.value, cfg.estimator.tol)]
+    verdicts = [_match_verdict("throughput_matches_threshold", stats, sol, cfg.estimator.tol)]
     results = {
         "throughput": stats.throughput,
         "throughput_stderr": stats.throughput_stderr,
@@ -356,27 +354,16 @@ def cmd_compare(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
         Verdict("solver_dominance",
                 sol_opt.value >= sol_int.value - 10.0 * tol,
                 f"gamma_opt={sol_opt.value:.8g} gamma_int={sol_int.value:.8g}"),
-        _match_verdict("intuitive_matches_gamma", stats_int.throughput,
-                       stats_int.throughput_stderr, sol_int.value, tol),
-        _match_verdict("optimal_matches_gamma", stats_opt.throughput,
-                       stats_opt.throughput_stderr, sol_opt.value, tol),
+        _match_verdict("intuitive_matches_gamma", stats_int, sol_int, tol),
+        _match_verdict("optimal_matches_gamma", stats_opt, sol_opt, tol),
         Verdict("simulated_dominance",
                 stats_opt.throughput >= stats_int.throughput - 3.0 * pooled - 1e-12,
                 f"opt={stats_opt.throughput:.6g} int={stats_int.throughput:.6g} "
                 f"pooled_stderr={pooled:.3g}"),
     ]
-    thresholds = {
-        "gamma_star_intuitive": sol_int.value,
-        "gamma_star_optimal": sol_opt.value,
-        "residual_intuitive": sol_int.residual,
-        "residual_optimal": sol_opt.residual,
-        "iterations_intuitive": sol_int.iterations,
-        "iterations_optimal": sol_opt.iterations,
-        "inner_iterations_intuitive": sol_int.inner_iterations,
-        "inner_iterations_optimal": sol_opt.inner_iterations,
-        "kernel_rows_intuitive": sol_int.kernel_rows,
-        "kernel_rows_optimal": sol_opt.kernel_rows,
-    }
+    items = [_solution_items(sol, "gamma_star") for sol in (sol_int, sol_opt)]
+    thresholds = {f"{key}_{rule}": part[key] for key in items[0]
+                  for rule, part in zip(("intuitive", "optimal"), items)}
     results = {
         "throughput_intuitive": stats_int.throughput,
         "stderr_intuitive": stats_int.throughput_stderr,
@@ -390,8 +377,8 @@ def cmd_compare(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
                      "packets_optimal.csv": partial(_write_packets_csv, stats=stats_opt)}
 
 
-def cmd_sweep(cfg: ExperimentConfig, axis: str, values,
-              simulate: bool = False) -> tuple[ReportSummary, dict]:
+def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[ReportSummary, dict]:
+    axis, values = args.axis, [v for v in args.values.split(",") if v != ""]
     kind = _field_kinds(SystemParams).get(axis)
     if kind is None:
         raise ConfigError(f"--axis: {axis!r} is not a SystemParams field")
@@ -401,20 +388,18 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values,
     verdicts = []
     for value in values:
         try:
-            params = dataclasses.replace(cfg.params, **{axis: _cast(axis, value, kind)})
-        except RelayStopError as exc:
+            params = dataclasses.replace(
+                cfg.params, **{axis: _cast(f"sweep value for {axis}", value, kind)})
+        except InvalidParameterError as exc:
             raise ConfigError(f"sweep value {value!r} for {axis}: {exc}") from exc
         point = dataclasses.replace(cfg, params=params, out=None)
         sol, spec = _solve_for_scenario(point)
         row = {"axis": axis, "value": value, "threshold": sol.value,
                "residual": sol.residual, "throughput": None, "stderr": None}
-        if simulate:
+        if args.simulate:
             stats = _run_simulation(point, spec)
-            row["throughput"] = stats.throughput
-            row["stderr"] = stats.throughput_stderr
-            verdicts.append(_match_verdict(f"{axis}={value}_match", stats.throughput,
-                                           stats.throughput_stderr, sol.value,
-                                           cfg.estimator.tol))
+            row.update(throughput=stats.throughput, stderr=stats.throughput_stderr)
+            verdicts.append(_match_verdict(f"{axis}={value}_match", stats, sol, cfg.estimator.tol))
         verdicts.append(Verdict(f"{axis}={value}_converged",
                                 abs(sol.residual) <= cfg.estimator.tol,
                                 f"residual={sol.residual:.3e}"))
@@ -539,13 +524,9 @@ def main(argv=None) -> int:
     try:
         cfg = apply_overrides(load_config(args.config), args)
         t0 = time.perf_counter()
-        if args.command == "sweep":
-            values = [v for v in args.values.split(",") if v != ""]
-            summary, files = cmd_sweep(cfg, args.axis, values, simulate=args.simulate)
-        else:
-            command = {"solve": cmd_solve, "simulate": cmd_simulate,
-                       "compare": cmd_compare, "oracle": cmd_oracle}[args.command]
-            summary, files = command(cfg)
+        command = {"solve": cmd_solve, "simulate": cmd_simulate, "compare": cmd_compare,
+                   "sweep": partial(cmd_sweep, args=args), "oracle": cmd_oracle}[args.command]
+        summary, files = command(cfg)
     except RelayStopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -394,15 +394,11 @@ def _intuitive_rows(params, kernels, est):
     """Relay-level throughput statistics over chunk kernels, and the relay-level work."""
     p_r = success_prob(params.num_relays, params.require_relay_prob())
     slope = params.slot_time / (params.data_time * p_r)
-    lam, stop_prob, _, inner, kernel_rows = zip(*(
-        _newton_rows(kernel, slope, np.zeros(kernel.rows.shape[0]), est, theta_scale=1.0)
-        for kernel in kernels))
-    lam, stop_prob = np.concatenate(lam), np.concatenate(stop_prob)
+    lam, stop_prob, _, *work = _newton_rows(kernels, slope, 0.0, est, 1.0)
     with np.errstate(divide="ignore"):
         expected_time = (0.5 * params.data_time
                          + params.slot_time / (2.0 * p_r * stop_prob))
-    return (SubLayerStats(lam, lam * expected_time, expected_time, stop_prob),
-            (sum(inner), sum(kernel_rows)))
+    return SubLayerStats(lam, lam * expected_time, expected_time, stop_prob), tuple(work)
 
 
 def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,
@@ -419,10 +415,7 @@ def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,
     target = _reward_target(params, gamma)
     half_t = 0.5 * params.data_time
     kernels = _chunk_kernels(params, _as_rows(f_rows), second_hop)
-    return np.concatenate([
-        half_t * (_newton_rows(kernel, 0.0, np.full(kernel.rows.shape[0], target), est,
-                               theta_scale=half_t)[0] - gamma)
-        for kernel in kernels])
+    return half_t * (_newton_rows(kernels, 0.0, target, est, half_t)[0] - gamma)
 
 
 def _reward_target(params: SystemParams, gamma: float) -> float:
@@ -497,8 +490,9 @@ def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
     kernels; the coupled rule dominates it, so the start lies left of the
     root. A caller that already holds ``solve_main_gamma_intuitive`` on the
     same arguments passes it as ``start`` and skips that solve; its
-    relay-level work is counted as if solved here. Later evaluations start
-    each row at the tangent root of its last residual for the new target.
+    relay-level work is counted as if solved here. Each evaluation solves W
+    on every chunk in one ``_newton_rows`` call and sums over the whole
+    sample; after the first, each row starts at its new tangent root.
     """
     rows = _draw_first_hop_rows(params, est, first_hop)
     p_r = success_prob(params.num_relays, params.require_relay_prob())
@@ -508,25 +502,21 @@ def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
     kernels = list(_chunk_kernels(params, rows, second_hop))
     if start is None:
         start = _intuitive_gamma(params, kernels, est)
-    last = [None] * len(kernels)  # per chunk: (theta, residual, tail, target)
+    last = None  # (theta, residual, tail, target) of the last evaluation
 
     def evaluate(gamma: float):
+        nonlocal last
         g = max(gamma, GAMMA_FLOOR)
         target = k * g
-        total, steep, inner, kernel_rows = 0.0, 0.0, 0, 0
-        for i, kernel in enumerate(kernels):
-            warm = None if last[i] is None else _tangent_start(*last[i], target)
-            theta, stop_prob, residual, iters, passes = _newton_rows(
-                kernel, 0.0, np.full(kernel.rows.shape[0], target), est, half_t, warm)
-            last[i] = theta, residual, stop_prob, target
-            gain = half_t * (theta - g) - half_t * g
-            total += float(np.maximum(gain, 0.0).sum())
-            with np.errstate(divide="ignore"):
-                steep += float((2.0 + k / stop_prob[gain > 0.0]).sum())
-            inner += iters
-            kernel_rows += passes
-        n = rows.shape[0]
-        return total / n - g * cost, -half_t * steep / n - cost, (inner, kernel_rows)
+        warm = None if last is None else _tangent_start(*last, target)
+        theta, stop_prob, residual, inner, kernel_rows = _newton_rows(
+            kernels, 0.0, target, est, half_t, warm)
+        last = theta, residual, stop_prob, target
+        gain = half_t * (theta - g) - half_t * g
+        with np.errstate(divide="ignore"):
+            steep = float((2.0 + k / stop_prob[gain > 0.0]).sum())
+        return (float(np.maximum(gain, 0.0).mean()) - g * cost,
+                -half_t * steep / gain.size - cost, (inner, kernel_rows))
 
     return _solve_convex(evaluate, cost, est, "two-part throughput (coupled rule)",
                          start=start.value, work=(start.inner_iterations, start.kernel_rows))
@@ -566,38 +556,47 @@ def _solve_convex(evaluate, cost: float, est: EstimatorConfig, name: str,
     return ThresholdSolution(float(x), float(r), iters, (float(lower), float(upper)), *work)
 
 
-def _newton_rows(kernel: _SecondHopKernel, cost_slope: float, targets: np.ndarray,
-                 est: EstimatorConfig, theta_scale: float, start: np.ndarray | None = None):
-    """Solve excess(theta) - cost_slope * theta = target per row by ``_newton``.
+def _newton_rows(kernels, cost_slope: float, target: float, est: EstimatorConfig,
+                 theta_scale: float, start: np.ndarray | None = None):
+    """Solve excess(theta) - cost_slope * theta = target per row of the chunk
+    kernels, one ``_newton`` run per chunk. Returns (theta, tail(theta),
+    residual) over the whole sample, then the row-Newton iterations and
+    kernel rows (rows x relays over the excess passes) summed over chunks.
 
-    Returns (theta, tail(theta), residual, iterations, kernel rows: rows x
-    relays over the excess passes). The slope is -(tail + cost_slope); the
-    top saturation rate, where excess vanishes, is a closed-form upper end.
-    Rows with target >= excess(0) are solved exactly on the linear branch
-    theta <= 0; the rest start at 0 or at ``start`` (clamped to [0, sat]).
-    Tolerances are in caller units via ``theta_scale``, T/2 for reward solves.
+    The slope is -(tail + cost_slope); the top saturation rate, where excess
+    vanishes, is a closed-form upper end. Rows with target >= excess(0) are
+    solved exactly on the linear branch theta <= 0; the rest start at 0 or at
+    ``start`` (clamped to [0, sat]). Tolerances are in caller units via
+    ``theta_scale``, T/2 for reward solves. A failure names the sample row.
     """
-    e0 = kernel.e0
-    # Linear branch: excess(theta) = e0 - theta for theta <= 0.
-    linear = targets >= e0
-    lo = np.where(linear, (e0 - targets) / (1.0 + cost_slope), 0.0)  # a certified lower end
-    th = np.where(linear, lo, 0.0 if start is None else np.clip(start, 0.0, kernel.sat_top))
-    hi = np.maximum(th, kernel.sat_top)
-    tail, kernel_rows = np.empty_like(lo), 0
+    parts, iters, kernel_rows, row0 = [], 0, 0, 0
+    for kernel in kernels:
+        e0, n = kernel.e0, kernel.rows.shape[0]
+        # Linear branch: excess(theta) = e0 - theta for theta <= 0.
+        linear = target >= e0
+        lo = np.where(linear, (e0 - target) / (1.0 + cost_slope), 0.0)  # a certified lower end
+        th = np.where(linear, lo, 0.0 if start is None
+                      else np.clip(start[row0:row0 + n], 0.0, kernel.sat_top))
+        hi = np.maximum(th, kernel.sat_top)
+        tail = np.empty_like(lo)
 
-    def residual(th, rows):
-        nonlocal kernel_rows
-        excess, p = kernel.excess_tail(th, rows)
-        kernel_rows += th.size * kernel.rows.shape[1]
-        tail[rows] = p
-        return excess - cost_slope * th - targets[rows], p + cost_slope
+        def residual(th, rows):
+            nonlocal kernel_rows
+            excess, p = kernel.excess_tail(th, rows)
+            kernel_rows += th.size * kernel.rows.shape[1]
+            tail[rows] = p
+            return excess - cost_slope * th - target, p + cost_slope
 
-    theta, f, _, _, iters = _newton(residual, th, lo, hi, -cost_slope * hi - targets,
-                                    est.tol, theta_scale, "relay-level rows")
-    return theta, tail, f, iters, kernel_rows
+        theta, f, _, _, n_iter = _newton(residual, th, lo, hi, -cost_slope * hi - target,
+                                         est.tol, theta_scale, "relay-level rows", row0=row0)
+        parts.append((theta, tail, f))
+        iters += n_iter
+        row0 += n
+    return (*(np.concatenate(part) for part in zip(*parts)), iters, kernel_rows)
 
 
-def _newton(residual, x, lo, hi, f_hi, tol: float, scale: float, name: str, cost: float = 0.0):
+def _newton(residual, x, lo, hi, f_hi, tol: float, scale: float, name: str, cost: float = 0.0,
+            row0: int = 0):
     """Guarded Newton on a batch of convex decreasing residuals, a root per row.
 
     ``residual(x, rows)`` returns (f, -f') for the rows still iterating (an
@@ -613,7 +612,7 @@ def _newton(residual, x, lo, hi, f_hi, tol: float, scale: float, name: str, cost
     ``scale``) leave the residual passes. Returns (x, f, lower, upper,
     iterations): per row the root, its residual and enclosure. A non-finite
     residual or MAX_ITER iterations raise SolverFailureError naming the
-    worst row.
+    worst row, counted from ``row0``.
     """
     out = np.empty((4, x.size))
     idx, th, prev = np.arange(x.size), x, np.full(x.size, math.inf)
@@ -647,5 +646,5 @@ def _newton(residual, x, lo, hi, f_hi, tol: float, scale: float, name: str, cost
         idx, th, lo, hi, f_hi, prev, f = (a[~done] for a in (idx, th, lo, hi, f_hi, prev, f))
     worst = int(np.argmax(np.abs(f)))  # the first NaN, if any
     raise SolverFailureError(
-        f"{name}: no root after {iters} Newton iteration(s) (worst row {idx[worst]}: "
+        f"{name}: no root after {iters} Newton iteration(s) (worst row {row0 + idx[worst]}: "
         f"residual {f[worst]}, enclosure [{lo[worst]}, {hi[worst]}])")

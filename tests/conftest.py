@@ -136,14 +136,20 @@ def simulate_contention_slots(rng: np.random.Generator, n: int, p: float,
 # --- positive-part oracles: full CSI on the fixed sample, one relay-level row ---
 
 
-def expected_positive_part_full_csi(params: SystemParams, lam: float,
-                                    est: EstimatorConfig, rate_sampler=None) -> float:
-    """Monte Carlo estimate of E[max((T/2) R - lam T, 0)] on the fixed sample."""
-    if lam < 0:
+def expected_positive_part_full_csi(params: SystemParams, lam: float | np.ndarray,
+                                    est: EstimatorConfig,
+                                    rate_sampler=None) -> float | np.ndarray:
+    """Monte Carlo estimate of E[max((T/2) R - lam T, 0)] on the fixed sample.
+
+    An array of lam gives an array of estimates, all on one draw of the sample.
+    """
+    lams = np.asarray(lam, dtype=float)
+    if np.any(lams < 0):
         raise InvalidParameterError("lam must be >= 0")
-    rates = _draw_rates(params, est, rate_sampler)
     t = params.data_time
-    return float(np.maximum(0.5 * t * rates - lam * t, 0.0).mean())
+    half_rates = 0.5 * t * _draw_rates(params, est, rate_sampler)
+    out = [float(np.maximum(half_rates - x * t, 0.0).mean()) for x in lams.ravel()]
+    return out[0] if lams.ndim == 0 else np.array(out)
 
 
 def sub_layer_tail_prob(params: SystemParams, f_sq, threshold: float,

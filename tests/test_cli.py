@@ -337,6 +337,85 @@ def test_sweep_rejects_empty_values(tmp_path):
     assert rc == 2
 
 
+def test_sweep_simulate_matches_each_value(tmp_path):
+    # fixed gains: constant rate 1, zero stderr, throughput (T/2) / (T + tau) exactly
+    out_dir = tmp_path / "sweep"
+    values = ["0.2", "0.4"]
+    rc = main(["sweep", "--config", str(write_config(tmp_path, **DET_CHANNEL)),
+               "--axis", "slot_time", "--values", ",".join(values), "--simulate",
+               "--out", str(out_dir)])
+    assert rc == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert [v["name"] for v in summary["verdicts"]] == [
+        f"slot_time={value}_{check}" for value in values for check in ("match", "converged")]
+    rows = summary["results"]["sweep"]
+    with (out_dir / "sweep.csv").open() as fh:
+        written = list(csv.DictReader(fh))
+    assert len(rows) == len(written) == len(values)
+    for value, row, line in zip(values, rows, written):
+        assert row["throughput"] == pytest.approx(1.0 / (2.0 + float(value)), rel=1e-12)
+        # the csv holds 12 significant digits of the throughput
+        assert float(line["throughput"]) == pytest.approx(row["throughput"], rel=1e-11)
+        assert float(line["stderr"]) == row["stderr"] == 0.0
+
+
+# Each loader error path: (config changes, or the file's raw text; command; the message).
+LOADER_ERRORS = {
+    "unreadable-file": (None, ["solve"], "cannot read config file"),
+    "non-object-root": ("[1, 2]", ["solve"], "config root must be a JSON object"),
+    "missing-params": ({"params": None}, ["solve"], "params: section is required"),
+    "unknown-scenario": ({"scenario": "3"}, ["solve"], "scenario: must be one of"),
+    "non-object-section": ({"sim": 5}, ["solve"], "sim: must be an object"),
+    "non-object-channel": ({"channel": [1]}, ["solve"], "channel: must be an object"),
+    "hop-without-kind": ({"channel": {"first_hop": {"gain": 3.0}}}, ["solve"],
+                         "channel.first_hop: must be an object with a 'kind' field"),
+    "oracle-points": ({"oracle": {"points": 1}}, ["solve"], "oracle.points: must be >= 2"),
+    "boolean-number": ({"params.slot_time": True}, ["solve"],
+                       "params.slot_time: expected a number, got a boolean"),
+    "non-integer-int": ({"params.num_relays": 2.5}, ["solve"],
+                        "params.num_relays: expected int, got 2.5"),
+    "bad-sweep-value": ({}, ["sweep", "--axis", "num_relays", "--values", "x"],
+                        "error: sweep value for num_relays: expected int, got 'x'\n"),
+    "oracle-on-scenario-2": ({"scenario": "2-intuitive"}, ["oracle"],
+                             "oracle runs target scenario 1 only"),
+    "oracle-hi-not-above-lo": ({"oracle": {"lo": 1.0, "hi": 1.0}}, ["oracle"],
+                               "oracle.hi: must exceed oracle.lo"),
+}
+
+
+@pytest.mark.parametrize("changes, command, message", LOADER_ERRORS.values(),
+                         ids=LOADER_ERRORS.keys())
+def test_config_error_names_its_field(tmp_path, capsys, changes, command, message):
+    if changes is None:
+        path = tmp_path / "missing.json"
+    elif isinstance(changes, str):
+        path = tmp_path / "config.json"
+        path.write_text(changes)
+    else:
+        path = write_config(tmp_path, **changes)
+    assert main([command[0], "--config", str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    if changes is None:
+        assert str(path) in err
+
+
+BENCH_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "configs")
+                       .glob("*.json"))
+
+
+def test_bench_configs_load_and_echo(tmp_path):
+    # the benchmark runs these files, estimator.quad_points included
+    assert BENCH_CONFIGS
+    for path in BENCH_CONFIGS:
+        raw = json.loads(path.read_text())
+        echo = load_config(path).echo()
+        assert echo["estimator"]["quad_points"] == raw["estimator"]["quad_points"]
+        reloaded = tmp_path / path.name
+        reloaded.write_text(json.dumps(echo))
+        assert load_config(reloaded).echo() == echo, path.name
+
+
 def test_summary_reproducible_for_fixed_seed(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -432,8 +432,7 @@ def _reward_rows(params, kernel, gamma, start=None):
     iterations, kernel rows) for it on every row."""
     target = gamma * params.slot_time / (
         params.data_time * success_prob(params.num_relays, params.relay_prob))
-    targets = np.full(kernel.rows.shape[0], target)
-    return target, solver._newton_rows(kernel, 0.0, targets, EST,
+    return target, solver._newton_rows([kernel], 0.0, target, EST,
                                        0.5 * params.data_time, start)
 
 
@@ -471,9 +470,8 @@ def test_row_right_of_the_root_steps_to_its_tangent_point(cost):
     params, kernel = _engine_kernel("base", rows=40)
     slope = params.slot_time / (params.data_time
                                 * success_prob(params.num_relays, params.relay_prob))
-    cost_slope, targets = (0.0, np.full(40, 0.7 * slope)) if cost == "reward" \
-        else (slope, np.zeros(40))
-    root = solver._newton_rows(kernel, cost_slope, targets, EST, 1.0)[0]  # caches e0
+    cost_slope, target = (0.0, 0.7 * slope) if cost == "reward" else (slope, 0.0)
+    root = solver._newton_rows([kernel], cost_slope, target, EST, 1.0)[0]  # caches e0
     start = root + 0.1
     passes = []
     excess_tail = kernel.excess_tail
@@ -483,11 +481,11 @@ def test_row_right_of_the_root_steps_to_its_tangent_point(cost):
         return excess_tail(thetas, idx)
 
     kernel.excess_tail = recording
-    kernel_rows = solver._newton_rows(kernel, cost_slope, targets, EST, 1.0, start)[4]
+    kernel_rows = solver._newton_rows([kernel], cost_slope, target, EST, 1.0, start)[4]
     # kernel rows count rows x relays over the excess passes
     assert kernel_rows == sum(thetas.size for thetas in passes) * kernel.rows.shape[1]
     excess, tail = excess_tail(start)
-    f = excess - cost_slope * start - targets
+    f = excess - cost_slope * start - target
     assert np.all(f < 0.0)
     tangent = start + f / (tail + cost_slope)
     assert np.all((tangent > 0.0) & (tangent <= root + EST.tol))
@@ -503,11 +501,28 @@ def test_non_finite_target_fails_after_one_pass():
 
     def counting(thetas, idx=slice(None)):
         passes.append(thetas.size)
-        return excess_tail(thetas, idx)
+        excess, tail = excess_tail(thetas, idx)
+        excess[7] = np.nan  # a non-finite residual on row 7
+        return excess, tail
 
     kernel.excess_tail = counting
-    targets = np.full(40, 0.1)
-    targets[7] = np.nan
     with pytest.raises(SolverFailureError, match=ENGINE_FAILURE.format(1, 7, "nan")):
-        solver._newton_rows(kernel, 0.0, targets, EST, 1.0)
+        solver._newton_rows([kernel], 0.0, 0.1, EST, 1.0)
     assert passes == [40]
+
+
+def test_engine_failure_names_the_sample_row(monkeypatch):
+    params = make_params()
+    f_rows = np.random.default_rng(11).exponential(1.0, (solver.CHUNK_ROWS + 40, 2))
+    excess_tail = solver._SecondHopKernel.excess_tail
+
+    def planted(kernel, thetas, idx=slice(None)):
+        excess, tail = excess_tail(kernel, thetas, idx)
+        if kernel.rows.shape[0] == 40:  # the second chunk: its row 5 is sample row 8197
+            excess[5] = np.nan
+        return excess, tail
+
+    monkeypatch.setattr(solver._SecondHopKernel, "excess_tail", planted)
+    row = solver.CHUNK_ROWS + 5
+    with pytest.raises(SolverFailureError, match=ENGINE_FAILURE.format(1, row, "nan")):
+        solve_sub_w_batch(params, f_rows, 0.5, EST)

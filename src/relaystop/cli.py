@@ -4,7 +4,7 @@ Configuration lives in a JSON file with a versioned schema; CLI flags
 override individual values. Summaries are written as JSON plus per-packet
 CSV logs, and every summary echoes the exact configuration and seed that
 produced it. Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 a
-configuration or solver error.
+configuration, solver or output-writing error.
 """
 from __future__ import annotations
 
@@ -39,6 +39,8 @@ from .solver import (
 
 SCHEMA_VERSION = 1
 SCENARIOS = ("1", "2-intuitive", "2-optimal")
+# the config root's sections, in echo order
+SECTIONS = ("schema", "params", "estimator", "sim", "scenario", "out", "oracle", "channel")
 
 # mc_samples floor for CLI (production) runs; library callers may go lower.
 MIN_PRODUCTION_MC_SAMPLES = 1000
@@ -137,6 +139,9 @@ def load_config(path) -> ExperimentConfig:
     schema = raw.get("schema")
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"schema: expected {SCHEMA_VERSION}, got {schema!r}")
+    unknown = set(raw) - set(SECTIONS)
+    if unknown:
+        raise ConfigError(f"config root: unknown fields {sorted(unknown)}")
 
     if not isinstance(raw.get("params"), dict):
         raise ConfigError("params: section is required and must be an object")
@@ -533,11 +538,15 @@ def main(argv=None) -> int:
     summary.runtime_s = time.perf_counter() - t0
     summary.config = cfg.echo()
     if cfg.out is not None:
-        cfg.out.mkdir(parents=True, exist_ok=True)
-        (cfg.out / "summary.json").write_text(
-            json.dumps(dataclasses.asdict(summary), indent=2))
-        for name, write in files.items():
-            write(cfg.out / name)
+        try:
+            cfg.out.mkdir(parents=True, exist_ok=True)
+            (cfg.out / "summary.json").write_text(
+                json.dumps(dataclasses.asdict(summary), indent=2))
+            for name, write in files.items():
+                write(cfg.out / name)
+        except OSError as exc:
+            print(f"error: cannot write outputs to {cfg.out}: {exc}", file=sys.stderr)
+            return 2
     _print_summary(summary)
     return 0 if summary.all_passed else 1
 

@@ -11,13 +11,12 @@ from relaystop import (
     RayleighFading,
     SystemParams,
     full_csi_rate_sampler,
-    intuitive_main_decide,
-    optimal_main_decide,
-    rate_saturation,
     solve_sub_layer_batch,
     solve_sub_w_batch,
     success_prob,
 )
+from relaystop.channel import rate_saturation
+from relaystop.policies import intuitive_main_decide, optimal_main_decide
 from relaystop.solver import CHUNK_ROWS, _as_rows, _draw_rates, _SecondHopKernel
 
 

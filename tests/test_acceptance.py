@@ -19,10 +19,8 @@ from relaystop import (
     PolicyKind,
     PolicySpec,
     SimConfig,
-    af_rate,
     full_csi_rate_sampler,
     oracle_threshold_search,
-    rate_saturation,
     run_scenario1,
     run_scenario2,
     solve_full_csi_lambda,
@@ -32,7 +30,7 @@ from relaystop import (
     solve_sub_w_batch,
     success_prob,
 )
-from relaystop.channel import SystemParams
+from relaystop.channel import SystemParams, af_rate, rate_saturation
 from .conftest import discrete_rate_sampler, expected_positive_part_full_csi, reference_w
 
 # Three standard exponential-channel configurations.

@@ -1,11 +1,13 @@
-"""The benchmark's wrap points: every package name perfbench/ looks up exists.
+"""The benchmark's wrap points and output contract, checked against the package.
 
 perfbench/child.py replaces functions of ``relaystop.cli``, ``simulator``,
 ``policies`` and ``channel`` by timed wrappers before it calls the CLI, and
 child.py and run.py import further names from the package. A name that
-leaves the package breaks traced benchmark runs, so this check runs the
-wrapping and resolves every such name in a fresh interpreter. It only reads
-perfbench/: ``-B`` keeps bytecode out of it.
+leaves the package breaks traced benchmark runs, so the first check runs the
+wrapping and resolves every such name in a fresh interpreter. The second runs
+each workload's command on a small copy of its config and applies the bench's
+own report and packet-log checks. Both only read perfbench/: ``-B`` keeps
+bytecode out of it.
 """
 
 import os
@@ -42,11 +44,48 @@ for script in ("child.py", "run.py"):
 print("resolved")
 """
 
+# The sizes perfbench/test_bench.py runs its workloads at. The packet-log and
+# residual checks are run.py's; its million-sample exact-throughput check is not.
+CONTRACT = """
+import contextlib, io, json, math, pathlib, sys
 
-def test_bench_wrap_points_and_imports_resolve():
+import run
+from relaystop.cli import main
+
+tmp = pathlib.Path(sys.argv[1])
+for name, workload in run.WORKLOADS.items():
+    cfg = json.loads((run.BENCH / "configs" / f"{name}.json").read_text())
+    cfg["estimator"]["mc_samples"], cfg["sim"]["packets"] = 1000, 400
+    path = tmp / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp / name
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(run.Run(name, 5, tmp, config=path).cli_args(out))
+    assert code in (0, 1), (name, code)
+    values, _ = run.parse_report(stdout.getvalue())
+    for solve in workload.solves:
+        assert math.isfinite(values[solve.value]), (name, solve)
+        assert abs(values[solve.residual]) <= cfg["estimator"]["tol"], (name, solve)
+    for sim in workload.sims:
+        assert run.check_packets(out / sim.csv, 400, values[sim.throughput])[0], (name, sim)
+        assert math.isfinite(values[sim.stderr]), (name, sim)
+print("contract holds")
+"""
+
+
+def run_with_bench(script, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
                                                        str(ROOT / "perfbench")]))
-    proc = subprocess.run([sys.executable, "-B", "-c", RESOLVE], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-B", "-c", script, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "resolved"
+    return proc.stdout.strip()
+
+
+def test_bench_wrap_points_and_imports_resolve():
+    assert run_with_bench(RESOLVE) == "resolved"
+
+
+def test_bench_workloads_meet_the_output_contract(tmp_path):
+    assert run_with_bench(CONTRACT, str(tmp_path)) == "contract holds"

@@ -9,11 +9,10 @@ from relaystop import (
     FixedGain,
     InvalidParameterError,
     RayleighFading,
-    af_rate,
     default_observations,
     full_csi_rate_sampler,
-    rate_saturation,
 )
+from relaystop.channel import af_rate, rate_saturation
 from .conftest import make_params, sub_layer_tail_prob
 
 LN2 = math.log(2.0)

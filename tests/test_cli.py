@@ -364,6 +364,8 @@ LOADER_ERRORS = {
     "unreadable-file": (None, ["solve"], "cannot read config file"),
     "non-object-root": ("[1, 2]", ["solve"], "config root must be a JSON object"),
     "missing-params": ({"params": None}, ["solve"], "params: section is required"),
+    "misspelled-section": ({"estimator": None, "estimatr": {"mc_samples": 5000, "seed": 7}},
+                           ["solve"], "config root: unknown fields ['estimatr']"),
     "unknown-scenario": ({"scenario": "3"}, ["solve"], "scenario: must be one of"),
     "non-object-section": ({"sim": 5}, ["solve"], "sim: must be an object"),
     "non-object-channel": ({"channel": [1]}, ["solve"], "channel: must be an object"),
@@ -398,6 +400,26 @@ def test_config_error_names_its_field(tmp_path, capsys, changes, command, messag
     assert message in err
     if changes is None:
         assert str(path) in err
+
+
+def _blocked_summary(out):  # a file where the output directory goes
+    out.write_text("")
+
+
+def _blocked_csv(out):  # a directory where the packet log goes
+    (out / "packets.csv").mkdir(parents=True)
+
+
+@pytest.mark.parametrize("command, block", [("solve", _blocked_summary),
+                                            ("simulate", _blocked_csv)],
+                         ids=["out-is-a-file", "csv-is-a-directory"])
+def test_unwritable_out_exits_2_with_the_path(tmp_path, capsys, command, block):
+    out = tmp_path / "out"
+    block(out)
+    assert main([command, "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write outputs to {out}: ")
+    assert "Traceback" not in err
 
 
 BENCH_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "configs")

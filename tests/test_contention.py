@@ -11,9 +11,9 @@ from scipy import stats as sps
 from relaystop import (
     ContentionDeadlockError,
     InvalidParameterError,
-    sample_contention,
     success_prob,
 )
+from relaystop.contention import sample_contention
 from .conftest import simulate_contention_slots
 
 

@@ -10,15 +10,17 @@ from relaystop import (
     PolicyMismatchError,
     PolicySpec,
     SubLayerStats,
+    solve_main_gamma_intuitive,
+    solve_main_gamma_optimal,
+    solve_sub_layer_batch,
+    solve_sub_w_batch,
+)
+from relaystop.policies import (
     full_csi_decide,
     intuitive_main_decide,
     intuitive_sub_decide,
     optimal_main_decide,
     optimal_sub_decide,
-    solve_main_gamma_intuitive,
-    solve_main_gamma_optimal,
-    solve_sub_layer_batch,
-    solve_sub_w_batch,
 )
 from .conftest import hook_params
 

@@ -13,7 +13,6 @@ from relaystop import (
     PolicySpec,
     RayleighFading,
     SimConfig,
-    af_rate,
     default_observations,
     full_csi_rate_sampler,
     run_scenario1,
@@ -24,6 +23,7 @@ from relaystop import (
     solve_sub_w_batch,
     success_prob,
 )
+from relaystop.channel import af_rate
 from relaystop.simulator import _OBS_CHUNK, _decision_rules
 from .conftest import (
     coupled_sign_rules,

@@ -11,12 +11,11 @@ from relaystop import (
     InvalidParameterError,
     RayleighFading,
     SolverFailureError,
-    af_rate,
-    rate_saturation,
     solve_sub_layer_batch,
     solve_sub_w_batch,
     success_prob,
 )
+from relaystop.channel import af_rate, rate_saturation
 from relaystop import solver
 from .conftest import (
     ENGINE_FAILURE,

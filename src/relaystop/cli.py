@@ -299,11 +299,10 @@ def _threshold_dict(cfg: ExperimentConfig, sol: ThresholdSolution) -> dict:
 
 
 def cmd_solve(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
+    # no verdict: the root search returns only within tol, and raises otherwise
     sol, _ = _solve_for_scenario(cfg)
-    verdicts = [Verdict("solver_converged", abs(sol.residual) <= cfg.estimator.tol,
-                        f"|residual|={abs(sol.residual):.3e} tol={cfg.estimator.tol:.1e}")]
     return ReportSummary("solve", cfg.scenario, cfg.sim.seed,
-                         _threshold_dict(cfg, sol), {}, verdicts), {}
+                         _threshold_dict(cfg, sol), {}, []), {}
 
 
 def _run_simulation(cfg: ExperimentConfig, spec: PolicySpec) -> SimStats:
@@ -405,9 +404,6 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[ReportSu
             stats = _run_simulation(point, spec)
             row.update(throughput=stats.throughput, stderr=stats.throughput_stderr)
             verdicts.append(_match_verdict(f"{axis}={value}_match", stats, sol, cfg.estimator.tol))
-        verdicts.append(Verdict(f"{axis}={value}_converged",
-                                abs(sol.residual) <= cfg.estimator.tol,
-                                f"residual={sol.residual:.3e}"))
         rows.append(row)
     summary = ReportSummary("sweep", cfg.scenario, cfg.sim.seed, {}, {"sweep": rows},
                             verdicts)

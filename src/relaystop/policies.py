@@ -38,15 +38,10 @@ class PolicySpec:
     gamma_star: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is PolicyKind.FULL_CSI:
-            _require_finite("lambda_star", self.lambda_star)
-        else:
-            _require_finite("gamma_star", self.gamma_star)
-
-
-def _require_finite(name: str, value) -> None:
-    if value is None or not math.isfinite(value):
-        raise InvalidParameterError(f"{name} must be a finite number for this policy kind")
+        name = "lambda_star" if self.kind is PolicyKind.FULL_CSI else "gamma_star"
+        value = getattr(self, name)
+        if value is None or not (math.isfinite(value) and value >= 0.0):
+            raise InvalidParameterError(f"{name} must be finite and >= 0 for this policy kind")
 
 
 def _require_kind(spec: PolicySpec, kind: PolicyKind) -> None:

@@ -46,10 +46,6 @@ from .errors import InvalidParameterError, SolverFailureError
 # chunk * num_relays floats per temporary.
 CHUNK_ROWS = 8192
 
-# The relay-level reward equation degenerates at a source-level rate of
-# exactly zero, so the coupled residual is never evaluated below this floor.
-GAMMA_FLOOR = 1e-12
-
 # Iteration cap of every root search: outer residual evaluations and
 # row-Newton iterations alike.
 MAX_ITER = 200
@@ -202,6 +198,8 @@ def oracle_threshold_search(params: SystemParams, grid, est: EstimatorConfig,
     thresholds = np.asarray(grid, dtype=float)
     if thresholds.ndim != 1 or thresholds.size == 0:
         raise InvalidParameterError("grid must be a non-empty 1-D sequence")
+    if not np.isfinite(thresholds).all():
+        raise InvalidParameterError("grid must be finite")
     if np.any(np.diff(thresholds) < 0):
         raise InvalidParameterError("grid must be sorted ascending")
     rates = np.sort(_draw_rates(params, est, rate_sampler))
@@ -422,8 +420,8 @@ def _reward_target(params: SystemParams, gamma: float) -> float:
     """The relay-level reward target gamma tau / (T p_r) at the imposed rate gamma."""
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise InvalidParameterError("gamma must be finite and >= 0")
-    return gamma * params.slot_time / (
-        params.data_time * success_prob(params.num_relays, params.require_relay_prob()))
+    p_r = success_prob(params.num_relays, params.require_relay_prob())
+    return params.slot_time / (params.data_time * p_r) * gamma
 
 
 def _tangent_start(theta, residual, tail, old_target, target):
@@ -506,16 +504,15 @@ def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
 
     def evaluate(gamma: float):
         nonlocal last
-        g = max(gamma, GAMMA_FLOOR)
-        target = k * g
+        target = _reward_target(params, gamma)
         warm = None if last is None else _tangent_start(*last, target)
         theta, stop_prob, residual, inner, kernel_rows = _newton_rows(
             kernels, 0.0, target, est, half_t, warm)
         last = theta, residual, stop_prob, target
-        gain = half_t * (theta - g) - half_t * g
+        gain = half_t * (theta - gamma) - half_t * gamma
         with np.errstate(divide="ignore"):
             steep = float((2.0 + k / stop_prob[gain > 0.0]).sum())
-        return (float(np.maximum(gain, 0.0).mean()) - g * cost,
+        return (float(np.maximum(gain, 0.0).mean()) - gamma * cost,
                 -half_t * steep / gain.size - cost, (inner, kernel_rows))
 
     return _solve_convex(evaluate, cost, est, "two-part throughput (coupled rule)",

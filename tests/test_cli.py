@@ -1,6 +1,8 @@
 """CLI: config loading, command flows, outputs, and exit codes."""
 
+import ast
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,12 +15,15 @@ import pytest
 import relaystop
 from relaystop import (
     EstimatorConfig,
+    FixedGain,
     PolicyKind,
     PolicySpec,
     SimConfig,
     SimStats,
     run_scenario2,
+    solve_main_gamma_optimal,
 )
+from relaystop import cli
 from relaystop.cli import _write_packets_csv, load_config, main
 from .conftest import make_params
 
@@ -115,7 +120,9 @@ def test_solve_scenario1(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "lambda_star" in out
-    assert "solver_converged: PASS" in out
+    assert "residual: " in out
+    # a solve that returns is within tol, so there is no verdict to print
+    assert "verdict" not in out
 
 
 DET_CHANNEL = {
@@ -299,6 +306,94 @@ def test_oracle_flags_grid_missing_optimum(tmp_path, capsys):
     assert "oracle_brackets_optimum: FAIL" in out
 
 
+def _wrapped(name, change):
+    """A patch of ``relaystop.cli.<name>`` that passes each result through
+    ``change(result, *args, **kwargs)``, the call's own arguments."""
+    def patch(monkeypatch):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, **kw: change(real(*a, **kw), *a, **kw))
+    return patch
+
+
+def _lowered_run(name, kind=None):
+    """A patch of the simulator ``relaystop.cli.<name>`` whose runs of policy
+    ``kind`` (any kind by default) report a throughput 20 stderr plus 1e-3 lower."""
+    def lower(stats, params, spec, *args, **kwargs):
+        if kind not in (None, spec.kind):
+            return stats
+        return dataclasses.replace(
+            stats, throughput=stats.throughput - 20.0 * stats.throughput_stderr - 1e-3)
+    return _wrapped(name, lower)
+
+
+# Each CLI verdict with a defect planted under it: the name in cli.py (the
+# literal suffix of an f-string name), the command, the printed name, and the
+# patch. Simulations report too low a throughput; the coupled solve lands
+# 1e-3 below the intuitive root it starts from; the oracle's best threshold
+# moves three grid steps, or its throughput 1%.
+VERDICT_DEFECTS = {
+    "throughput_matches_threshold": (["simulate"], "throughput_matches_threshold",
+                                     _lowered_run("run_scenario1")),
+    "intuitive_matches_gamma": (["compare"], "intuitive_matches_gamma",
+                                _lowered_run("run_scenario2", PolicyKind.INTUITIVE_BILEVEL)),
+    "optimal_matches_gamma": (["compare"], "optimal_matches_gamma",
+                              _lowered_run("run_scenario2", PolicyKind.OPTIMAL_BILEVEL)),
+    "solver_dominance": (["compare"], "solver_dominance", _wrapped(
+        "solve_main_gamma_optimal",
+        lambda sol, *a, start, **kw: dataclasses.replace(sol, value=start.value - 1e-3))),
+    "simulated_dominance": (["compare"], "simulated_dominance",
+                            _lowered_run("run_scenario2", PolicyKind.OPTIMAL_BILEVEL)),
+    "_match": (["sweep", "--axis", "num_relays", "--values", "2", "--simulate"],
+               "num_relays=2_match", _lowered_run("run_scenario1")),
+    "oracle_threshold_agreement": (["oracle"], "oracle_threshold_agreement", _wrapped(
+        "oracle_threshold_search",
+        lambda best, params, grid, *a, **kw: (best[0] + 3.0 * (grid[1] - grid[0]), best[1]))),
+    "oracle_throughput_agreement": (["oracle"], "oracle_throughput_agreement", _wrapped(
+        "oracle_threshold_search", lambda best, *a, **kw: (best[0], 0.99 * best[1]))),
+}
+
+
+@pytest.mark.parametrize("command, printed, plant", VERDICT_DEFECTS.values(),
+                         ids=VERDICT_DEFECTS.keys())
+def test_each_verdict_fails_on_a_planted_defect(tmp_path, capsys, monkeypatch,
+                                                command, printed, plant):
+    path = write_config(tmp_path, **{"estimator.mc_samples": 1000, "sim.packets": 400})
+    argv = [command[0], "--config", str(path), *command[1:]]
+    main(argv)
+    assert f"verdict {printed}: PASS" in capsys.readouterr().out
+    plant(monkeypatch)
+    assert main(argv) == 1
+    assert f"verdict {printed}: FAIL" in capsys.readouterr().out
+
+
+def test_every_cli_verdict_has_a_planted_defect():
+    # a verdict added without a way to fail, or deleted without its test, fails here
+    names = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("Verdict", "_match_verdict")):
+            name = node.args[0]
+            if isinstance(name, ast.JoinedStr):
+                names.add(name.values[-1].value)
+            elif isinstance(name, ast.Constant):
+                names.add(name.value)
+            # else _match_verdict passes its caller's name on
+    assert names == set(VERDICT_DEFECTS) | {"oracle_brackets_optimum"}
+
+
+def test_all_zero_first_hop_solves_gamma_zero_exactly(tmp_path, capsys):
+    # a zero first hop carries no bits, so gamma* = 0 with a residual of exactly 0
+    est = EstimatorConfig(mc_samples=1000, quad_points=64, seed=7, tol=1e-14)
+    sol = solve_main_gamma_optimal(make_params(), est, first_hop=FixedGain(0.0))
+    assert sol.value == 0.0
+    assert sol.residual == 0.0
+    path = write_config(tmp_path, scenario="2-optimal",
+                        channel={"first_hop": {"kind": "fixed", "gain": 0.0}},
+                        **{"estimator.mc_samples": 1000, "estimator.tol": 1e-14})
+    assert main(["solve", "--config", str(path)]) == 0
+    assert "  gamma_star: 0.0\n  residual: 0.0\n" in capsys.readouterr().out
+
+
 def test_sweep_relay_count_is_nondecreasing(tmp_path):
     out_dir = tmp_path / "sweep"
     rc = main(["sweep", "--config", str(write_config(tmp_path)),
@@ -347,7 +442,7 @@ def test_sweep_simulate_matches_each_value(tmp_path):
     assert rc == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert [v["name"] for v in summary["verdicts"]] == [
-        f"slot_time={value}_{check}" for value in values for check in ("match", "converged")]
+        f"slot_time={value}_match" for value in values]
     rows = summary["results"]["sweep"]
     with (out_dir / "sweep.csv").open() as fh:
         written = list(csv.DictReader(fh))

@@ -36,6 +36,12 @@ def test_policy_spec_requires_matching_threshold():
         PolicySpec(PolicyKind.OPTIMAL_BILEVEL, lambda_star=0.5)
     with pytest.raises(InvalidParameterError):
         PolicySpec(PolicyKind.FULL_CSI, lambda_star=float("nan"))
+    # a negative threshold is no policy: every first observation would stop
+    with pytest.raises(InvalidParameterError, match="lambda_star"):
+        PolicySpec(PolicyKind.FULL_CSI, lambda_star=-0.5)
+    for kind in (PolicyKind.INTUITIVE_BILEVEL, PolicyKind.OPTIMAL_BILEVEL):
+        with pytest.raises(InvalidParameterError, match="gamma_star"):
+            PolicySpec(kind, gamma_star=-0.5)
 
 
 def test_full_csi_decide_threshold_inclusive():

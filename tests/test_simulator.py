@@ -225,10 +225,10 @@ def test_scenario2_observation_caps_are_hard_errors():
 
 
 def test_scenario2_coupled_rejects_negative_gamma():
-    spec = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=-0.1)
-    with pytest.raises(InvalidParameterError, match="gamma must be finite and >= 0"):
-        run_scenario2(det2_params(), spec, SimConfig(packets=2, seed=0), est=DET_EST,
-                      **DET_HOPS)
+    # the policy itself refuses a negative gamma*, before the run starts
+    with pytest.raises(InvalidParameterError, match="gamma_star must be finite and >= 0"):
+        run_scenario2(det2_params(), PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=-0.1),
+                      SimConfig(packets=2, seed=0), est=DET_EST, **DET_HOPS)
 
 
 def test_scenario2_requires_bilevel_policy():

@@ -1,5 +1,7 @@
 """Full-CSI threshold: fixed point, uniqueness, and the grid oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,9 @@ def test_oracle_validates_grid():
         oracle_threshold_search(HOOK, [], EST)
     with pytest.raises(InvalidParameterError):
         oracle_threshold_search(HOOK, [1.0, 0.5], EST)
+    for grid in ([math.nan], [math.inf], [0.5, math.nan], [-math.inf, 1.0]):
+        with pytest.raises(InvalidParameterError, match="grid must be finite"):
+            oracle_threshold_search(HOOK, grid, EST)
 
 
 def test_samplers_validate():

@@ -443,9 +443,8 @@ def test_warm_started_w_matches_cold_solve(name):
                             * success_prob(params.num_relays, params.relay_prob))
     # puts the rows whose mean rate is below the median on the linear branch
     linear = float(np.median(kernel.e0)) / k
-    # rising, falling, the gamma floor, and the linear branch
-    gammas = [0.8, 0.9, 1.2, linear, 0.5, solver.GAMMA_FLOOR, solver.GAMMA_FLOOR, 0.3, 0.7,
-              0.69, 1.0]
+    # rising, falling, a tiny gamma, and the linear branch
+    gammas = [0.8, 0.9, 1.2, linear, 0.5, 1e-12, 1e-12, 0.3, 0.7, 0.69, 1.0]
     last = None
     for gamma in gammas:
         target, cold = _reward_rows(params, kernel, gamma)

@@ -157,7 +157,8 @@ def run_scenario2(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
     cutter = _PacketCutter(cfg, rng_cont, params.num_sources, params.source_prob)
     parts = []
     while cutter.owed:
-        rows = _as_rows(first.sample(rng_first, (_OBS_CHUNK, params.num_relays)))
+        rows = _as_rows(first.sample(rng_first, (_OBS_CHUNK, params.num_relays)),
+                        params.num_relays)
         stop, relay_stop = _decision_rules(params, est, spec, rows, second_hop)
         ends, obs, slots = cutter.cut(stop)
         sub_obs, sub_slots, rate, relay = _relay_passes(params, cfg, rows, ends, relay_stop,

@@ -349,12 +349,14 @@ def _scaled_exp1(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_rows(f_sq) -> np.ndarray:
+def _as_rows(f_sq, num_relays: int) -> np.ndarray:
+    """First-hop gains as rows of ``num_relays`` gains; a 1-D array is one row."""
     arr = np.asarray(f_sq, dtype=float)
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] == 0:
-        raise InvalidParameterError("first-hop gains must be a 1-D or 2-D array")
+    if arr.ndim != 2 or arr.shape[1] != num_relays:
+        raise InvalidParameterError(f"first-hop gains must be rows of num_relays = "
+                                    f"{num_relays} gains, got shape {np.shape(f_sq)}")
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise InvalidParameterError("first-hop gains must be finite and >= 0")
     return arr
@@ -378,7 +380,7 @@ def solve_sub_layer_batch(params: SystemParams, f_rows, est: EstimatorConfig,
     geometric observation count. All-zero first-hop gains give threshold 0
     and stop probability 1 rather than an error.
     """
-    kernels = _chunk_kernels(params, _as_rows(f_rows), second_hop)
+    kernels = _chunk_kernels(params, _as_rows(f_rows, params.num_relays), second_hop)
     return _intuitive_rows(params, kernels, est)[0]
 
 
@@ -412,7 +414,7 @@ def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,
     """
     target = _reward_target(params, gamma)
     half_t = 0.5 * params.data_time
-    kernels = _chunk_kernels(params, _as_rows(f_rows), second_hop)
+    kernels = _chunk_kernels(params, _as_rows(f_rows, params.num_relays), second_hop)
     return half_t * (_newton_rows(kernels, 0.0, target, est, half_t)[0] - gamma)
 
 
@@ -522,7 +524,7 @@ def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
 def _draw_first_hop_rows(params: SystemParams, est: EstimatorConfig, first_hop) -> np.ndarray:
     rng = np.random.default_rng(est.seed)
     model = _first_hop_model(params, first_hop)
-    return np.asarray(model.sample(rng, (est.mc_samples, params.num_relays)), dtype=float)
+    return _as_rows(model.sample(rng, (est.mc_samples, params.num_relays)), params.num_relays)
 
 
 # ---------------------------------------------------------------------------

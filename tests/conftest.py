@@ -154,14 +154,14 @@ def expected_positive_part_full_csi(params: SystemParams, lam: float | np.ndarra
 def sub_layer_tail_prob(params: SystemParams, f_sq, threshold: float,
                         second_hop=None) -> float:
     """P(relay-level observation rate >= threshold | first-hop gains)."""
-    kernel = _SecondHopKernel(params, _as_rows(f_sq), second_hop)
+    kernel = _SecondHopKernel(params, _as_rows(f_sq, params.num_relays), second_hop)
     return float(kernel.excess_tail(np.array([threshold], dtype=float))[1][0])
 
 
 def sub_layer_expected_positive_part(params: SystemParams, f_sq, lam: float,
                                      est: EstimatorConfig, second_hop=None) -> float:
     """E[max(R_m - lam, 0) | first-hop gains], the closed-form tail integral."""
-    kernel = _SecondHopKernel(params, _as_rows(f_sq), second_hop)
+    kernel = _SecondHopKernel(params, _as_rows(f_sq, params.num_relays), second_hop)
     return float(kernel.excess_tail(np.array([lam], dtype=float))[0][0])
 
 
@@ -177,7 +177,7 @@ def coupled_sign_rules(params: SystemParams, spec, rows: np.ndarray, second_hop=
     """
     target = spec.gamma_star * params.slot_time / (
         params.data_time * success_prob(params.num_relays, params.relay_prob))
-    kernel = _SecondHopKernel(params, _as_rows(rows), second_hop)
+    kernel = _SecondHopKernel(params, _as_rows(rows, params.num_relays), second_hop)
 
     def excess(thetas, idx=slice(None)):
         return kernel.excess_tail(thetas, idx)[0]

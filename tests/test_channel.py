@@ -40,6 +40,9 @@ def test_gain_sample_rejects_bad_variance():
     for bad in (float("inf"), float("nan")):
         with pytest.raises(InvalidParameterError, match="finite"):
             RayleighFading(bad)
+    for bad in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidParameterError, match="gain must be finite and >= 0"):
+            FixedGain(bad)
 
 
 def test_fading_models(rng):
@@ -113,6 +116,9 @@ def test_af_rate_rejects_bad_inputs():
         af_rate(0.0, 1.0, 1.0, 1.0)
     with pytest.raises(InvalidParameterError):
         af_rate(1.0, 1.0, -1.0, 1.0)
+    for power in (0.0, np.array([1.0, 2.0])):
+        with pytest.raises(InvalidParameterError, match="source_power must be a scalar > 0"):
+            rate_saturation(power, 1.0)
 
 
 # --- saturation and the second-hop tail ---------------------------------------
@@ -200,6 +206,8 @@ def test_mean_best_rate_bounded_by_product_bound(rng):
 def test_system_params_validation():
     with pytest.raises(InvalidParameterError):
         make_params(num_sources=0)
+    with pytest.raises(InvalidParameterError, match="num_relays must be an integer >= 1"):
+        make_params(num_relays=0)
     with pytest.raises(InvalidParameterError):
         make_params(slot_time=0.0)
     with pytest.raises(InvalidParameterError):

@@ -7,6 +7,7 @@ import types
 from pathlib import Path
 
 import relaystop
+from relaystop import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,3 +65,10 @@ def test_readme_quick_start_runs():
     exec(blocks[0], namespace)
     stats = namespace["stats"]
     assert math.isfinite(stats.throughput) and stats.throughput > 0
+
+
+def test_readme_names_the_config_sections():
+    # a dropped or added section must not leave the README naming a key that exits 2
+    text = " ".join((ROOT / "README.md").read_text().split())
+    sentence = re.search(r"The config root holds (.*?);", text).group(1)
+    assert set(re.findall(r"`(\w+)`", sentence)) == set(cli.SECTIONS)

@@ -170,6 +170,16 @@ def test_oracle_validates_grid():
             oracle_threshold_search(HOOK, grid, EST)
 
 
+@pytest.mark.parametrize("draw, message", [
+    (lambda rng, n: np.ones(n - 1), "rate sampler must return mc_samples rates"),
+    (lambda rng, n: np.full(n, -1.0), "sampled rates must be finite and >= 0"),
+    (lambda rng, n: np.full(n, np.nan), "sampled rates must be finite and >= 0"),
+], ids=["wrong-count", "negative", "nan"])
+def test_full_csi_rejects_bad_sampled_rates(draw, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        solve_full_csi_lambda(HOOK, EST, rate_sampler=draw)
+
+
 def test_samplers_validate():
     with pytest.raises(InvalidParameterError):
         discrete_rate_sampler([-1.0])
@@ -185,7 +195,7 @@ def test_samplers_validate():
 
 def test_estimator_config_validates_seed_and_tol():
     for bad in (dict(seed=-1), dict(seed=1.5), dict(tol=0.0), dict(tol=float("inf")),
-                dict(tol=float("nan"))):
+                dict(tol=float("nan")), dict(mc_samples=0), dict(quad_points=1)):
         with pytest.raises(InvalidParameterError):
             EstimatorConfig(**bad)
 

@@ -9,8 +9,14 @@ from relaystop import (
     EstimatorConfig,
     FixedGain,
     InvalidParameterError,
+    PolicyKind,
+    PolicySpec,
     RayleighFading,
+    SimConfig,
     SolverFailureError,
+    run_scenario2,
+    solve_main_gamma_intuitive,
+    solve_main_gamma_optimal,
     solve_sub_layer_batch,
     solve_sub_w_batch,
     success_prob,
@@ -386,8 +392,6 @@ class _SampleOnlyHop:
 
 
 def test_second_hop_must_be_a_known_model():
-    from relaystop import solve_main_gamma_intuitive
-
     params = make_params()
     f_sq = np.array([2.0, 0.3])
     hop = _SampleOnlyHop(0.8)
@@ -402,6 +406,43 @@ def test_second_hop_must_be_a_known_model():
     est = EstimatorConfig(mc_samples=200, quad_points=16, seed=1, tol=1e-9)
     assert solve_main_gamma_intuitive(params, est, first_hop=hop) \
         == solve_main_gamma_intuitive(params, est, first_hop=RayleighFading(0.8))
+
+
+class _FlatFirstHop:
+    """A first hop that draws one gain per row, whatever the relay count."""
+
+    def sample(self, rng, size):
+        return rng.exponential(1.0, size[0])
+
+
+_THREE_RELAY_ROWS = np.ones((4, 3))
+_SHAPE = "rows of num_relays = 2 gains"
+# Each call with malformed first-hop rows under two-relay params: (call, message)
+_BAD_ROW_CALLS = {
+    "intuitive-flat-draw": (
+        lambda p: solve_main_gamma_intuitive(p, EST, first_hop=_FlatFirstHop()), _SHAPE),
+    "coupled-flat-draw": (
+        lambda p: solve_main_gamma_optimal(p, EST, first_hop=_FlatFirstHop()), _SHAPE),
+    "sub-layer-three-columns": (
+        lambda p: solve_sub_layer_batch(p, _THREE_RELAY_ROWS, EST), _SHAPE),
+    "w-three-columns": (lambda p: solve_sub_w_batch(p, _THREE_RELAY_ROWS, 0.5, EST), _SHAPE),
+    "w-3d-array": (lambda p: solve_sub_w_batch(p, np.ones((2, 2, 2)), 0.5, EST), _SHAPE),
+    # a cap of 50 makes the unchecked flat draw fail fast with CappedPacketError
+    "scenario2-flat-draw": (lambda p: run_scenario2(
+        p, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=0.5),
+        SimConfig(packets=100, seed=1, sub_observation_cap=50), est=EST,
+        first_hop=_FlatFirstHop()), _SHAPE),
+    "negative-gain": (lambda p: solve_sub_layer_batch(p, [[1.0, -1.0]], EST),
+                      "first-hop gains must be finite and >= 0"),
+    "nan-gain": (lambda p: solve_sub_layer_batch(p, [[1.0, np.nan]], EST),
+                 "first-hop gains must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("call, message", _BAD_ROW_CALLS.values(), ids=_BAD_ROW_CALLS.keys())
+def test_malformed_first_hop_rows_are_rejected(call, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        call(make_params())
 
 
 def test_w_nonincreasing_in_gamma(rng):

@@ -9,7 +9,6 @@ configuration, solver or output-writing error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -22,15 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import FixedGain, RayleighFading, SystemParams
+from .channel import SystemParams
 from .errors import ConfigError, InvalidParameterError, RelayStopError
 from .policies import PolicyKind, PolicySpec
 from .simulator import SimConfig, SimStats, run_scenario1, run_scenario2
 from .solver import (
     EstimatorConfig,
     ThresholdSolution,
-    default_observations,
-    full_csi_rate_sampler,
     oracle_threshold_search,
     solve_full_csi_lambda,
     solve_main_gamma_intuitive,
@@ -40,17 +37,13 @@ from .solver import (
 SCHEMA_VERSION = 1
 SCENARIOS = ("1", "2-intuitive", "2-optimal")
 # the config root's sections, in echo order
-SECTIONS = ("schema", "params", "estimator", "sim", "scenario", "out", "channel")
+SECTIONS = ("schema", "params", "estimator", "sim", "scenario", "out")
 
 # mc_samples floor for CLI (production) runs; library callers may go lower.
 MIN_PRODUCTION_MC_SAMPLES = 1000
 
 # rate thresholds the oracle searches, evenly spaced on [0, 2 x the solved one]
 ORACLE_POINTS = 500
-
-# config "kind" of each gain model of the "channel" section
-_HOPS = {"fixed": FixedGain, "rayleigh": RayleighFading}
-
 
 @dataclass
 class ExperimentConfig:
@@ -59,10 +52,9 @@ class ExperimentConfig:
     sim: SimConfig
     scenario: str
     out: Path | None = None
-    # optional per-hop gain overrides ("channel" config section); None means
-    # the default exponential fading derived from params
-    first_hop: object | None = None
-    second_hop: object | None = None
+    # Not fields: the CLI runs the Rayleigh hops of params. perfbench/child.py's
+    # probe reads these two; they go with the benchmark change of ROADMAP item 4.
+    first_hop = second_hop = None
 
     def echo(self) -> dict:
         return {
@@ -72,18 +64,7 @@ class ExperimentConfig:
             "sim": dataclasses.asdict(self.sim),
             "scenario": self.scenario,
             "out": str(self.out) if self.out else None,
-            "channel": {
-                "first_hop": _hop_echo(self.first_hop),
-                "second_hop": _hop_echo(self.second_hop),
-            },
         }
-
-
-def _hop_echo(hop) -> dict | None:
-    if hop is None:
-        return None
-    kind = next(k for k, cls in _HOPS.items() if type(hop) is cls)
-    return {"kind": kind, **dataclasses.asdict(hop)}
 
 
 @dataclass(frozen=True)
@@ -151,11 +132,8 @@ def load_config(path) -> ExperimentConfig:
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out: must be a path string or null, got {out!r}")
-    first_hop, second_hop = _build_channel(raw.get("channel", {}))
     return ExperimentConfig(params=params, estimator=estimator, sim=sim,
-                            scenario=scenario,
-                            out=Path(out) if out else None,
-                            first_hop=first_hop, second_hop=second_hop)
+                            scenario=scenario, out=Path(out) if out else None)
 
 
 def _build_section(name: str, section, cls, **defaults):
@@ -185,28 +163,6 @@ def _build_section(name: str, section, cls, **defaults):
         return cls(**kwargs)
     except RelayStopError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-
-
-def _build_channel(section):
-    if not isinstance(section, dict):
-        raise ConfigError("channel: must be an object")
-    unknown = set(section) - {"first_hop", "second_hop"}
-    if unknown:
-        raise ConfigError(f"channel: unknown fields {sorted(unknown)}")
-    return (_build_hop("channel.first_hop", section.get("first_hop")),
-            _build_hop("channel.second_hop", section.get("second_hop")))
-
-
-def _build_hop(name: str, section):
-    if section is None:
-        return None
-    if not isinstance(section, dict) or "kind" not in section:
-        raise ConfigError(f"{name}: must be an object with a 'kind' field")
-    fields = dict(section)
-    kind = fields.pop("kind")
-    if not isinstance(kind, str) or kind not in _HOPS:
-        raise ConfigError(f"{name}.kind: must be one of {sorted(_HOPS)}, got {kind!r}")
-    return _build_section(name, fields, _HOPS[kind])
 
 
 def _field_kinds(cls) -> dict:
@@ -253,15 +209,12 @@ def apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 def _solve_for_scenario(cfg: ExperimentConfig) -> tuple[ThresholdSolution, PolicySpec]:
     if cfg.scenario == "1":
-        sampler = full_csi_rate_sampler(cfg.params, cfg.first_hop, cfg.second_hop)
-        sol = solve_full_csi_lambda(cfg.params, cfg.estimator, rate_sampler=sampler)
+        sol = solve_full_csi_lambda(cfg.params, cfg.estimator)
         return sol, PolicySpec(PolicyKind.FULL_CSI, lambda_star=sol.value)
     if cfg.scenario == "2-intuitive":
-        sol = solve_main_gamma_intuitive(cfg.params, cfg.estimator,
-                                         first_hop=cfg.first_hop, second_hop=cfg.second_hop)
+        sol = solve_main_gamma_intuitive(cfg.params, cfg.estimator)
         return sol, PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=sol.value)
-    sol = solve_main_gamma_optimal(cfg.params, cfg.estimator,
-                                   first_hop=cfg.first_hop, second_hop=cfg.second_hop)
+    sol = solve_main_gamma_optimal(cfg.params, cfg.estimator)
     return sol, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=sol.value)
 
 
@@ -288,10 +241,8 @@ def cmd_solve(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
 
 def _run_simulation(cfg: ExperimentConfig, spec: PolicySpec) -> SimStats:
     if cfg.scenario == "1":
-        sampler = default_observations(cfg.params, cfg.first_hop, cfg.second_hop)
-        return run_scenario1(cfg.params, spec, cfg.sim, observation_sampler=sampler)
-    return run_scenario2(cfg.params, spec, cfg.sim, est=cfg.estimator,
-                         first_hop=cfg.first_hop, second_hop=cfg.second_hop)
+        return run_scenario1(cfg.params, spec, cfg.sim)
+    return run_scenario2(cfg.params, spec, cfg.sim, est=cfg.estimator)
 
 
 def _match_verdict(name: str, stats: SimStats, sol: ThresholdSolution, tol: float) -> Verdict:
@@ -324,14 +275,13 @@ def cmd_simulate(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
 
 
 def cmd_compare(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
-    hops = dict(first_hop=cfg.first_hop, second_hop=cfg.second_hop)
-    sol_int = solve_main_gamma_intuitive(cfg.params, cfg.estimator, **hops)
+    sol_int = solve_main_gamma_intuitive(cfg.params, cfg.estimator)
     # the coupled solve starts at the intuitive root, so it reuses this one
-    sol_opt = solve_main_gamma_optimal(cfg.params, cfg.estimator, start=sol_int, **hops)
+    sol_opt = solve_main_gamma_optimal(cfg.params, cfg.estimator, start=sol_int)
     spec_int = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=sol_int.value)
     spec_opt = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=sol_opt.value)
-    stats_int = run_scenario2(cfg.params, spec_int, cfg.sim, est=cfg.estimator, **hops)
-    stats_opt = run_scenario2(cfg.params, spec_opt, cfg.sim, est=cfg.estimator, **hops)
+    stats_int = run_scenario2(cfg.params, spec_int, cfg.sim, est=cfg.estimator)
+    stats_opt = run_scenario2(cfg.params, spec_opt, cfg.sim, est=cfg.estimator)
 
     pooled = math.hypot(stats_int.throughput_stderr, stats_opt.throughput_stderr)
     tol = cfg.estimator.tol
@@ -388,7 +338,7 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[ReportSu
         rows.append(row)
     summary = ReportSummary("sweep", cfg.scenario, cfg.sim.seed, {}, {"sweep": rows},
                             verdicts)
-    return summary, {"sweep.csv": partial(_write_sweep_csv, rows=rows)}
+    return summary, {}
 
 
 def cmd_oracle(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
@@ -397,9 +347,7 @@ def cmd_oracle(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
     sol, _ = _solve_for_scenario(cfg)
     rate_threshold = 2.0 * sol.value
     grid = np.linspace(0.0, 2.0 * rate_threshold, ORACLE_POINTS)
-    sampler = full_csi_rate_sampler(cfg.params, cfg.first_hop, cfg.second_hop)
-    best_th, best_tp = oracle_threshold_search(cfg.params, grid, cfg.estimator,
-                                               rate_sampler=sampler)
+    best_th, best_tp = oracle_threshold_search(cfg.params, grid, cfg.estimator)
     step = float(grid[1] - grid[0])
     verdicts = [
         Verdict("oracle_threshold_agreement",
@@ -444,17 +392,6 @@ def _write_packets_csv(path: Path, stats: SimStats) -> None:
             for j, column in enumerate(columns, start=1):
                 cells[j::7] = column[i:i + k].tolist()
             fh.write(_PACKET_ROW * k % tuple(cells))
-
-
-def _write_sweep_csv(path: Path, rows: list[dict]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "value", "threshold", "residual", "throughput", "stderr"])
-        for row in rows:
-            writer.writerow([row["axis"], row["value"], f"{row['threshold']:.12g}",
-                             f"{row['residual']:.3e}",
-                             "" if row["throughput"] is None else f"{row['throughput']:.12g}",
-                             "" if row["stderr"] is None else f"{row['stderr']:.6g}"])
 
 
 def _print_summary(summary: ReportSummary) -> None:

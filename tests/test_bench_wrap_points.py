@@ -6,8 +6,9 @@ child.py and run.py import further names from the package. A name that
 leaves the package breaks traced benchmark runs, so the first check runs the
 wrapping and resolves every such name in a fresh interpreter. The second runs
 each workload's command on a small copy of its config and applies the bench's
-own report and packet-log checks. Both only read perfbench/: ``-B`` keeps
-bytecode out of it.
+own report and packet-log checks. The third runs the ``--trace 1`` probe, which
+reads the loaded config and calls the batch solvers itself. All three only read
+perfbench/: ``-B`` keeps bytecode out of it.
 """
 
 import os
@@ -77,6 +78,24 @@ print("contract holds")
 """
 
 
+# child.py's probe on the stress_solve config at 1000 samples, at a gamma near
+# the solved one: each measured figure must come out finite and positive.
+PROBE = """
+import json, math, pathlib, sys
+
+import child, run
+
+cfg = json.loads((run.BENCH / "configs" / "stress_solve.json").read_text())
+cfg["estimator"]["mc_samples"] = 1000
+path = pathlib.Path(sys.argv[1]) / "stress_solve.json"
+path.write_text(json.dumps(cfg))
+out = child.probe(["solve", "--config", str(path), "--seed", "1"], 0.77)
+for key in ("w_batch_rows_per_s", "sub_layer_batch_rows_per_s", "coupled_peak_mb"):
+    assert math.isfinite(out[key]) and out[key] > 0, (key, out)
+print("probe runs")
+"""
+
+
 def run_with_bench(script, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
                                                        str(ROOT / "perfbench")]))
@@ -92,3 +111,7 @@ def test_bench_wrap_points_and_imports_resolve():
 
 def test_bench_workloads_meet_the_output_contract(tmp_path):
     assert run_with_bench(CONTRACT, str(tmp_path)) == "contract holds"
+
+
+def test_bench_probe_runs(tmp_path):
+    assert run_with_bench(PROBE, str(tmp_path)) == "probe runs"

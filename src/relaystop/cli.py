@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .channel import SystemParams
 from .errors import ConfigError, InvalidParameterError, RelayStopError
 from .policies import PolicyKind, PolicySpec
@@ -82,7 +83,9 @@ class Verdict:
 @dataclass
 class ReportSummary:
     """One command's report; the fields are summary.json's keys, in order.
-    ``main`` sets the command's runtime and the config echo."""
+    ``main`` sets the command's runtime, the config echo and the environment:
+    the Python, numpy and relaystop versions (numpy does not promise the same
+    random streams across versions)."""
 
     command: str
     scenario: str
@@ -92,6 +95,7 @@ class ReportSummary:
     verdicts: list[Verdict]
     runtime_s: float = 0.0
     config: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
@@ -372,26 +376,11 @@ def cmd_oracle(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
 # Output & entry point
 
 
-_PACKET_ROW = "%d,%d,%d,%.12g,%d,%.12g,%.12g\r\n"
-_CSV_BLOCK = 1024
-
-
 def _write_packets_csv(path: Path, stats: SimStats) -> None:
-    """The packet log in csv.writer's dialect: CRLF line ends, floats to 12
-    significant digits. Each block interleaves the columns into one tuple."""
-    n = stats.bits.size
-    columns = (stats.main_observations, stats.sub_observations, stats.rate_at_stop,
-               stats.relay, stats.elapsed, stats.bits)
-    with path.open("w", newline="") as fh:
-        fh.write("packet_index,main_observations,sub_observations,"
-                 "rate_at_stop,relay,elapsed,bits\r\n")
-        for i in range(0, n, _CSV_BLOCK):
-            k = min(_CSV_BLOCK, n - i)
-            cells = [None] * (7 * k)
-            cells[0::7] = range(i + 1, i + k + 1)
-            for j, column in enumerate(columns, start=1):
-                cells[j::7] = column[i:i + k].tolist()
-            fh.write(_PACKET_ROW * k % tuple(cells))
+    # imported here, so that commands that write no log do not load it
+    from .packetlog import write_packets_csv
+
+    write_packets_csv(path, stats)
 
 
 def _print_summary(summary: ReportSummary) -> None:
@@ -444,6 +433,8 @@ def main(argv=None) -> int:
         return 2
     summary.runtime_s = time.perf_counter() - t0
     summary.config = cfg.echo()
+    summary.environment = {"python": "%d.%d.%d" % sys.version_info[:3],
+                           "numpy": np.__version__, "relaystop": __version__}
     if cfg.out is not None:
         try:
             cfg.out.mkdir(parents=True, exist_ok=True)

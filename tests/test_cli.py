@@ -7,10 +7,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relaystop
 from relaystop import (
@@ -23,7 +26,7 @@ from relaystop import (
     run_scenario2,
     solve_main_gamma_optimal,
 )
-from relaystop import cli
+from relaystop import cli, packetlog
 from relaystop.cli import _write_packets_csv, load_config, main
 from .conftest import make_params
 
@@ -518,9 +521,11 @@ def test_packets_csv_reads_back_as_columns(tmp_path):
         np.testing.assert_allclose(table[:, j], column, rtol=5e-12, atol=0.0)
 
 
-def test_packets_csv_bytes_match_csv_writer(tmp_path):
+@pytest.mark.parametrize("block", [1000, 4096])
+def test_packets_csv_bytes_match_csv_writer(tmp_path, monkeypatch, block):
     # the block writer keeps csv.writer's dialect: CRLF, %.12g floats, plain ints,
     # across block boundaries and for values whose repr is not 12 digits
+    monkeypatch.setattr(packetlog, "_CSV_BLOCK", block)
     n = 9000
     rng = np.random.default_rng(11)
     special = np.array([0.0, -0.0, 1e-300, 1.0 / 3.0, 2.0**60, np.inf, np.nan, 123456789.125])
@@ -543,6 +548,80 @@ def test_packets_csv_bytes_match_csv_writer(tmp_path):
             writer.writerow([i, main_, sub, f"{rate:.12g}", relay,
                              f"{elapsed:.12g}", f"{bits:.12g}"])
     assert path.read_bytes() == ref.read_bytes()
+
+
+def _texts(slots):
+    return [cell.tobytes().replace(b"\0", b"").decode() for cell in slots.T]
+
+
+def _assert_float_cells(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert _texts(packetlog._float_slots(values)) == ["%.12g" % v for v in values.tolist()]
+
+
+# values where a float64 mantissa is closest to a wrong digit or a wrong layout
+FLOAT_EDGES = {
+    "13th-digit ties": [123456789012.5, 123456789013.5, 1000000000005.0, 1000000000015.0,
+                        3.814697265625, 2.0**-18, 0.5, 2.5],
+    "999999999999.5e-k..e+k": [999999999999.5 * 10.0**k for k in range(-24, 25)]
+                              + [99999999999.95 * 10.0**k for k in range(-24, 25)],
+    "10^k and 1 ulp either side": [np.nextafter(10.0**k, to) for k in range(-26, 36)
+                                   for to in (0.0, 10.0**k, np.inf)],
+    "notation switches": [1e-4, 1e-5, 9.99999999999e-5, 9.999999999995e-5,
+                          9.9999999999949e-5, 1e11, 1e12, 999999999999.4,
+                          999999999999.6, 99999999999.95, 123456789012.0],
+    "zeros, limits and non-finite": [0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                                     1.7976931348623157e308, 1e308, 1e-308, np.inf,
+                                     -np.inf, np.nan],
+}
+
+
+@pytest.mark.parametrize("edge", FLOAT_EDGES)
+def test_float_cells_match_percent_g_on_edge_cases(edge):
+    values = np.array(FLOAT_EDGES[edge])
+    _assert_float_cells(np.concatenate((values, -values)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+       st.lists(st.floats(1e-6, 1e14), max_size=64))
+def test_float_cells_match_percent_g(patterns, decimals):
+    # raw bit patterns cover subnormals, +-0, NaNs and +-inf; the decimal range
+    # is where the numpy path, not the fallback, formats most values
+    raw = np.array(patterns, dtype=np.uint64).view(np.float64)
+    _assert_float_cells(np.concatenate((raw, decimals)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=64))
+def test_int_cells_match_percent_d(values):
+    # the int64 limits, and zero quads below a leading digit
+    values += [-2**63, -1, 0, 2**53 + 1, 2**63 - 1, 10**4, 10**8 + 123, -10**16, 10**18]
+    assert _texts(packetlog._int_slots(np.array(values, dtype=np.int64))) == [
+        "%d" % v for v in values]
+
+
+# The writer's tracemalloc peak for the 6500-row log below (bilevel_compare's
+# size), with its module and lookup tables already loaded: 0.29 MB for the
+# former per-value % writer, 0.61 MB with the 2048-row blocks of the numpy
+# writer, 0.92 MB with 4096-row blocks. The budget fails a block twice the size.
+PACKET_LOG_PEAK_BUDGET = 0.8 * 2**20
+
+
+def test_packet_log_memory_stays_in_budget(tmp_path):
+    n = 6500
+    rng = np.random.default_rng(9)
+    rate = rng.exponential(2.0, n)
+    stats = SimStats(rng.geometric(0.3, n), rng.geometric(0.5, n), rate,
+                     rng.integers(1, 3, n), 1.0 + 0.1 * rng.geometric(0.2, n), 0.5 * rate,
+                     0.0, 0.0, 0.0, 0.0)
+    tracemalloc.start()
+    try:
+        _write_packets_csv(tmp_path / "packets.csv", stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PACKET_LOG_PEAK_BUDGET, f"peak {peak / 2**20:.2f} MB"
 
 
 @pytest.mark.parametrize("route", ["flag", "sim", "estimator"])
@@ -586,3 +665,16 @@ def test_cli_import_loads_no_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_defers_the_packet_log_module():
+    # commands that write no log (solve, sweep, oracle) do not load the
+    # formatter or build its tables
+    src = str(Path(relaystop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = "import sys, relaystop.cli; print('relaystop.packetlog' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

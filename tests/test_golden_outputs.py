@@ -4,7 +4,9 @@ Each case runs one command in-process through ``cli.main`` on a small copy of
 a bench config (1000 samples, 400 packets) and compares it with
 tests/golden_outputs.json: the exit code, the thresholds and results at full
 float precision, each verdict's name and pass flag, the sha256 of every output
-file, and that of summary.json without ``runtime_s`` and ``config.out``.
+file, and that of summary.json without ``runtime_s``, ``environment`` and
+``config.out``. Each case also checks that ``environment`` names this run's
+Python, numpy and relaystop versions.
 
 numpy does not promise the same random streams across versions (NEP 19), so
 the file records the Python and numpy versions it was made with, and every
@@ -23,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relaystop
 from relaystop import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,6 +61,9 @@ def run_case(name: str, tmp: Path) -> dict:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([command[0], "--config", str(path), *command[1:], "--out", str(out)])
     summary = json.loads((out / "summary.json").read_text())
+    assert summary.pop("environment") == {
+        "python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+        "relaystop": relaystop.__version__}
     del summary["runtime_s"], summary["config"]["out"]
     return {
         "exit": code,

@@ -29,6 +29,7 @@ from .simulator import SimConfig, SimStats, run_scenario1, run_scenario2
 from .solver import (
     EstimatorConfig,
     ThresholdSolution,
+    full_csi_rate_sampler,
     oracle_threshold_search,
     solve_full_csi_lambda,
     solve_main_gamma_intuitive,
@@ -348,7 +349,9 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[ReportSu
 def cmd_oracle(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
     if cfg.scenario != "1":
         raise ConfigError("oracle runs target scenario 1 only")
-    sol, _ = _solve_for_scenario(cfg)
+    # solved on the very sample the oracle searches, so that both verdicts
+    # compare the fixed point with brute force on one distribution
+    sol = solve_full_csi_lambda(cfg.params, cfg.estimator, full_csi_rate_sampler(cfg.params))
     rate_threshold = 2.0 * sol.value
     grid = np.linspace(0.0, 2.0 * rate_threshold, ORACLE_POINTS)
     best_th, best_tp = oracle_threshold_search(cfg.params, grid, cfg.estimator)

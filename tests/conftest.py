@@ -17,7 +17,8 @@ from relaystop import (
 )
 from relaystop.channel import rate_saturation
 from relaystop.policies import intuitive_main_decide, optimal_main_decide
-from relaystop.solver import CHUNK_ROWS, _as_rows, _draw_rates, _SecondHopKernel
+from relaystop.solver import (CHUNK_ROWS, _as_rows, _best_relay_excess_tail, _draw_rates,
+                              _SecondHopKernel)
 
 
 # A root search's failure: it names the worst row, its residual and its enclosure.
@@ -132,7 +133,7 @@ def simulate_contention_slots(rng: np.random.Generator, n: int, p: float,
     raise ContentionDeadlockError(f"no successful contention within {slot_cap} slots")
 
 
-# --- positive-part oracles: full CSI on the fixed sample, one relay-level row ---
+# --- positive-part oracles: full CSI, exact or on the fixed sample; one relay-level row
 
 
 def expected_positive_part_full_csi(params: SystemParams, lam: float | np.ndarray,
@@ -148,6 +149,17 @@ def expected_positive_part_full_csi(params: SystemParams, lam: float | np.ndarra
     t = params.data_time
     half_rates = 0.5 * t * _draw_rates(params, est, rate_sampler)
     out = [float(np.maximum(half_rates - x * t, 0.0).mean()) for x in lams.ravel()]
+    return out[0] if lams.ndim == 0 else np.array(out)
+
+
+def full_csi_residual(params: SystemParams, lam: float | np.ndarray) -> float | np.ndarray:
+    """The exact full-CSI residual (T/2) E[max(R - 2 lam, 0)] - lam tau / p_s that
+    ``solve_full_csi_lambda`` solves by default, from the closed-form tail;
+    an array of lam gives an array of residuals."""
+    lams = np.asarray(lam, dtype=float)
+    cost = params.slot_time / success_prob(params.num_sources, params.source_prob)
+    out = [0.5 * params.data_time * _best_relay_excess_tail(params, 2.0 * x)[0] - x * cost
+           for x in lams.ravel()]
     return out[0] if lams.ndim == 0 else np.array(out)
 
 

@@ -31,7 +31,7 @@ from relaystop import (
     success_prob,
 )
 from relaystop.channel import SystemParams, af_rate, rate_saturation
-from .conftest import discrete_rate_sampler, expected_positive_part_full_csi, reference_w
+from .conftest import discrete_rate_sampler, full_csi_residual, reference_w
 
 # Three standard exponential-channel configurations.
 CONFIG_A = SystemParams(num_sources=4, num_relays=2, source_power=10.0, relay_power=10.0,
@@ -68,11 +68,6 @@ def _report(num, name, checks):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def _full_residual(params, est, lam):
-    cost = params.slot_time / success_prob(params.num_sources, params.source_prob)
-    return expected_positive_part_full_csi(params, lam, est) - lam * cost
-
-
 @pytest.fixture(scope="module")
 def full_csi_solutions():
     out = {}
@@ -105,7 +100,7 @@ def test_criterion_1_fixed_point_correctness(full_csi_solutions):
         checks[f"{name}_residual"] = abs(sol.residual) <= 1e-6
         checks[f"{name}_runtime"] = runtime < 30.0
         grid = np.linspace(0.0, 2.0 * sol.bracket[1], 200)
-        signs = np.sign(_full_residual(params, EST_FULL, grid))  # one draw of the sample
+        signs = np.sign(full_csi_residual(params, grid))  # the exact residual solved
         nonzero = signs[signs != 0]
         checks[f"{name}_unique"] = int(np.sum(np.diff(nonzero) != 0)) == 1
     _report(1, "fixed-point correctness", checks)

@@ -667,6 +667,31 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_scenario1_solve_loads_no_random_scipy_or_polynomial():
+    # the exact full-CSI solve draws nothing and fits nothing at run time:
+    # importing relaystop.cli adds no numpy submodule to numpy's own, and a
+    # scenario-1 solve then loads neither numpy.random (17-22 ms on first use)
+    # nor numpy.polynomial nor scipy
+    src = str(Path(relaystop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    config = next(path for path in BENCH_CONFIGS if path.name == "full_csi_sim.json")
+    code = ("import contextlib, io, json, sys, numpy\n"
+            "def numpy_modules(): return {m for m in sys.modules if m.startswith('numpy.')}\n"
+            "bare = numpy_modules()\n"
+            "import relaystop.cli\n"
+            "added = sorted(numpy_modules() - bare)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = relaystop.cli.main(['solve', '--config', {str(config)!r}])\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "                or m.startswith(('numpy.random', 'numpy.polynomial')))\n"
+            "print(json.dumps([code, added, loaded]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, [], []]
+
+
 def test_cli_import_defers_the_packet_log_module():
     # commands that write no log (solve, sweep, oracle) do not load the
     # formatter or build its tables

@@ -9,6 +9,7 @@ from relaystop import (
     EstimatorConfig,
     FixedGain,
     SolverFailureError,
+    full_csi_rate_sampler,
     solve_full_csi_lambda,
     solve_main_gamma_intuitive,
     solve_main_gamma_optimal,
@@ -153,6 +154,16 @@ def test_time_unit_invariance_bilevel():
         base_opt.value, abs=5e-9)
 
 
+def solve_sampled_full_csi(params, est):
+    """The full-CSI solve on the seed's sample: the path of an explicit rate_sampler."""
+    return solve_full_csi_lambda(params, est, full_csi_rate_sampler(params))
+
+
+# every outer solve: the exact full-CSI one, the sampled one, and both bi-level ones
+OUTER_SOLVES = (solve_full_csi_lambda, solve_sampled_full_csi, solve_main_gamma_intuitive,
+                solve_main_gamma_optimal)
+
+
 def _outer_residuals(monkeypatch, solve, params, est):
     """Solve, and keep each (evaluate, cost) the solve passed to the outer engine."""
     engine = solver._solve_convex
@@ -171,12 +182,13 @@ def _outer_residuals(monkeypatch, solve, params, est):
 @pytest.mark.parametrize("params", [make_params(), STRESS], ids=["base", "stress"])
 def test_outer_slopes_match_finite_differences(monkeypatch, params):
     est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=3, tol=1e-12)
-    for solve in (solve_full_csi_lambda, solve_main_gamma_intuitive, solve_main_gamma_optimal):
+    for solve in OUTER_SOLVES:
         sol, seen = _outer_residuals(monkeypatch, solve, params, est)
         evaluate, _ = seen[-1]
-        # lambda* and the intuitive residual are piecewise linear, so h only
-        # has to beat rounding; the coupled one is smooth between kinks, and h
-        # keeps the inner solves' error (tol / h) small
+        # the sampled lambda* and the intuitive residual are piecewise linear,
+        # so h only has to beat rounding, as it does for the exact lambda*'s
+        # smooth one; the coupled one is smooth between kinks, and h keeps the
+        # inner solves' error (tol / h) small
         h = 1e-5 if solve is solve_main_gamma_optimal else 1e-7
         for x in (0.5 * sol.value, sol.value, 1.2 * sol.value):
             residual, slope, _ = evaluate(x)
@@ -191,7 +203,7 @@ def test_outer_slopes_match_finite_differences(monkeypatch, params):
 
 def test_outer_newton_from_right_of_the_root(monkeypatch):
     est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=3, tol=1e-6)
-    for solve in (solve_full_csi_lambda, solve_main_gamma_intuitive, solve_main_gamma_optimal):
+    for solve in OUTER_SOLVES:
         sol, seen = _outer_residuals(monkeypatch, solve, STRESS, est)
         evaluate, cost = seen[-1]
         assert evaluate(1.5 * sol.value)[0] < 0.0

@@ -10,9 +10,9 @@ hops has a closed-form tail (a Bessel K1 term), integrated by a fixed
 Gauss-Legendre rule. The two-part expectations are split by hop. Second-hop
 (single-gain) expectations are computed deterministically: the rate tail
 inverts in closed form for an exponential gain, and the positive part, its
-integral, is a difference of two exponential integrals, evaluated by a power
-series or a continued fraction. First-hop expectations use a fixed,
-seed-determined Monte Carlo sample that is reused for every candidate
+integral, is a difference of two exponential integrals, evaluated by a
+rational approximation on each of three ranges. First-hop expectations use a
+fixed, seed-determined Monte Carlo sample that is reused for every candidate
 threshold (common random numbers), so each realized residual is itself a
 convex decreasing function with a unique root.
 
@@ -424,13 +424,24 @@ class _SecondHopKernel:
                 f"{type(hop).__name__}")
 
     @cached_property
-    def e0(self) -> np.ndarray:  # E[max(R, 0)] = E[R] per row, one pass on first use
-        return self.excess_tail(np.zeros(self.rows.shape[0]))[0]
+    def e0(self) -> np.ndarray:
+        """E[max(R, 0)] = E[R] per row: ``excess_tail`` at theta = 0, bit for
+        bit, in closed form. There u0 = 0, so each Rayleigh relay term is
+        S(m) - S(kappa_j), m = 1/(Pr E|g|^2) one scalar: a relay with a = 0
+        has kappa = (1 + 0) m = m, a zero term as its u0 = inf gives, and
+        kappa = inf gives S(kappa) = 0."""
+        if self.point_mass:
+            return self.rates.mean(axis=1)
+        s = _scaled_exp1(self.kappa)
+        np.subtract(_scaled_exp1(np.array([self.inv_mean]))[0], s, out=s)
+        return s.mean(axis=1) / LN2
 
     def excess_tail(self, thetas: np.ndarray, idx=slice(None)):
         """(E[max(R - theta, 0)], P(R >= theta)) for the rows ``idx``.
 
-        thetas may be negative; the tail is 1 for theta <= 0. For Rayleigh
+        thetas may be negative; for theta <= 0 the tail is 1 and the excess
+        is excess(0) - theta, with excess(0) computed as at theta = 0 (so
+        equal to ``e0``) in both paths. For Rayleigh
         fading the rate tail above x is exp(-kappa u), u = c / (a - c),
         c = 2^x - 1, a = Ps |f|^2, kappa = (1 + a) / (Pr E|g|^2), and
         substituting u for x turns its integral above lo = clip(theta, 0,
@@ -441,13 +452,15 @@ class _SecondHopKernel:
         thetas = np.asarray(thetas, dtype=float)
         if self.point_mass:
             rates = self.rates[idx]
-            excess = np.maximum(rates - thetas[:, None], 0.0).mean(axis=1)
+            lo = np.maximum(thetas, 0.0)[:, None]
+            excess = np.maximum(rates - lo, 0.0).mean(axis=1) + np.maximum(-thetas, 0.0)
             hit = (rates >= thetas[:, None]).mean(axis=1)
         else:
             lo = np.minimum(np.maximum(thetas, 0.0)[:, None], self.sat[idx])
             c = np.expm1(lo * LN2)
             gap = self.a[idx] - c
             u = np.divide(c, gap, out=np.full_like(c, np.inf), where=gap > 0.0)
+            del lo, c, gap  # freed before the S pass, where a solve's memory peaks
             with np.errstate(over="ignore"):  # kappa u0 = inf is a zero tail
                 u *= self.scale[idx]
                 u *= self.inv_mean  # kappa u0, never inf * 0 where kappa overflows
@@ -464,51 +477,91 @@ class _SecondHopKernel:
         return excess, np.where(thetas <= 0.0, 1.0, hit)
 
 
-# S(z) = e^z E1(z) takes the power series E1 = -gamma - ln z + sum c_k z^k
-# (A&S 5.1.11) below SERIES_TOP and the continued fraction
-# S = 1/(z+1- 1/(z+3- 4/(z+5- ...))) (A&S 5.1.22, contracted) from it on.
-# Below z = 4 the series alternates with falling terms, so its first omitted
-# term, 3^30/(30 30!) = 3e-20 at the split, bounds the truncation, under eps
-# E1(3); rounding costs up to ~230 ulp there, by cancellation. 38 terms of
-# the fraction hold full precision from z = 3 up (checked against 30-digit
-# values); at z = inf every term is 0.
-SERIES_TOP = 3.0
-_EIN = tuple((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 30))
-_FRACTION_TERMS = 38
+# S(z) = e^z E1(z) in the three ranges of Cody and Thacher ("Rational
+# Chebyshev approximations for the exponential integral E1(x)", Math. Comp.
+# 22, 1968), each a rational function P/Q:
+#   [0, 1):   e^z (z P(z)/Q(z) - gamma - ln z), P/Q = Ein(z)/z of A&S 5.1.11,
+#             degree 5/5 pinned to 1 at z = 0;
+#   [1, 4):   P(z)/Q(z), degree 7/7;
+#   [4, inf): 1/(z + 1 + t P(t)/Q(t)), t = 4/z, degree 7/7 pinned to -1/4 at
+#             t = 0. This is (1/z) R(4/z) with R -> 1, so S(inf) = 0; and as
+#             1/(z + 1) < S < 1/z (A&S 5.1.19) puts 1/S - z in (0, 1), the
+#             monotone roundings of 1 + t P/Q <= 1 and of its sum with z keep
+#             both bounds in float.
+# Each P/Q minimizes the relative error at 40 Chebyshev nodes by linear least
+# squares in 40-digit mpmath, reweighted by the last Q until it is a fixed
+# point (Loeb's iteration; tests/test_solver_sublayer.py re-fits them). S then
+# holds 9e-16 (4 eps) relative against mpmath; the worst is near z = 1, where
+# E1 = 0.22 is a difference of terms near 0.8 and 0.58. Coefficients run from
+# degree 0 up: (numerator, denominator).
+S_SPLITS = (1.0, 4.0)
+_S_EIN = (
+    (1.0, 0.1696426669078605, 0.027801377149785554, 0.0014495116716835956,
+     6.712094630274773e-05, -6.00294182607644e-08),
+    (1.0, 0.4196426669078605, 0.07715648832119458, 0.007841818923777406,
+     0.0004457152173863081, 1.1502625130168948e-05),
+)
+_S_MID = (
+    (4.4120012090465535, 96.63695352644798, 462.7361507938449, 757.5408872617072,
+     491.8434603077832, 127.33035875230476, 10.71030291241369, 8.965032692390086e-07),
+    (1.0, 41.578139227153656, 343.54457778114397, 974.6830229925903,
+     1153.8957095906244, 608.4842307997543, 138.03948786150025, 10.710349427248248),
+)
+_S_TAIL = (
+    (-0.25, -2.483509424300998, -8.937884349215292, -14.520067954211916,
+     -10.808314356002992, -3.3053565108617136, -0.29964398014282045,
+     -0.0009344011148916101),
+    (1.0, 10.684037697202989, 42.95206566996113, 82.72291542665114, 80.42871419636629,
+     38.10712613544158, 7.716156859420145, 0.4694785790265365),
+)
+# each as (p_k, q_k) columns, top degree first, for _rational
+_S_EIN_COLS, _S_MID_COLS, _S_TAIL_COLS = (np.array(fit).T[::-1, :, None].copy()
+                                          for fit in (_S_EIN, _S_MID, _S_TAIL))
+
+
+def _rational(columns: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """P(x)/Q(x) by Horner's rule on both at once."""
+    acc = np.empty((2, x.size))
+    acc[...] = columns[0]
+    for col in columns[1:]:
+        acc *= x
+        acc += col
+    return np.divide(acc[0], acc[1], out=acc[0])
 
 
 def _scaled_exp1(z: np.ndarray) -> np.ndarray:
-    """S(z) = e^z E1(z) elementwise for z > 0, with S(inf) = 0.
+    """S(z) = e^z E1(z) elementwise for z > 0, with S(inf) = 0 and NaN for NaN.
 
-    z = inf, a relay with no rate above the threshold, runs neither branch:
-    the fraction would return exactly 0 there.
+    Each range gathers its entries by index (a boolean-mask gather and
+    scatter cost several times more on mixed ranges); NaN falls in [1, 4).
     """
-    out = np.zeros_like(z)
-    low = z < SERIES_TOP
-    if low.any():
-        x = z[low]
-        acc = np.full_like(x, _EIN[-1])
-        for coef in _EIN[-2::-1]:
-            acc *= x
-            acc += coef
-        acc *= x
-        acc -= np.log(x)
-        acc -= _EULER_GAMMA
-        acc *= np.exp(x)
-        out[low] = acc
-    high = ~low
-    high &= z != np.inf  # NaN stays in the fraction, so it reaches the caller
-    if high.any():
-        x = z[high]
-        t = np.zeros_like(x)
-        for k in range(_FRACTION_TERMS, 0, -1):
-            np.subtract(x, t, out=t)
-            t += 2 * k + 1
-            np.divide(k * k, t, out=t)
-        np.subtract(x, t, out=t)
-        t += 1.0
-        out[high] = np.divide(1.0, t, out=t)
-    return out
+    flat = z.reshape(-1)
+    out = np.empty_like(flat)
+    low = flat < S_SPLITS[0]
+    high = flat >= S_SPLITS[1]
+    mid = np.logical_not(low | high)
+    i = low.nonzero()[0]
+    if i.size:
+        x = flat.take(i)
+        r = _rational(_S_EIN_COLS, x)
+        r *= x
+        r -= _EULER_GAMMA
+        r -= np.log(x)
+        r *= np.exp(x, out=x)
+        out[i] = r
+    i = mid.nonzero()[0]
+    if i.size:
+        out[i] = _rational(_S_MID_COLS, flat.take(i))
+    i = high.nonzero()[0]
+    if i.size:
+        x = flat.take(i)
+        t = np.divide(4.0, x)
+        r = _rational(_S_TAIL_COLS, t)
+        r *= t
+        r += 1.0
+        r += x
+        out[i] = np.divide(1.0, r, out=r)
+    return out.reshape(z.shape)
 
 
 def _as_rows(f_sq, num_relays: int) -> np.ndarray:
@@ -727,8 +780,12 @@ def _newton_rows(kernels, cost_slope: float, target: float, est: EstimatorConfig
     The slope is -(tail + cost_slope); the top saturation rate, where excess
     vanishes, is a closed-form upper end. Rows with target >= excess(0) are
     solved exactly on the linear branch theta <= 0; the rest start at 0 or at
-    ``start`` (clamped to [0, sat]). Tolerances are in caller units via
-    ``theta_scale``, T/2 for reward solves. A failure names the sample row.
+    ``start`` (clamped to [0, sat]). Without ``start`` every first point has
+    theta <= 0, where the excess is e0 - theta and the tail 1, so the first
+    iteration runs on those values with no kernel pass: it leaves each row
+    off the linear branch at its Newton step from 0, (e0 - target) / (1 +
+    cost_slope). Tolerances are in caller units via ``theta_scale``, T/2 for
+    reward solves. A failure names the sample row.
     """
     parts, iters, kernel_rows, row0 = [], 0, 0, 0
     for kernel in kernels:
@@ -739,7 +796,9 @@ def _newton_rows(kernels, cost_slope: float, target: float, est: EstimatorConfig
         th = np.where(linear, lo, 0.0 if start is None
                       else np.clip(start[row0:row0 + n], 0.0, kernel.sat_top))
         hi = np.maximum(th, kernel.sat_top)
-        tail = np.empty_like(lo)
+        tail = np.ones_like(lo)  # the tail at theta <= 0, for rows done with no pass
+        first = None if start is not None else (  # the residual's arithmetic at th <= 0
+            e0 + np.maximum(-th, 0.0) - cost_slope * th - target, np.full(n, 1.0 + cost_slope))
 
         def residual(th, rows):
             nonlocal kernel_rows
@@ -749,7 +808,8 @@ def _newton_rows(kernels, cost_slope: float, target: float, est: EstimatorConfig
             return excess - cost_slope * th - target, p + cost_slope
 
         theta, f, _, _, n_iter = _newton(residual, th, lo, hi, -cost_slope * hi - target,
-                                         est.tol, theta_scale, "relay-level rows", row0=row0)
+                                         est.tol, theta_scale, "relay-level rows", row0=row0,
+                                         first=first)
         parts.append((theta, tail, f))
         iters += n_iter
         row0 += n
@@ -757,7 +817,7 @@ def _newton_rows(kernels, cost_slope: float, target: float, est: EstimatorConfig
 
 
 def _newton(residual, x, lo, hi, f_hi, tol: float, scale: float, name: str, cost: float = 0.0,
-            row0: int = 0):
+            row0: int = 0, first=None):
     """Guarded Newton on a batch of convex decreasing residuals, a root per row.
 
     ``residual(x, rows)`` returns (f, -f') for the rows still iterating (an
@@ -770,15 +830,18 @@ def _newton(residual, x, lo, hi, f_hi, tol: float, scale: float, name: str, cost
     root; the Newton step is taken if it covers 1/8 of the chord or at most
     half the last step, else the row bisects (Newton crawls at a singularity).
     Converged rows (|f| and the enclosure inside tol, in caller units via
-    ``scale``) leave the residual passes. Returns (x, f, lower, upper,
-    iterations): per row the root, its residual and enclosure. A non-finite
+    ``scale``) leave the residual passes. A caller that holds (f, -f') at x
+    for every row passes it as ``first``, and the first iteration takes it
+    instead of a pass. Returns (x, f, lower, upper, iterations): per row the
+    root, its residual and enclosure, then the residual passes. A non-finite
     residual or MAX_ITER iterations raise SolverFailureError naming the
     worst row, counted from ``row0``.
     """
     out = np.empty((4, x.size))
     idx, th, prev = np.arange(x.size), x, np.full(x.size, math.inf)
-    for iters in range(1, MAX_ITER + 1):
-        f, d = residual(th, idx if idx.size < x.size else slice(None))  # no gathers while all iterate
+    for iters in range(1 if first is None else 0, MAX_ITER + 1):
+        # no gathers while all iterate
+        f, d = residual(th, idx if idx.size < x.size else slice(None)) if iters else first
         if not np.isfinite(f).all():
             break
         pos, neg = f > 0.0, f < 0.0

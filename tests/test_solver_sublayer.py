@@ -109,32 +109,122 @@ def test_excess_point_mass_hook():
         assert got == pytest.approx(max(UNIT_RATE - lam, 0.0), abs=1e-12)
 
 
+# S(z) = e^z E1(z) holds S_TOL relative against mpmath. Its worst is in
+# [0, 1): e^z (z P/Q - gamma - ln z) rounds z P/Q (about 0.8 near z = 1) and
+# gamma (0.58) to about 1.5 eps of their size, which E1(1) = 0.22 magnifies
+# 3.6-fold, and ln, exp and the product add an eps each: 5.5 eps (4 measured).
+S_TOL = 5.5 * np.finfo(float).eps
+
+
+def _s_splits_and_neighbours():
+    """Each split of S and the 4 floats on either side of it."""
+    out = []
+    for split in solver.S_SPLITS:
+        below = above = split
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            out += [below, above]
+        out.append(split)
+    return np.array(out)
+
+
 def test_scaled_exp1_matches_scipy():
-    # S(z) = e^z E1(z) against scipy.special on [1e-12, 700], densely around
-    # the series/continued-fraction split; above 700 E1 underflows, so S is
-    # held to 1/(z+1) < S < 1/z (A&S 5.1.19), which merge in float for z > 1e8
+    # S against scipy.special on [1e-12, 700], densely around both splits;
+    # above 700 E1 underflows, so S is held to 1/(z+1) < S < 1/z (A&S
+    # 5.1.19), which merge in float for z > 1e8. scipy's e^z exp1(z) is
+    # within 1.7e-15 of mpmath here (measured, the worst near z = 1), so the
+    # two agree within S_TOL + 1.7e-15 = 3e-15 (1.8e-15 measured)
     from scipy import special
 
     z = np.concatenate([np.geomspace(1e-12, 700.0, 4001),
-                        np.linspace(0.9, 1.1, 201) * solver.SERIES_TOP])
+                        *(np.linspace(0.9, 1.1, 201) * split for split in solver.S_SPLITS),
+                        _s_splits_and_neighbours()])
     s = solver._scaled_exp1(z)
-    # below the split the series sums terms of total size sum |c_k| z^k +
-    # gamma + |ln z| (about 10 at z = 3) to E1(3) = 0.013, so rounding can
-    # reach 760 eps = 1.7e-13 there (5e-14 measured); elsewhere a few eps
-    np.testing.assert_allclose(s, np.exp(z) * special.exp1(z), rtol=1.7e-13, atol=0.0)
+    np.testing.assert_allclose(s, np.exp(z) * special.exp1(z), rtol=3e-15, atol=0.0)
     big = np.geomspace(700.0, 1e300, 601)
     s = solver._scaled_exp1(np.append(big, np.inf))
     assert np.all((1.0 / (big + 1.0) <= s[:-1]) & (s[:-1] <= 1.0 / big)) and s[-1] == 0.0
     strict = big < 1e8
     assert np.all((1.0 / (big[strict] + 1.0) < s[:-1][strict])
                   & (s[:-1][strict] < 1.0 / big[strict]))
-    # one branch only, no branch, and nothing to evaluate
-    low = np.geomspace(1e-12, 0.999 * solver.SERIES_TOP, 301)
-    np.testing.assert_allclose(solver._scaled_exp1(low), np.exp(low) * special.exp1(low),
-                               rtol=1.7e-13, atol=0.0)
+    # one range only, no range, NaN, and nothing to evaluate
+    for lo, hi in zip((1e-12, *solver.S_SPLITS), (*solver.S_SPLITS, 700.0)):
+        part = np.geomspace(lo, np.nextafter(hi, 0.0), 301)
+        np.testing.assert_allclose(solver._scaled_exp1(part), np.exp(part) * special.exp1(part),
+                                   rtol=3e-15, atol=0.0)
     assert np.array_equal(solver._scaled_exp1(np.full((2, 3), np.inf)), np.zeros((2, 3)))
+    assert np.isnan(solver._scaled_exp1(np.array([0.5, np.nan, 7.0]))).tolist() == [
+        False, True, False]
     empty = solver._scaled_exp1(np.empty((2, 0)))
     assert empty.shape == (2, 0) and empty.dtype == float
+
+
+def test_scaled_exp1_matches_mpmath_and_holds_the_bounds():
+    # a dense log grid from 1e-12 to 1e8 and each split +- 4 ulp, against
+    # 40-digit values; then 1/(z+1) < S < 1/z on a dense grid above 700, as
+    # long as the bounds lie more than a few eps apart from S (their gap
+    # to S is about S/z, so up to z = 1e7), and <= beyond
+    import mpmath
+
+    z = np.concatenate([np.geomspace(1e-12, 1e8, 2001), _s_splits_and_neighbours()])
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.exp(v) * mpmath.e1(v)) for v in map(mpmath.mpf, z)])
+    np.testing.assert_allclose(solver._scaled_exp1(z), want, rtol=S_TOL, atol=0.0)
+    big = np.geomspace(700.0, 1e7, 20001)
+    s = solver._scaled_exp1(big)
+    assert np.all((1.0 / (big + 1.0) < s) & (s < 1.0 / big))
+    big = np.geomspace(1e7, 1e308, 20001)
+    s = solver._scaled_exp1(big)
+    assert np.all((1.0 / (big + 1.0) <= s) & (s <= 1.0 / big))
+
+
+def _fit_rational(f, a, b, degree, p0=None, nodes=40, rounds=16):
+    """P/Q of the given degree on [a, b], Q(0) = 1 (and P(0) = p0 if given),
+    minimizing the relative error at Chebyshev nodes by linear least squares
+    on P - f Q, weighted by 1 / (f Q) with the last round's Q (Loeb's
+    iteration; 16 rounds reach its fixed point to 1e-22)."""
+    import mpmath
+
+    xs = [(a + b) / 2 + (b - a) / 2 * mpmath.cos(mpmath.pi * (k + mpmath.mpf(1) / 2) / nodes)
+          for k in range(nodes)]
+    fs = [f(x) for x in xs]
+    low = 0 if p0 is None else 1
+    q = [mpmath.mpf(1)]
+    for _ in range(rounds):
+        rows, rhs = [], []
+        for x, v in zip(xs, fs):
+            w = 1 / (v * mpmath.polyval(q[::-1], x))
+            rows.append([w * x ** i for i in range(low, degree + 1)]
+                        + [-w * v * x ** j for j in range(1, degree + 1)])
+            rhs.append(w * (v if p0 is None else v - p0))
+        sol = mpmath.qr_solve(mpmath.matrix(rows), mpmath.matrix(rhs))[0]
+        p = ([] if p0 is None else [mpmath.mpf(p0)]) + [sol[i] for i in range(degree + 1 - low)]
+        q = [mpmath.mpf(1)] + [sol[degree + 1 - low + j] for j in range(degree)]
+    return [float(c) for c in p], [float(c) for c in q]
+
+
+def test_scaled_exp1_rational_fits_reproduce():
+    # the committed coefficients of the three ranges are _fit_rational's in
+    # 40-digit arithmetic, of Ein(z)/z on [0, 1], S on [1, 4], and
+    # (1/S(4/t) - 4/t - 1)/t on (0, 1] (see the solver's comment)
+    import mpmath
+
+    def scaled(z):
+        return mpmath.exp(z) * mpmath.e1(z)
+
+    with mpmath.workdps(40):
+        fits = [
+            (solver._S_EIN, _fit_rational(
+                lambda z: (mpmath.e1(z) + mpmath.euler + mpmath.log(z)) / z,
+                mpmath.mpf(0), mpmath.mpf(1), 5, p0=1)),
+            (solver._S_MID, _fit_rational(scaled, mpmath.mpf(1), mpmath.mpf(4), 7)),
+            (solver._S_TAIL, _fit_rational(lambda t: (1 / scaled(4 / t) - 4 / t - 1) / t,
+                                           mpmath.mpf(0), mpmath.mpf(1), 7,
+                                           p0=mpmath.mpf(-1) / 4)),
+        ]
+    for committed, refit in fits:
+        for got, want in zip(committed, refit):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 def _reference_tail(x, a, kappa):
@@ -180,9 +270,10 @@ def test_excess_and_tail_match_quadrature_reference(snr):
                 if lo < sat:
                     want_excess += _reference_excess(lo, a, kappa, sat) / 2.0
                 want_tail += (1.0 if theta <= 0.0 else _reference_tail(lo, a, kappa)) / 2.0
-            # each S carries at most 1.7e-13 S(3) = 4.4e-14 near the split (see
-            # above) and a few eps elsewhere, so the excess at most 2 x 4.4e-14 / ln 2
-            assert got_excess == pytest.approx(want_excess, rel=2e-13, abs=2e-13), (i, theta)
+            # each S is within S_TOL relative (see above) and at most S(2e-6) =
+            # 12.6 here, as z >= 1/(Pr E|g|^2) = 2e-6, so the excess is within
+            # 2 x 12.6 S_TOL / ln 2 = 4.4e-14 (5e-16 measured against quad)
+            assert got_excess == pytest.approx(want_excess, rel=5e-14, abs=5e-14), (i, theta)
             assert got_tail == pytest.approx(want_tail, rel=1e-12, abs=1e-300), (i, theta)
 
 
@@ -219,8 +310,8 @@ def test_excess_slope_is_minus_tail(snr):
     slope = central(h)
     # the difference's own error: truncation, which is O(h^2), estimated
     # from the step 2h by Richardson; and the excess's absolute error
-    # (2e-13, the bound above) over h
-    tol = np.abs(central(2.0 * h) - slope) + 2e-13 / h
+    # (5e-14, the bound above) over h
+    tol = np.abs(central(2.0 * h) - slope) + 5e-14 / h
     assert keep.sum() >= 30
     assert np.all(np.abs(slope + tail)[keep] <= tol[keep]), np.max(np.abs(slope + tail)[keep])
 
@@ -532,9 +623,52 @@ def test_row_right_of_the_root_steps_to_its_tangent_point(cost):
     np.testing.assert_array_equal(passes[1], tangent)
 
 
+@pytest.mark.parametrize("name", [*ENGINE_CASES, "kappa_inf"])
+def test_e0_is_the_excess_pass_at_zero_bit_for_bit(name):
+    # the closed form S(m) - S(kappa_j) per relay against the pass, with rows
+    # of a = 0 (every relay, and one) and one past GAIN_CAP, whose kappa
+    # overflows in "kappa_inf"
+    params, hop = {**ENGINE_CASES, "kappa_inf": (make_params(
+        source_power=1e6, relay_power=1e-2, second_hop_mean_gain=0.2), None)}[name]
+    rows = np.random.default_rng(11).exponential(params.first_hop_mean_gain,
+                                                 (50, params.num_relays))
+    rows[0] = 0.0
+    rows[1, 0] = 0.0
+    rows[2, -1] = 1e305
+    kernel = solver._SecondHopKernel(params, rows, hop)
+    if name == "kappa_inf":
+        assert np.isinf(kernel.kappa[2, -1])
+    assert kernel.e0.tobytes() == kernel.excess_tail(np.zeros(rows.shape[0]))[0].tobytes()
+
+
+@pytest.mark.parametrize("cost", ["reward", "reward/10", "throughput"])
+@pytest.mark.parametrize("name", list(ENGINE_CASES))
+def test_cold_rows_start_from_the_first_step_bit_for_bit(name, cost):
+    # without a start the first iteration runs on e0 and tail 1 at theta <= 0;
+    # a start of zeros evaluates them there: the same roots, tails and
+    # residuals, with one pass and rows x L kernel rows more. The reward
+    # target at the median E[R] puts half the rows on the linear branch; at a
+    # tenth of it, some "stress" rows bisect after their first step, as the
+    # step history of the first iteration requires
+    params, kernel = _engine_kernel(name)
+    slope = params.slot_time / (params.data_time
+                                * success_prob(params.num_relays, params.relay_prob))
+    if cost == "throughput":
+        cost_slope, target = slope, 0.0
+    else:
+        cost_slope = 0.0
+        target = float(np.median(kernel.e0)) / (10.0 if cost == "reward/10" else 1.0)
+    cold = solver._newton_rows([kernel], cost_slope, target, EST, 1.0)
+    zeros = solver._newton_rows([kernel], cost_slope, target, EST, 1.0,
+                                np.zeros(kernel.rows.shape[0]))
+    for got, want in zip(cold[:3], zeros[:3]):
+        assert got.tobytes() == want.tobytes()
+    assert cold[3] == zeros[3] - 1
+    assert cold[4] == zeros[4] - kernel.rows.size
+
+
 def test_non_finite_target_fails_after_one_pass():
     _, kernel = _engine_kernel("base", rows=40)
-    kernel.e0  # the E[R] pass, made before counting
     passes = []
     excess_tail = kernel.excess_tail
 

@@ -7,7 +7,8 @@ contention draw (``relaystop.contention``) and the stop predicates
 (``relaystop.policies``) stay public in their own modules.
 """
 
-from .channel import FixedGain, RayleighFading, SystemParams
+from .channel import (FixedGain, RayleighFading, SystemParams, default_observations,
+                      full_csi_rate_sampler)
 from .contention import success_prob
 from .errors import (CappedPacketError, ConfigError, ContentionDeadlockError,
                      InvalidParameterError, PolicyMismatchError, RelayStopError,
@@ -15,7 +16,6 @@ from .errors import (CappedPacketError, ConfigError, ContentionDeadlockError,
 from .policies import PolicyKind, PolicySpec
 from .simulator import SimConfig, SimStats, run_scenario1, run_scenario2
 from .solver import (EstimatorConfig, SubLayerStats, ThresholdSolution,
-                     default_observations, full_csi_rate_sampler,
                      oracle_threshold_search, solve_full_csi_lambda,
                      solve_main_gamma_intuitive, solve_main_gamma_optimal,
                      solve_sub_layer_batch, solve_sub_w_batch)

@@ -1,21 +1,32 @@
-"""Two-hop relay channel model: gain sampling and amplify-and-forward rates.
+"""Two-hop relay channel model: hop models, their laws and draws, and AF rates.
 
 Rates are in bits/s/Hz, times in arbitrary consistent units. Squared channel
 gains are sampled directly as exponential variates (the squared magnitude of
 a zero-mean complex Gaussian); phases never enter a rate formula, so they are
 never materialized. Relay indices are 1-based throughout, matching node
 numbering in the protocol.
+
+A hop model is any object with a ``sample(rng, size)`` method, all that a
+first hop or the best-relay draw needs. A second hop of the relay-level
+solvers also has ``relay_kernel(params, rows)``, the law of the winning
+relay's rate given first-hop rows: Rayleigh fading (the paper's channel) by
+exponential integrals, a ``FixedGain`` point mass exactly. ``hop_models``
+resolves omitted hops to Rayleigh fading with the mean gains of ``params``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
 LN2 = math.log(2.0)
+
+# Euler's constant, in the series of E1 and K1
+EULER_GAMMA = 0.5772156649015329
 
 # Rates saturate long before gains this large; the cap only keeps products
 # finite for adversarial inputs.
@@ -99,6 +110,9 @@ class RayleighFading:
     def sample(self, rng: np.random.Generator, size=None):
         return rng.exponential(self.mean_gain, size)
 
+    def relay_kernel(self, params: SystemParams, rows: np.ndarray) -> _RayleighKernel:
+        return _RayleighKernel(params, rows, self.mean_gain)
+
 
 @dataclass(frozen=True)
 class FixedGain:
@@ -114,6 +128,73 @@ class FixedGain:
         if size is None:
             return self.gain
         return np.full(size, self.gain, dtype=float)
+
+    def relay_kernel(self, params: SystemParams, rows: np.ndarray) -> _PointMassKernel:
+        return _PointMassKernel(params, rows, self.gain)
+
+
+def hop_models(params: SystemParams, first_hop=None, second_hop=None):
+    """The (first, second) hop models; a None is Rayleigh fading of params' mean gain."""
+    return (first_hop if first_hop is not None else RayleighFading(params.first_hop_mean_gain),
+            second_hop if second_hop is not None else RayleighFading(params.second_hop_mean_gain))
+
+
+def second_hop_kernel(params: SystemParams, rows: np.ndarray, second_hop=None):
+    """The second hop's ``relay_kernel`` on checked first-hop ``rows``, if it has one."""
+    hop = hop_models(params, second_hop=second_hop)[1]
+    if not hasattr(hop, "relay_kernel"):
+        raise InvalidParameterError(
+            f"second hop must be RayleighFading or FixedGain, got {type(hop).__name__}")
+    return hop.relay_kernel(params, rows)
+
+
+def as_rows(f_sq, num_relays: int) -> np.ndarray:
+    """First-hop gains as rows of ``num_relays`` gains; a 1-D array is one row."""
+    arr = np.asarray(f_sq, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    if arr.ndim != 2 or arr.shape[1] != num_relays:
+        raise InvalidParameterError(f"first-hop gains must be rows of num_relays = "
+                                    f"{num_relays} gains, got shape {np.shape(f_sq)}")
+    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        raise InvalidParameterError("first-hop gains must be finite and >= 0")
+    return arr
+
+
+def sample_first_hop_rows(params: SystemParams, rng: np.random.Generator, n: int,
+                          first_hop=None) -> np.ndarray:
+    """n checked rows of first-hop gains, one n x L draw of the first hop."""
+    model = hop_models(params, first_hop)[0]
+    return as_rows(model.sample(rng, (n, params.num_relays)), params.num_relays)
+
+
+def default_observations(params: SystemParams, first_hop=None, second_hop=None):
+    """Joint sampler of (best rate, 1-based best relay) per full-CSI observation.
+
+    Draws the n x L first-hop block, then the n x L second-hop block, from
+    one generator; ties go to the lowest relay index.
+    """
+    fh, sh = hop_models(params, first_hop, second_hop)
+
+    def sampler(rng: np.random.Generator, n: int):
+        shape = (n, params.num_relays)
+        rates = af_rate(params.source_power, params.relay_power,
+                        np.atleast_2d(fh.sample(rng, shape)),
+                        np.atleast_2d(sh.sample(rng, shape)))
+        best = rates.argmax(axis=1)
+        return rates[np.arange(n), best], best + 1
+
+    return sampler
+
+
+def full_csi_rate_sampler(params: SystemParams, first_hop=None, second_hop=None):
+    """Sampler of the best-relay rate under both hops drawn fresh."""
+    observations = default_observations(params, first_hop, second_hop)
+
+    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
+        return observations(rng, n)[0]
+
+    return sampler
 
 
 def af_rate(source_power, relay_power, f_sq, g_sq):
@@ -155,3 +236,178 @@ def _clip_gains(name: str, values):
     if np.any(arr < 0.0) or np.any(np.isnan(arr)):
         raise InvalidParameterError(f"{name} must be >= 0")
     return np.minimum(arr, GAIN_CAP)
+
+
+# ---------------------------------------------------------------------------
+# Second-hop kernels (relay-level observation rate)
+#
+# Conditioned on first-hop gains, the winning relay of a contention round is
+# uniform and its second-hop gain is a fresh draw, so
+#   P(R_m >= x) = (1/L) sum_j tail(gain needed for rate x at relay j)
+# and E[max(R_m - x, 0)] is the integral of that tail above x (plus a linear
+# part for x < 0, where the positive part is the identity).
+#
+# A kernel precomputes what does not depend on the threshold for a block of
+# first-hop ``rows``. It gives ``sat_top``, the top saturation rate per row,
+# ``e0`` = E[R] per row, and ``excess_tail(thetas, idx)``, one closed-form
+# pass giving (E[max(R - theta, 0)], P(R >= theta)) for the rows ``idx``; at
+# theta <= 0 these are e0 - theta, bit for bit, and 1. A kernel holds no
+# scratch state; its lazy ``e0`` is the same whichever thread computes it.
+
+
+class _PointMassKernel:
+    """Point-mass second hop: each relay's rate is fixed, so both are exact means."""
+
+    def __init__(self, params: SystemParams, rows: np.ndarray, gain: float):
+        self.rows = rows
+        self.rates = af_rate(params.source_power, params.relay_power, rows, gain)
+        self.sat_top = np.atleast_1d(self.rates).max(axis=1)
+
+    @cached_property
+    def e0(self) -> np.ndarray:
+        return self.rates.mean(axis=1)
+
+    def excess_tail(self, thetas: np.ndarray, idx=slice(None)):
+        thetas = np.asarray(thetas, dtype=float)
+        rates = self.rates[idx]
+        lo = np.maximum(thetas, 0.0)[:, None]
+        excess = np.maximum(rates - lo, 0.0).mean(axis=1) + np.maximum(-thetas, 0.0)
+        hit = (rates >= thetas[:, None]).mean(axis=1)
+        return excess, np.where(thetas <= 0.0, 1.0, hit)
+
+
+class _RayleighKernel:
+    """Rayleigh second hop: the rate tail above x is exp(-kappa u),
+    u = c / (a - c), c = 2^x - 1, a = Ps |f|^2, kappa = (1 + a) / (Pr E|g|^2),
+    and substituting u for x turns its integral above lo = clip(theta, 0, sat)
+    into exp(-kappa u0) [S(kappa (u0 + 1/(1+a))) - S(kappa (u0 + 1))] / ln 2
+    with S(z) = e^z E1(z). A relay with a <= c has no rate above lo, so
+    u0 = inf zeroes its terms."""
+
+    def __init__(self, params: SystemParams, rows: np.ndarray, mean_gain: float):
+        self.rows = rows
+        self.sat = rate_saturation(params.source_power, rows)
+        self.sat_top = np.atleast_1d(self.sat).max(axis=1)
+        self.a = params.source_power * np.minimum(rows, GAIN_CAP)
+        self.scale = 1.0 + self.a
+        self.inv_mean = 1.0 / (params.relay_power * mean_gain)  # kappa / (1 + a)
+        with np.errstate(over="ignore"):  # kappa = inf only zeroes S(kappa (u0 + 1))
+            self.kappa = self.scale * self.inv_mean
+
+    @cached_property
+    def e0(self) -> np.ndarray:
+        """At theta = 0, u0 = 0, so each relay term is S(m) - S(kappa_j), m =
+        1/(Pr E|g|^2) one scalar: a relay with a = 0 has kappa = (1 + 0) m =
+        m, a zero term as its u0 = inf gives, and kappa = inf gives S(kappa)
+        = 0."""
+        s = _scaled_exp1(self.kappa)
+        np.subtract(_scaled_exp1(np.array([self.inv_mean]))[0], s, out=s)
+        return s.mean(axis=1) / LN2
+
+    def excess_tail(self, thetas: np.ndarray, idx=slice(None)):
+        thetas = np.asarray(thetas, dtype=float)
+        lo = np.minimum(np.maximum(thetas, 0.0)[:, None], self.sat[idx])
+        c = np.expm1(lo * LN2)
+        gap = self.a[idx] - c
+        u = np.divide(c, gap, out=np.full_like(c, np.inf), where=gap > 0.0)
+        del lo, c, gap  # freed before the S pass, where a solve's memory peaks
+        with np.errstate(over="ignore"):  # kappa u0 = inf is a zero tail
+            u *= self.scale[idx]
+            u *= self.inv_mean  # kappa u0, never inf * 0 where kappa overflows
+        z = np.empty((2, *u.shape))
+        np.add(u, self.inv_mean, out=z[0])
+        np.add(u, self.kappa[idx], out=z[1])
+        s = _scaled_exp1(z)
+        np.negative(u, out=u)
+        tails = np.exp(u, out=u)
+        s[0] -= s[1]
+        s[0] *= tails
+        excess = s[0].mean(axis=1) / LN2 + np.maximum(-thetas, 0.0)
+        return excess, np.where(thetas <= 0.0, 1.0, tails.mean(axis=1))
+
+
+# S(z) = e^z E1(z) in the three ranges of Cody and Thacher ("Rational
+# Chebyshev approximations for the exponential integral E1(x)", Math. Comp.
+# 22, 1968), each a rational function P/Q:
+#   [0, 1):   e^z (z P(z)/Q(z) - gamma - ln z), P/Q = Ein(z)/z of A&S 5.1.11,
+#             degree 5/5 pinned to 1 at z = 0;
+#   [1, 4):   P(z)/Q(z), degree 7/7;
+#   [4, inf): 1/(z + 1 + t P(t)/Q(t)), t = 4/z, degree 7/7 pinned to -1/4 at
+#             t = 0. This is (1/z) R(4/z) with R -> 1, so S(inf) = 0; and as
+#             1/(z + 1) < S < 1/z (A&S 5.1.19) puts 1/S - z in (0, 1), the
+#             monotone roundings of 1 + t P/Q <= 1 and of its sum with z keep
+#             both bounds in float.
+# Each P/Q minimizes the relative error at 40 Chebyshev nodes by linear least
+# squares in 40-digit mpmath, reweighted by the last Q until it is a fixed
+# point (Loeb's iteration; tests/test_solver_sublayer.py re-fits them). S then
+# holds 9e-16 (4 eps) relative against mpmath; the worst is near z = 1, where
+# E1 = 0.22 is a difference of terms near 0.8 and 0.58. Coefficients run from
+# degree 0 up: (numerator, denominator).
+S_SPLITS = (1.0, 4.0)
+_S_EIN = (
+    (1.0, 0.1696426669078605, 0.027801377149785554, 0.0014495116716835956,
+     6.712094630274773e-05, -6.00294182607644e-08),
+    (1.0, 0.4196426669078605, 0.07715648832119458, 0.007841818923777406,
+     0.0004457152173863081, 1.1502625130168948e-05),
+)
+_S_MID = (
+    (4.4120012090465535, 96.63695352644798, 462.7361507938449, 757.5408872617072,
+     491.8434603077832, 127.33035875230476, 10.71030291241369, 8.965032692390086e-07),
+    (1.0, 41.578139227153656, 343.54457778114397, 974.6830229925903,
+     1153.8957095906244, 608.4842307997543, 138.03948786150025, 10.710349427248248),
+)
+_S_TAIL = (
+    (-0.25, -2.483509424300998, -8.937884349215292, -14.520067954211916,
+     -10.808314356002992, -3.3053565108617136, -0.29964398014282045,
+     -0.0009344011148916101),
+    (1.0, 10.684037697202989, 42.95206566996113, 82.72291542665114, 80.42871419636629,
+     38.10712613544158, 7.716156859420145, 0.4694785790265365),
+)
+# each as (p_k, q_k) columns, top degree first, for _rational
+_S_EIN_COLS, _S_MID_COLS, _S_TAIL_COLS = (np.array(fit).T[::-1, :, None].copy()
+                                          for fit in (_S_EIN, _S_MID, _S_TAIL))
+
+
+def _rational(columns: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """P(x)/Q(x) by Horner's rule on both at once."""
+    acc = np.empty((2, x.size))
+    acc[...] = columns[0]
+    for col in columns[1:]:
+        acc *= x
+        acc += col
+    return np.divide(acc[0], acc[1], out=acc[0])
+
+
+def _scaled_exp1(z: np.ndarray) -> np.ndarray:
+    """S(z) = e^z E1(z) elementwise for z > 0, with S(inf) = 0 and NaN for NaN.
+
+    Each range gathers its entries by index (a boolean-mask gather and
+    scatter cost several times more on mixed ranges); NaN falls in [1, 4).
+    """
+    flat = z.reshape(-1)
+    out = np.empty_like(flat)
+    low = flat < S_SPLITS[0]
+    high = flat >= S_SPLITS[1]
+    mid = np.logical_not(low | high)
+    i = low.nonzero()[0]
+    if i.size:
+        x = flat.take(i)
+        r = _rational(_S_EIN_COLS, x)
+        r *= x
+        r -= EULER_GAMMA
+        r -= np.log(x)
+        r *= np.exp(x, out=x)
+        out[i] = r
+    i = mid.nonzero()[0]
+    if i.size:
+        out[i] = _rational(_S_MID_COLS, flat.take(i))
+    i = high.nonzero()[0]
+    if i.size:
+        x = flat.take(i)
+        t = np.divide(4.0, x)
+        r = _rational(_S_TAIL_COLS, t)
+        r *= t
+        r += 1.0
+        r += x
+        out[i] = np.divide(1.0, r, out=r)
+    return out.reshape(z.shape)

@@ -22,14 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import SystemParams
+from .channel import SystemParams, full_csi_rate_sampler
 from .errors import ConfigError, InvalidParameterError, RelayStopError
 from .policies import PolicyKind, PolicySpec
 from .simulator import SimConfig, SimStats, run_scenario1, run_scenario2
 from .solver import (
     EstimatorConfig,
     ThresholdSolution,
-    full_csi_rate_sampler,
     oracle_threshold_search,
     solve_full_csi_lambda,
     solve_main_gamma_intuitive,
@@ -44,8 +43,9 @@ SECTIONS = ("schema", "params", "estimator", "sim", "scenario", "out")
 # mc_samples floor for CLI (production) runs; library callers may go lower.
 MIN_PRODUCTION_MC_SAMPLES = 1000
 
-# rate thresholds the oracle searches, evenly spaced on [0, 2 x the solved one]
-ORACLE_POINTS = 500
+# rate thresholds the oracle searches, evenly spaced on [0, 2 x the solved one];
+# an odd count makes the solved one the middle node
+ORACLE_POINTS = 501
 
 @dataclass
 class ExperimentConfig:

@@ -42,19 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import policies
-from .channel import SystemParams, af_rate
+from .channel import (SystemParams, af_rate, default_observations, hop_models,
+                      sample_first_hop_rows)
 from .contention import sample_contention
 from .errors import CappedPacketError, InvalidParameterError
 from .policies import PolicyKind, PolicySpec
-from .solver import (
-    EstimatorConfig,
-    default_observations,
-    solve_sub_layer_batch,
-    solve_sub_w_batch,
-    _as_rows,
-    _first_hop_model,
-    _second_hop_model,
-)
+from .solver import EstimatorConfig, solve_sub_layer_batch, solve_sub_w_batch
 
 _OBS_CHUNK = 2048
 
@@ -152,13 +145,11 @@ def run_scenario2(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
     ss = np.random.SeedSequence(cfg.seed)
     rng_cont, rng_first, rng_second, rng_relay = (np.random.default_rng(s)
                                                   for s in ss.spawn(4))
-    first = _first_hop_model(params, first_hop)
-    hop = _second_hop_model(params, second_hop)
+    hop = hop_models(params, second_hop=second_hop)[1]
     cutter = _PacketCutter(cfg, rng_cont, params.num_sources, params.source_prob)
     parts = []
     while cutter.owed:
-        rows = _as_rows(first.sample(rng_first, (_OBS_CHUNK, params.num_relays)),
-                        params.num_relays)
+        rows = sample_first_hop_rows(params, rng_first, _OBS_CHUNK, first_hop)
         stop, relay_stop = _decision_rules(params, est, spec, rows, second_hop)
         ends, obs, slots = cutter.cut(stop)
         sub_obs, sub_slots, rate, relay = _relay_passes(params, cfg, rows, ends, relay_stop,

@@ -8,11 +8,10 @@ the left of the root never overshoot, and convexity certifies enclosures.
 The full-CSI expectation is exact: the best-relay rate over two Rayleigh
 hops has a closed-form tail (a Bessel K1 term), integrated by a fixed
 Gauss-Legendre rule. The two-part expectations are split by hop. Second-hop
-(single-gain) expectations are computed deterministically: the rate tail
-inverts in closed form for an exponential gain, and the positive part, its
-integral, is a difference of two exponential integrals, evaluated by a
-rational approximation on each of three ranges. First-hop expectations use a
-fixed, seed-determined Monte Carlo sample that is reused for every candidate
+(single-gain) expectations are deterministic: the second hop's model
+evaluates them in closed form, through the kernel its ``relay_kernel``
+method builds (``relaystop.channel``). First-hop expectations use a fixed,
+seed-determined Monte Carlo sample that is reused for every candidate
 threshold (common random numbers), so each realized residual is itself a
 convex decreasing function with a unique root.
 
@@ -25,23 +24,22 @@ root (the residual is convex), so the engine steps there from the right.
 The coupled solve starts at the intuitive root, which it dominates, and each
 outer evaluation after the first starts every row at its new tangent root.
 
-The second hop is either Rayleigh fading (exponential squared gain, the
-paper's channel) or a point mass (``FixedGain``); the point mass, and any
-finite-support ``rate_sampler`` a caller passes, make the closed-form worked
-examples exact. The first hop and the best-relay draw (for the simulator and
-the oracle) only sample, so they take any object with a ``sample(rng, size)``
-method.
+This module names no hop model: ``relaystop.channel`` resolves the optional
+``first_hop`` / ``second_hop`` arguments, draws the first-hop sample and
+builds the second-hop kernels, whose ``excess_tail`` the engine calls. A
+point-mass second hop, and any finite-support ``rate_sampler`` a caller
+passes, make the closed-form worked examples exact.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
-from .channel import (GAIN_CAP, LN2, FixedGain, RayleighFading, SystemParams, af_rate,
-                      rate_saturation)
+from .channel import (EULER_GAMMA, LN2, SystemParams, as_rows, full_csi_rate_sampler,
+                      sample_first_hop_rows, second_hop_kernel)
 from .contention import success_prob
 from .errors import InvalidParameterError, SolverFailureError
 
@@ -52,9 +50,6 @@ CHUNK_ROWS = 8192
 # Iteration cap of every root search: outer residual evaluations and
 # row-Newton iterations alike.
 MAX_ITER = 200
-
-# Euler's constant, in the series of E1 and K1
-_EULER_GAMMA = 0.5772156649015329
 
 
 @dataclass(frozen=True)
@@ -122,45 +117,7 @@ class SubLayerStats:
 
 
 # ---------------------------------------------------------------------------
-# Rate samplers (full-CSI scenario) and hop models
-
-
-def default_observations(params: SystemParams, first_hop=None, second_hop=None):
-    """Joint sampler of (best rate, 1-based best relay) per full-CSI observation.
-
-    Draws the n x L first-hop block, then the n x L second-hop block, from
-    one generator; ties go to the lowest relay index.
-    """
-    fh = _first_hop_model(params, first_hop)
-    sh = _second_hop_model(params, second_hop)
-
-    def sampler(rng: np.random.Generator, n: int):
-        shape = (n, params.num_relays)
-        rates = af_rate(params.source_power, params.relay_power,
-                        np.atleast_2d(fh.sample(rng, shape)),
-                        np.atleast_2d(sh.sample(rng, shape)))
-        best = rates.argmax(axis=1)
-        return rates[np.arange(n), best], best + 1
-
-    return sampler
-
-
-def full_csi_rate_sampler(params: SystemParams, first_hop=None, second_hop=None):
-    """Sampler of the best-relay rate under both hops drawn fresh."""
-    observations = default_observations(params, first_hop, second_hop)
-
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        return observations(rng, n)[0]
-
-    return sampler
-
-
-def _first_hop_model(params: SystemParams, first_hop):
-    return first_hop if first_hop is not None else RayleighFading(params.first_hop_mean_gain)
-
-
-def _second_hop_model(params: SystemParams, second_hop):
-    return second_hop if second_hop is not None else RayleighFading(params.second_hop_mean_gain)
+# Full-CSI threshold (single-layer stopping)
 
 
 def _draw_rates(params: SystemParams, est: EstimatorConfig, rate_sampler) -> np.ndarray:
@@ -172,10 +129,6 @@ def _draw_rates(params: SystemParams, est: EstimatorConfig, rate_sampler) -> np.
     if np.any(rates < 0) or not np.all(np.isfinite(rates)):
         raise InvalidParameterError("sampled rates must be finite and >= 0")
     return rates
-
-
-# ---------------------------------------------------------------------------
-# Full-CSI threshold (single-layer stopping)
 
 
 def solve_full_csi_lambda(params: SystemParams, est: EstimatorConfig,
@@ -332,7 +285,7 @@ K1_SERIES_TOP = 2.0
 _K1_TERMS = 12
 _K1_I = tuple(1.0 / (math.factorial(k) * math.factorial(k + 1)) for k in range(_K1_TERMS))
 _K1_PSI = tuple(c * (0.5 * (sum(1.0 / j for j in range(1, k + 1))
-                            + sum(1.0 / j for j in range(1, k + 2))) - _EULER_GAMMA)
+                            + sum(1.0 / j for j in range(1, k + 2))) - EULER_GAMMA)
                 for k, c in enumerate(_K1_I))
 _K1_CHEB = (
     1.3603130952422213, 0.10392373657681724, -0.002857816859622779,
@@ -381,203 +334,6 @@ def _polynomial(coefs, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Second-hop expectations (relay-level observation rate)
-#
-# Conditioned on first-hop gains, the winning relay of a contention round is
-# uniform and its second-hop gain is a fresh draw, so
-#   P(R_m >= x) = (1/L) sum_j tail(gain needed for rate x at relay j)
-# and E[max(R_m - x, 0)] is the integral of that tail above x (plus a linear
-# part for x < 0, where the positive part is the identity).
-
-
-class _SecondHopKernel:
-    """Positive-part and tail evaluator for a fixed block of realizations.
-
-    Precomputes everything that does not depend on the threshold, so each
-    evaluation inside the root finders is one closed-form pass that returns
-    the positive part and the tail together. The second hop picks the path:
-    Rayleigh fading gets the exponential-integral closed form, a
-    ``FixedGain`` point mass gets exact finite arithmetic, and any other hop
-    object is an InvalidParameterError. An instance holds no scratch state;
-    its one lazy value, ``e0``, is the same whichever thread computes it.
-    """
-
-    def __init__(self, params: SystemParams, rows: np.ndarray, second_hop):
-        self.rows = rows
-        hop = _second_hop_model(params, second_hop)
-        ps, pr = params.source_power, params.relay_power
-        self.point_mass = isinstance(hop, FixedGain)
-        if self.point_mass:
-            self.rates = af_rate(ps, pr, rows, hop.gain)
-            self.sat_top = np.atleast_1d(self.rates).max(axis=1)
-        elif isinstance(hop, RayleighFading):
-            self.sat = rate_saturation(ps, rows)
-            self.sat_top = np.atleast_1d(self.sat).max(axis=1)
-            self.a = ps * np.minimum(rows, GAIN_CAP)
-            self.scale = 1.0 + self.a
-            self.inv_mean = 1.0 / (pr * hop.mean_gain)  # kappa / (1 + a)
-            with np.errstate(over="ignore"):  # kappa = inf only zeroes S(kappa (u0 + 1))
-                self.kappa = self.scale * self.inv_mean
-        else:
-            raise InvalidParameterError(
-                "second hop must be RayleighFading or FixedGain, got "
-                f"{type(hop).__name__}")
-
-    @cached_property
-    def e0(self) -> np.ndarray:
-        """E[max(R, 0)] = E[R] per row: ``excess_tail`` at theta = 0, bit for
-        bit, in closed form. There u0 = 0, so each Rayleigh relay term is
-        S(m) - S(kappa_j), m = 1/(Pr E|g|^2) one scalar: a relay with a = 0
-        has kappa = (1 + 0) m = m, a zero term as its u0 = inf gives, and
-        kappa = inf gives S(kappa) = 0."""
-        if self.point_mass:
-            return self.rates.mean(axis=1)
-        s = _scaled_exp1(self.kappa)
-        np.subtract(_scaled_exp1(np.array([self.inv_mean]))[0], s, out=s)
-        return s.mean(axis=1) / LN2
-
-    def excess_tail(self, thetas: np.ndarray, idx=slice(None)):
-        """(E[max(R - theta, 0)], P(R >= theta)) for the rows ``idx``.
-
-        thetas may be negative; for theta <= 0 the tail is 1 and the excess
-        is excess(0) - theta, with excess(0) computed as at theta = 0 (so
-        equal to ``e0``) in both paths. For Rayleigh
-        fading the rate tail above x is exp(-kappa u), u = c / (a - c),
-        c = 2^x - 1, a = Ps |f|^2, kappa = (1 + a) / (Pr E|g|^2), and
-        substituting u for x turns its integral above lo = clip(theta, 0,
-        sat) into exp(-kappa u0) [S(kappa (u0 + 1/(1+a))) - S(kappa (u0 + 1))]
-        / ln 2 with S(z) = e^z E1(z). A relay with a <= c has no rate above
-        lo, so u0 = inf zeroes its terms.
-        """
-        thetas = np.asarray(thetas, dtype=float)
-        if self.point_mass:
-            rates = self.rates[idx]
-            lo = np.maximum(thetas, 0.0)[:, None]
-            excess = np.maximum(rates - lo, 0.0).mean(axis=1) + np.maximum(-thetas, 0.0)
-            hit = (rates >= thetas[:, None]).mean(axis=1)
-        else:
-            lo = np.minimum(np.maximum(thetas, 0.0)[:, None], self.sat[idx])
-            c = np.expm1(lo * LN2)
-            gap = self.a[idx] - c
-            u = np.divide(c, gap, out=np.full_like(c, np.inf), where=gap > 0.0)
-            del lo, c, gap  # freed before the S pass, where a solve's memory peaks
-            with np.errstate(over="ignore"):  # kappa u0 = inf is a zero tail
-                u *= self.scale[idx]
-                u *= self.inv_mean  # kappa u0, never inf * 0 where kappa overflows
-            z = np.empty((2, *u.shape))
-            np.add(u, self.inv_mean, out=z[0])
-            np.add(u, self.kappa[idx], out=z[1])
-            s = _scaled_exp1(z)
-            np.negative(u, out=u)
-            tails = np.exp(u, out=u)
-            s[0] -= s[1]
-            s[0] *= tails
-            excess = s[0].mean(axis=1) / LN2 + np.maximum(-thetas, 0.0)
-            hit = tails.mean(axis=1)
-        return excess, np.where(thetas <= 0.0, 1.0, hit)
-
-
-# S(z) = e^z E1(z) in the three ranges of Cody and Thacher ("Rational
-# Chebyshev approximations for the exponential integral E1(x)", Math. Comp.
-# 22, 1968), each a rational function P/Q:
-#   [0, 1):   e^z (z P(z)/Q(z) - gamma - ln z), P/Q = Ein(z)/z of A&S 5.1.11,
-#             degree 5/5 pinned to 1 at z = 0;
-#   [1, 4):   P(z)/Q(z), degree 7/7;
-#   [4, inf): 1/(z + 1 + t P(t)/Q(t)), t = 4/z, degree 7/7 pinned to -1/4 at
-#             t = 0. This is (1/z) R(4/z) with R -> 1, so S(inf) = 0; and as
-#             1/(z + 1) < S < 1/z (A&S 5.1.19) puts 1/S - z in (0, 1), the
-#             monotone roundings of 1 + t P/Q <= 1 and of its sum with z keep
-#             both bounds in float.
-# Each P/Q minimizes the relative error at 40 Chebyshev nodes by linear least
-# squares in 40-digit mpmath, reweighted by the last Q until it is a fixed
-# point (Loeb's iteration; tests/test_solver_sublayer.py re-fits them). S then
-# holds 9e-16 (4 eps) relative against mpmath; the worst is near z = 1, where
-# E1 = 0.22 is a difference of terms near 0.8 and 0.58. Coefficients run from
-# degree 0 up: (numerator, denominator).
-S_SPLITS = (1.0, 4.0)
-_S_EIN = (
-    (1.0, 0.1696426669078605, 0.027801377149785554, 0.0014495116716835956,
-     6.712094630274773e-05, -6.00294182607644e-08),
-    (1.0, 0.4196426669078605, 0.07715648832119458, 0.007841818923777406,
-     0.0004457152173863081, 1.1502625130168948e-05),
-)
-_S_MID = (
-    (4.4120012090465535, 96.63695352644798, 462.7361507938449, 757.5408872617072,
-     491.8434603077832, 127.33035875230476, 10.71030291241369, 8.965032692390086e-07),
-    (1.0, 41.578139227153656, 343.54457778114397, 974.6830229925903,
-     1153.8957095906244, 608.4842307997543, 138.03948786150025, 10.710349427248248),
-)
-_S_TAIL = (
-    (-0.25, -2.483509424300998, -8.937884349215292, -14.520067954211916,
-     -10.808314356002992, -3.3053565108617136, -0.29964398014282045,
-     -0.0009344011148916101),
-    (1.0, 10.684037697202989, 42.95206566996113, 82.72291542665114, 80.42871419636629,
-     38.10712613544158, 7.716156859420145, 0.4694785790265365),
-)
-# each as (p_k, q_k) columns, top degree first, for _rational
-_S_EIN_COLS, _S_MID_COLS, _S_TAIL_COLS = (np.array(fit).T[::-1, :, None].copy()
-                                          for fit in (_S_EIN, _S_MID, _S_TAIL))
-
-
-def _rational(columns: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """P(x)/Q(x) by Horner's rule on both at once."""
-    acc = np.empty((2, x.size))
-    acc[...] = columns[0]
-    for col in columns[1:]:
-        acc *= x
-        acc += col
-    return np.divide(acc[0], acc[1], out=acc[0])
-
-
-def _scaled_exp1(z: np.ndarray) -> np.ndarray:
-    """S(z) = e^z E1(z) elementwise for z > 0, with S(inf) = 0 and NaN for NaN.
-
-    Each range gathers its entries by index (a boolean-mask gather and
-    scatter cost several times more on mixed ranges); NaN falls in [1, 4).
-    """
-    flat = z.reshape(-1)
-    out = np.empty_like(flat)
-    low = flat < S_SPLITS[0]
-    high = flat >= S_SPLITS[1]
-    mid = np.logical_not(low | high)
-    i = low.nonzero()[0]
-    if i.size:
-        x = flat.take(i)
-        r = _rational(_S_EIN_COLS, x)
-        r *= x
-        r -= _EULER_GAMMA
-        r -= np.log(x)
-        r *= np.exp(x, out=x)
-        out[i] = r
-    i = mid.nonzero()[0]
-    if i.size:
-        out[i] = _rational(_S_MID_COLS, flat.take(i))
-    i = high.nonzero()[0]
-    if i.size:
-        x = flat.take(i)
-        t = np.divide(4.0, x)
-        r = _rational(_S_TAIL_COLS, t)
-        r *= t
-        r += 1.0
-        r += x
-        out[i] = np.divide(1.0, r, out=r)
-    return out.reshape(z.shape)
-
-
-def _as_rows(f_sq, num_relays: int) -> np.ndarray:
-    """First-hop gains as rows of ``num_relays`` gains; a 1-D array is one row."""
-    arr = np.asarray(f_sq, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != num_relays:
-        raise InvalidParameterError(f"first-hop gains must be rows of num_relays = "
-                                    f"{num_relays} gains, got shape {np.shape(f_sq)}")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise InvalidParameterError("first-hop gains must be finite and >= 0")
-    return arr
-
-
-# ---------------------------------------------------------------------------
 # Relay-level (sub-layer) solvers
 #
 # Both relay-level equations invert the same strictly decreasing function:
@@ -595,14 +351,14 @@ def solve_sub_layer_batch(params: SystemParams, f_rows, est: EstimatorConfig,
     geometric observation count. All-zero first-hop gains give threshold 0
     and stop probability 1 rather than an error.
     """
-    kernels = _chunk_kernels(params, _as_rows(f_rows, params.num_relays), second_hop)
+    kernels = _chunk_kernels(params, as_rows(f_rows, params.num_relays), second_hop)
     return _intuitive_rows(params, kernels, est)[0]
 
 
 def _chunk_kernels(params, rows, second_hop):
-    """One second-hop kernel per CHUNK_ROWS rows, built as iterated."""
+    """The second hop's relay kernel per CHUNK_ROWS rows, built as iterated."""
     for i in range(0, rows.shape[0], CHUNK_ROWS):
-        yield _SecondHopKernel(params, rows[i:i + CHUNK_ROWS], second_hop)
+        yield second_hop_kernel(params, rows[i:i + CHUNK_ROWS], second_hop)
 
 
 def _intuitive_rows(params, kernels, est):
@@ -629,7 +385,7 @@ def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,
     """
     target = _reward_target(params, gamma)
     half_t = 0.5 * params.data_time
-    kernels = _chunk_kernels(params, _as_rows(f_rows, params.num_relays), second_hop)
+    kernels = _chunk_kernels(params, as_rows(f_rows, params.num_relays), second_hop)
     return half_t * (_newton_rows(kernels, 0.0, target, est, half_t)[0] - gamma)
 
 
@@ -662,7 +418,8 @@ def solve_main_gamma_intuitive(params: SystemParams, est: EstimatorConfig,
     The residual is piecewise linear in gamma. The stop rule is
     bits - gamma* time >= gamma* T/2.
     """
-    rows = _draw_first_hop_rows(params, est, first_hop)
+    rows = sample_first_hop_rows(params, np.random.default_rng(est.seed), est.mc_samples,
+                                 first_hop)
     return _intuitive_gamma(params, _chunk_kernels(params, rows, second_hop), est)
 
 
@@ -709,7 +466,8 @@ def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
     on every chunk in one ``_newton_rows`` call and sums over the whole
     sample; after the first, each row starts at its new tangent root.
     """
-    rows = _draw_first_hop_rows(params, est, first_hop)
+    rows = sample_first_hop_rows(params, np.random.default_rng(est.seed), est.mc_samples,
+                                 first_hop)
     p_r = success_prob(params.num_relays, params.require_relay_prob())
     cost = params.slot_time / (2.0 * success_prob(params.num_sources, params.source_prob))
     half_t = 0.5 * params.data_time
@@ -734,12 +492,6 @@ def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
 
     return _solve_convex(evaluate, cost, est, "two-part throughput (coupled rule)",
                          start=start.value, work=(start.inner_iterations, start.kernel_rows))
-
-
-def _draw_first_hop_rows(params: SystemParams, est: EstimatorConfig, first_hop) -> np.ndarray:
-    rng = np.random.default_rng(est.seed)
-    model = _first_hop_model(params, first_hop)
-    return _as_rows(model.sample(rng, (est.mc_samples, params.num_relays)), params.num_relays)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,9 @@ from relaystop import (
     solve_sub_w_batch,
     success_prob,
 )
-from relaystop.channel import rate_saturation
+from relaystop.channel import as_rows, rate_saturation, second_hop_kernel
 from relaystop.policies import intuitive_main_decide, optimal_main_decide
-from relaystop.solver import (CHUNK_ROWS, _as_rows, _best_relay_excess_tail, _draw_rates,
-                              _SecondHopKernel)
+from relaystop.solver import CHUNK_ROWS, _best_relay_excess_tail, _draw_rates
 
 
 # A root search's failure: it names the worst row, its residual and its enclosure.
@@ -166,14 +165,14 @@ def full_csi_residual(params: SystemParams, lam: float | np.ndarray) -> float | 
 def sub_layer_tail_prob(params: SystemParams, f_sq, threshold: float,
                         second_hop=None) -> float:
     """P(relay-level observation rate >= threshold | first-hop gains)."""
-    kernel = _SecondHopKernel(params, _as_rows(f_sq, params.num_relays), second_hop)
+    kernel = second_hop_kernel(params, as_rows(f_sq, params.num_relays), second_hop)
     return float(kernel.excess_tail(np.array([threshold], dtype=float))[1][0])
 
 
 def sub_layer_expected_positive_part(params: SystemParams, f_sq, lam: float,
                                      est: EstimatorConfig, second_hop=None) -> float:
     """E[max(R_m - lam, 0) | first-hop gains], the closed-form tail integral."""
-    kernel = _SecondHopKernel(params, _as_rows(f_sq, params.num_relays), second_hop)
+    kernel = second_hop_kernel(params, as_rows(f_sq, params.num_relays), second_hop)
     return float(kernel.excess_tail(np.array([lam], dtype=float))[0][0])
 
 
@@ -189,7 +188,7 @@ def coupled_sign_rules(params: SystemParams, spec, rows: np.ndarray, second_hop=
     """
     target = spec.gamma_star * params.slot_time / (
         params.data_time * success_prob(params.num_relays, params.relay_prob))
-    kernel = _SecondHopKernel(params, _as_rows(rows, params.num_relays), second_hop)
+    kernel = second_hop_kernel(params, as_rows(rows, params.num_relays), second_hop)
 
     def excess(thetas, idx=slice(None)):
         return kernel.excess_tail(thetas, idx)[0]
@@ -305,7 +304,7 @@ def policy_value(params: SystemParams, spec, samples: int, seed: int,
                                                                  params.source_prob)))
     for i in range(0, samples, CHUNK_ROWS):
         idx = i + np.flatnonzero(stop[i:i + CHUNK_ROWS])
-        kernel = _SecondHopKernel(params, rows[idx], None)
+        kernel = second_hop_kernel(params, rows[idx])
         excess, tail = kernel.excess_tail(theta[idx])
         x[idx] = 0.5 * t * (excess / tail + theta[idx])
         y[idx] += 0.5 * t + params.slot_time / (2.0 * p_r * tail) + 0.5 * t

@@ -21,8 +21,8 @@ from relaystop import (
     solve_sub_w_batch,
     success_prob,
 )
-from relaystop.channel import af_rate, rate_saturation
-from relaystop import solver
+from relaystop import channel, solver
+from relaystop.channel import af_rate, rate_saturation, second_hop_kernel
 from .conftest import (
     ENGINE_FAILURE,
     hook_params,
@@ -119,7 +119,7 @@ S_TOL = 5.5 * np.finfo(float).eps
 def _s_splits_and_neighbours():
     """Each split of S and the 4 floats on either side of it."""
     out = []
-    for split in solver.S_SPLITS:
+    for split in channel.S_SPLITS:
         below = above = split
         for _ in range(4):
             below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
@@ -137,25 +137,25 @@ def test_scaled_exp1_matches_scipy():
     from scipy import special
 
     z = np.concatenate([np.geomspace(1e-12, 700.0, 4001),
-                        *(np.linspace(0.9, 1.1, 201) * split for split in solver.S_SPLITS),
+                        *(np.linspace(0.9, 1.1, 201) * split for split in channel.S_SPLITS),
                         _s_splits_and_neighbours()])
-    s = solver._scaled_exp1(z)
+    s = channel._scaled_exp1(z)
     np.testing.assert_allclose(s, np.exp(z) * special.exp1(z), rtol=3e-15, atol=0.0)
     big = np.geomspace(700.0, 1e300, 601)
-    s = solver._scaled_exp1(np.append(big, np.inf))
+    s = channel._scaled_exp1(np.append(big, np.inf))
     assert np.all((1.0 / (big + 1.0) <= s[:-1]) & (s[:-1] <= 1.0 / big)) and s[-1] == 0.0
     strict = big < 1e8
     assert np.all((1.0 / (big[strict] + 1.0) < s[:-1][strict])
                   & (s[:-1][strict] < 1.0 / big[strict]))
     # one range only, no range, NaN, and nothing to evaluate
-    for lo, hi in zip((1e-12, *solver.S_SPLITS), (*solver.S_SPLITS, 700.0)):
+    for lo, hi in zip((1e-12, *channel.S_SPLITS), (*channel.S_SPLITS, 700.0)):
         part = np.geomspace(lo, np.nextafter(hi, 0.0), 301)
-        np.testing.assert_allclose(solver._scaled_exp1(part), np.exp(part) * special.exp1(part),
+        np.testing.assert_allclose(channel._scaled_exp1(part), np.exp(part) * special.exp1(part),
                                    rtol=3e-15, atol=0.0)
-    assert np.array_equal(solver._scaled_exp1(np.full((2, 3), np.inf)), np.zeros((2, 3)))
-    assert np.isnan(solver._scaled_exp1(np.array([0.5, np.nan, 7.0]))).tolist() == [
+    assert np.array_equal(channel._scaled_exp1(np.full((2, 3), np.inf)), np.zeros((2, 3)))
+    assert np.isnan(channel._scaled_exp1(np.array([0.5, np.nan, 7.0]))).tolist() == [
         False, True, False]
-    empty = solver._scaled_exp1(np.empty((2, 0)))
+    empty = channel._scaled_exp1(np.empty((2, 0)))
     assert empty.shape == (2, 0) and empty.dtype == float
 
 
@@ -169,12 +169,12 @@ def test_scaled_exp1_matches_mpmath_and_holds_the_bounds():
     z = np.concatenate([np.geomspace(1e-12, 1e8, 2001), _s_splits_and_neighbours()])
     with mpmath.workdps(40):
         want = np.array([float(mpmath.exp(v) * mpmath.e1(v)) for v in map(mpmath.mpf, z)])
-    np.testing.assert_allclose(solver._scaled_exp1(z), want, rtol=S_TOL, atol=0.0)
+    np.testing.assert_allclose(channel._scaled_exp1(z), want, rtol=S_TOL, atol=0.0)
     big = np.geomspace(700.0, 1e7, 20001)
-    s = solver._scaled_exp1(big)
+    s = channel._scaled_exp1(big)
     assert np.all((1.0 / (big + 1.0) < s) & (s < 1.0 / big))
     big = np.geomspace(1e7, 1e308, 20001)
-    s = solver._scaled_exp1(big)
+    s = channel._scaled_exp1(big)
     assert np.all((1.0 / (big + 1.0) <= s) & (s <= 1.0 / big))
 
 
@@ -206,7 +206,7 @@ def _fit_rational(f, a, b, degree, p0=None, nodes=40, rounds=16):
 def test_scaled_exp1_rational_fits_reproduce():
     # the committed coefficients of the three ranges are _fit_rational's in
     # 40-digit arithmetic, of Ein(z)/z on [0, 1], S on [1, 4], and
-    # (1/S(4/t) - 4/t - 1)/t on (0, 1] (see the solver's comment)
+    # (1/S(4/t) - 4/t - 1)/t on (0, 1] (see the comment in relaystop.channel)
     import mpmath
 
     def scaled(z):
@@ -214,11 +214,11 @@ def test_scaled_exp1_rational_fits_reproduce():
 
     with mpmath.workdps(40):
         fits = [
-            (solver._S_EIN, _fit_rational(
+            (channel._S_EIN, _fit_rational(
                 lambda z: (mpmath.e1(z) + mpmath.euler + mpmath.log(z)) / z,
                 mpmath.mpf(0), mpmath.mpf(1), 5, p0=1)),
-            (solver._S_MID, _fit_rational(scaled, mpmath.mpf(1), mpmath.mpf(4), 7)),
-            (solver._S_TAIL, _fit_rational(lambda t: (1 / scaled(4 / t) - 4 / t - 1) / t,
+            (channel._S_MID, _fit_rational(scaled, mpmath.mpf(1), mpmath.mpf(4), 7)),
+            (channel._S_TAIL, _fit_rational(lambda t: (1 / scaled(4 / t) - 4 / t - 1) / t,
                                            mpmath.mpf(0), mpmath.mpf(1), 7,
                                            p0=mpmath.mpf(-1) / 4)),
         ]
@@ -257,7 +257,7 @@ def test_excess_and_tail_match_quadrature_reference(snr):
 
     params = make_params(source_power=snr, relay_power=snr, second_hop_mean_gain=0.5)
     rows = np.array([[1.3, 0.2], [0.0, 0.0], [1e305, 0.4], [GAIN_CAP, 1e-9]])
-    kernel = solver._SecondHopKernel(params, rows, None)
+    kernel = second_hop_kernel(params, rows)
     for i, row in enumerate(rows):
         top = float(kernel.sat[i].max())
         for theta in (-0.4, 0.0, 0.3 * top, 0.5 * top, top * (1.0 - 1e-9), top, top + 1.0):
@@ -284,7 +284,7 @@ def test_excess_where_kappa_overflows():
     from scipy import special
 
     params = make_params(source_power=1e6, relay_power=1e-2, second_hop_mean_gain=0.2)
-    kernel = solver._SecondHopKernel(params, np.array([[1e305]]), None)
+    kernel = second_hop_kernel(params, np.array([[1e305]]))
     assert np.isinf(kernel.kappa).all()
     excess, tail = kernel.excess_tail(np.zeros(1))
     assert excess[0] == pytest.approx(np.exp(500.0) * special.exp1(500.0) / math.log(2.0),
@@ -298,7 +298,7 @@ def test_excess_slope_is_minus_tail(snr):
     # differences at h = 1e-5 theta wherever the tail is at least 1e-3
     params = make_params(source_power=snr, relay_power=snr, second_hop_mean_gain=0.5)
     rows = np.random.default_rng(5).exponential(1.0, (60, 2))
-    kernel = solver._SecondHopKernel(params, rows, None)
+    kernel = second_hop_kernel(params, rows)
     theta = (np.arange(60) % 6 + 0.5) / 6.0 * kernel.sat_top
     tail = kernel.excess_tail(theta)[1]
     keep = tail >= 1e-3
@@ -555,7 +555,7 @@ def _engine_kernel(name, rows=300):
     params, hop = ENGINE_CASES[name]
     f_rows = np.random.default_rng(11).exponential(params.first_hop_mean_gain,
                                                    (rows, params.num_relays))
-    return params, solver._SecondHopKernel(params, f_rows, hop)
+    return params, second_hop_kernel(params, f_rows, hop)
 
 
 def _reward_rows(params, kernel, gamma, start=None):
@@ -635,7 +635,7 @@ def test_e0_is_the_excess_pass_at_zero_bit_for_bit(name):
     rows[0] = 0.0
     rows[1, 0] = 0.0
     rows[2, -1] = 1e305
-    kernel = solver._SecondHopKernel(params, rows, hop)
+    kernel = second_hop_kernel(params, rows, hop)
     if name == "kappa_inf":
         assert np.isinf(kernel.kappa[2, -1])
     assert kernel.e0.tobytes() == kernel.excess_tail(np.zeros(rows.shape[0]))[0].tobytes()
@@ -687,7 +687,8 @@ def test_non_finite_target_fails_after_one_pass():
 def test_engine_failure_names_the_sample_row(monkeypatch):
     params = make_params()
     f_rows = np.random.default_rng(11).exponential(1.0, (solver.CHUNK_ROWS + 40, 2))
-    excess_tail = solver._SecondHopKernel.excess_tail
+    kernel_type = type(RayleighFading(1.0).relay_kernel(params, f_rows[:1]))
+    excess_tail = kernel_type.excess_tail
 
     def planted(kernel, thetas, idx=slice(None)):
         excess, tail = excess_tail(kernel, thetas, idx)
@@ -695,7 +696,7 @@ def test_engine_failure_names_the_sample_row(monkeypatch):
             excess[5] = np.nan
         return excess, tail
 
-    monkeypatch.setattr(solver._SecondHopKernel, "excess_tail", planted)
+    monkeypatch.setattr(kernel_type, "excess_tail", planted)
     row = solver.CHUNK_ROWS + 5
     with pytest.raises(SolverFailureError, match=ENGINE_FAILURE.format(1, row, "nan")):
         solve_sub_w_batch(params, f_rows, 0.5, EST)

@@ -1,0 +1,90 @@
+"""Module boundaries of the package, checked on its source.
+
+No module reaches into another's private names, and the solver names no hop
+model: each hop's law lives on the model in ``relaystop.channel``, and the
+solver calls it by method.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "relaystop"
+MODULES = sorted(PACKAGE.glob("*.py"))
+HOP_MODELS = {"RayleighFading", "FixedGain"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _from_package(node: ast.ImportFrom) -> bool:
+    return bool(node.level) or (node.module or "").split(".")[0] == "relaystop"
+
+
+def private_reach(tree: ast.Module) -> list[str]:
+    """Each `_`-prefixed name taken from another relaystop module: by a
+    from-import, or as an attribute of an imported relaystop module."""
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _from_package(node):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"from {'.' * node.level}{node.module or ''} import {alias.name}")
+                elif node.module is None or node.module == "relaystop":
+                    modules.add(alias.asname or alias.name)  # from . import policies
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "relaystop":
+                    modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def hop_dispatch(tree: ast.Module) -> list[str]:
+    """Each hop-model name, and each isinstance test of a hop."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in HOP_MODELS:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in HOP_MODELS:
+            found.append(node.attr)
+        elif isinstance(node, ast.alias) and node.name in HOP_MODELS:
+            found.append(f"import {node.name}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and "hop" in ast.unparse(node).lower()):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_the_package_has_modules():
+    assert {"channel.py", "solver.py", "simulator.py"} <= {m.name for m in MODULES}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.name)
+def test_no_module_imports_another_modules_private_names(module):
+    assert private_reach(ast.parse(module.read_text())) == []
+
+
+def test_solver_names_no_hop_model():
+    assert hop_dispatch(ast.parse((PACKAGE / "solver.py").read_text())) == []
+
+
+def test_the_checks_see_what_they_forbid():
+    planted = ast.parse("from .solver import _as_rows, EstimatorConfig\n"
+                        "from relaystop.channel import _scaled_exp1\n"
+                        "from . import __version__, policies\n"
+                        "import relaystop.solver as solver\n"
+                        "policies._private(solver._newton, policies.public)\n")
+    assert private_reach(planted) == ["from .solver import _as_rows",
+                                      "from relaystop.channel import _scaled_exp1",
+                                      "policies._private", "solver._newton"]
+    planted = ast.parse("from .channel import FixedGain\n"
+                        "if isinstance(hop, channel.RayleighFading) or isinstance(x, int):\n"
+                        "    pass\n")
+    assert sorted(hop_dispatch(planted)) == sorted([
+        "import FixedGain", "RayleighFading", "isinstance(hop, channel.RayleighFading)"])

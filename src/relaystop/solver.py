@@ -399,9 +399,10 @@ def _reward_target(params: SystemParams, gamma: float) -> float:
 
 def _tangent_start(theta, residual, tail, old_target, target):
     """Tangent root at theta of the reward residual moved from old_target to
-    target: a lower point of the new root (convexity); 0 where the tail is 0."""
+    target: a lower point of the new root (convexity). Where the tail is 0
+    it is NaN or -inf, and ``_newton_rows`` starts at e0's tangent root."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(tail > 0.0, theta + (residual + old_target - target) / tail, 0.0)
+        return theta + (residual + old_target - target) / tail
 
 
 # ---------------------------------------------------------------------------
@@ -530,27 +531,20 @@ def _newton_rows(kernels, cost_slope: float, target: float, est: EstimatorConfig
     kernel rows (rows x relays over the excess passes) summed over chunks.
 
     The slope is -(tail + cost_slope); the top saturation rate, where excess
-    vanishes, is a closed-form upper end. Rows with target >= excess(0) are
-    solved exactly on the linear branch theta <= 0; the rest start at 0 or at
-    ``start`` (clamped to [0, sat]). Without ``start`` every first point has
-    theta <= 0, where the excess is e0 - theta and the tail 1, so the first
-    iteration runs on those values with no kernel pass: it leaves each row
-    off the linear branch at its Newton step from 0, (e0 - target) / (1 +
-    cost_slope). Tolerances are in caller units via ``theta_scale``, T/2 for
-    reward solves. A failure names the sample row.
+    vanishes, is a closed-form upper end. At theta <= 0 the excess is
+    e0 - theta, so the tangent root from 0, (e0 - target) / (1 + cost_slope),
+    is the root where it is <= 0 (the linear branch) and a certified lower
+    point elsewhere. Every row starts there, or at ``start`` where that is
+    higher (a NaN there is passed over). Tolerances are in caller units via
+    ``theta_scale``, T/2 for reward solves. A failure names the sample row.
     """
     parts, iters, kernel_rows, row0 = [], 0, 0, 0
     for kernel in kernels:
-        e0, n = kernel.e0, kernel.rows.shape[0]
-        # Linear branch: excess(theta) = e0 - theta for theta <= 0.
-        linear = target >= e0
-        lo = np.where(linear, (e0 - target) / (1.0 + cost_slope), 0.0)  # a certified lower end
-        th = np.where(linear, lo, 0.0 if start is None
-                      else np.clip(start[row0:row0 + n], 0.0, kernel.sat_top))
+        n = kernel.rows.shape[0]
+        tangent = (kernel.e0 - target) / (1.0 + cost_slope)
+        th = tangent if start is None else np.fmax(tangent, start[row0:row0 + n])
         hi = np.maximum(th, kernel.sat_top)
-        tail = np.ones_like(lo)  # the tail at theta <= 0, for rows done with no pass
-        first = None if start is not None else (  # the residual's arithmetic at th <= 0
-            e0 + np.maximum(-th, 0.0) - cost_slope * th - target, np.full(n, 1.0 + cost_slope))
+        tail = np.empty(n)  # every row's first pass fills it
 
         def residual(th, rows):
             nonlocal kernel_rows
@@ -559,9 +553,9 @@ def _newton_rows(kernels, cost_slope: float, target: float, est: EstimatorConfig
             tail[rows] = p
             return excess - cost_slope * th - target, p + cost_slope
 
-        theta, f, _, _, n_iter = _newton(residual, th, lo, hi, -cost_slope * hi - target,
-                                         est.tol, theta_scale, "relay-level rows", row0=row0,
-                                         first=first)
+        theta, f, _, _, n_iter = _newton(residual, th, np.minimum(tangent, 0.0), hi,
+                                         -cost_slope * hi - target, est.tol, theta_scale,
+                                         "relay-level rows", row0=row0)
         parts.append((theta, tail, f))
         iters += n_iter
         row0 += n
@@ -569,7 +563,7 @@ def _newton_rows(kernels, cost_slope: float, target: float, est: EstimatorConfig
 
 
 def _newton(residual, x, lo, hi, f_hi, tol: float, scale: float, name: str, cost: float = 0.0,
-            row0: int = 0, first=None):
+            row0: int = 0):
     """Guarded Newton on a batch of convex decreasing residuals, a root per row.
 
     ``residual(x, rows)`` returns (f, -f') for the rows still iterating (an
@@ -582,18 +576,16 @@ def _newton(residual, x, lo, hi, f_hi, tol: float, scale: float, name: str, cost
     root; the Newton step is taken if it covers 1/8 of the chord or at most
     half the last step, else the row bisects (Newton crawls at a singularity).
     Converged rows (|f| and the enclosure inside tol, in caller units via
-    ``scale``) leave the residual passes. A caller that holds (f, -f') at x
-    for every row passes it as ``first``, and the first iteration takes it
-    instead of a pass. Returns (x, f, lower, upper, iterations): per row the
-    root, its residual and enclosure, then the residual passes. A non-finite
-    residual or MAX_ITER iterations raise SolverFailureError naming the
-    worst row, counted from ``row0``.
+    ``scale``) leave the residual passes. Returns (x, f, lower, upper,
+    iterations): per row the root, its residual and enclosure, then the
+    residual passes. A non-finite residual or MAX_ITER iterations raise
+    SolverFailureError naming the worst row, counted from ``row0``.
     """
     out = np.empty((4, x.size))
     idx, th, prev = np.arange(x.size), x, np.full(x.size, math.inf)
-    for iters in range(1 if first is None else 0, MAX_ITER + 1):
+    for iters in range(1, MAX_ITER + 1):
         # no gathers while all iterate
-        f, d = residual(th, idx if idx.size < x.size else slice(None)) if iters else first
+        f, d = residual(th, idx if idx.size < x.size else slice(None))
         if not np.isfinite(f).all():
             break
         pos, neg = f > 0.0, f < 0.0

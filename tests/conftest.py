@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -315,6 +316,82 @@ def _ratio_with_stderr(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """sum(x) / sum(y) and its delta-method (ratio-estimator) standard error."""
     ratio = float(x.sum() / y.sum())
     return ratio, float(np.std(x - ratio * y, ddof=1) / np.sqrt(x.size) / y.mean())
+
+
+# --- exact two-part reference at L = 1 -----------------------------------------
+#
+# With one relay the first hop is a single exponential gain f of mean mu, and
+# each rule's source-level gain g(f) rises with f: bits - gamma (time + T/2)
+# for the intuitive rule, W - (T/2) gamma for the coupled one. So the stop set
+# is [f0, inf), g(f0) = 0, and the source-level expectation is the
+# Gauss-Laguerre sum
+#   E[max(g(f), 0)] = e^{-f0/mu} int_0^inf g(f0 + mu s) e^{-s} ds.
+# The gains come from the batch solvers at tol 1e-13; f0 and gamma* are roots
+# found by scipy's brentq. No sample enters, so the only error is the rule's.
+
+
+L1_EST = EstimatorConfig(tol=1e-13)
+
+
+class L1Reference(NamedTuple):
+    gamma: float  # gamma* of the rule
+    nodes: np.ndarray  # the first-hop gains f0 + mu s_i of the sum
+    sd: float  # delta-method sd of one sample row's share of the sampled root
+
+
+def l1_reference(params: SystemParams, kind, nodes: int) -> L1Reference:
+    """gamma* of the rule ``kind`` at L = 1 from a ``nodes``-point Gauss-Laguerre
+    sum above the stop boundary f0, with the per-row sd of the sampled root.
+    gamma* must lie in [0.9, 1.5], as it does on make_params(num_relays=1,
+    relay_prob=1.0).
+
+    Every evaluation checks on its grid (the sum's nodes, and Gauss-Legendre
+    nodes on (0, f0)) that the gain changes sign once, at f0; it fails where
+    the stop set is not [f0, inf). The sd is sqrt(Var max(g, 0)) / |R'(gamma*)|,
+    the delta method for the root of mean(max(g_i, 0)) - gamma cost; R' is a
+    central difference of the sum at fixed f0, which g(f0) = 0 allows.
+    """
+    from scipy.optimize import brentq
+
+    mu, half_t = params.first_hop_mean_gain, 0.5 * params.data_time
+    cost = params.slot_time / (2.0 * success_prob(params.num_sources, params.source_prob))
+    s, w = np.polynomial.laguerre.laggauss(nodes)
+    u = 0.5 * (np.polynomial.legendre.leggauss(nodes)[0] + 1.0)
+    roots = {}
+
+    def gain(gamma, f):
+        """The rule's source-level gain at rate gamma per first-hop gain in f."""
+        rows = np.asarray(f, dtype=float).reshape(-1, 1)
+        if kind is PolicyKind.INTUITIVE_BILEVEL:
+            stats = solve_sub_layer_batch(params, rows, L1_EST)
+            return stats.expected_bits - gamma * (stats.expected_time + half_t)
+        return solve_sub_w_batch(params, rows, gamma, L1_EST) - half_t * gamma
+
+    def boundary(gamma):
+        def g(f):
+            return float(gain(gamma, [f])[0])
+        hi = 1.0
+        while g(hi) <= 0.0:
+            hi *= 2.0
+        return brentq(g, 1e-12, hi, xtol=1e-15, rtol=8.9e-16)
+
+    def positive_part(gamma, f0):
+        """e^{-f0/mu} (sum w g, sum w g^2) over the nodes above f0, after the sign check."""
+        g = gain(gamma, np.concatenate([f0 * u, f0 + mu * s]))
+        below, above = g[:nodes], g[nodes:]
+        assert np.all(below <= 0.0) and np.all(above > 0.0), (
+            f"{kind} gain at gamma {gamma} changes sign more than once: split at every crossing")
+        return math.exp(-f0 / mu) * np.array([w @ above, w @ above ** 2])
+
+    def residual(gamma):
+        roots[gamma] = f0 = boundary(gamma)
+        return float(positive_part(gamma, f0)[0]) - gamma * cost
+
+    gamma = brentq(residual, 0.9, 1.5, xtol=1e-15, rtol=8.9e-16)
+    f0, h = roots[gamma], 1e-5
+    mean, square = positive_part(gamma, f0)
+    slope = (positive_part(gamma + h, f0)[0] - positive_part(gamma - h, f0)[0]) / (2.0 * h) - cost
+    return L1Reference(gamma, f0 + mu * s, math.sqrt(square - mean ** 2) / abs(slope))
 
 
 @pytest.fixture

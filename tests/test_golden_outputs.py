@@ -13,6 +13,8 @@ the file records the Python and numpy versions it was made with, and every
 case compares those first. Regenerate the file from the repository root with
 
     PYTHONPATH=src python -m tests.test_golden_outputs
+
+which prints every changed leaf as ``case key: old → new`` before it writes.
 """
 
 import contextlib
@@ -76,6 +78,28 @@ def run_case(name: str, tmp: Path) -> dict:
     }
 
 
+def changed_leaves(old, new, path=()):
+    """(path, old, new) for each leaf that differs between two JSON documents;
+    a key missing on one side reads "absent" there."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in dict.fromkeys([*old, *new]):
+            yield from changed_leaves(old.get(key, "absent"), new.get(key, "absent"),
+                                      (*path, key))
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, pair in enumerate(zip(old, new)):
+            yield from changed_leaves(*pair, (*path, str(i)))
+    elif old != new:
+        yield path, old, new
+
+
+def test_changed_leaves_name_each_moved_value():
+    old = {"a": {"x": 1, "b": [1.0, 2.0], "gone": 0}, "same": "s"}
+    new = {"a": {"x": 1, "b": [1.0, 2.5], "new": [1]}, "same": "s"}
+    assert list(changed_leaves(old, new)) == [
+        (("a", "b", "1"), 2.0, 2.5), (("a", "gone"), 0, "absent"),
+        (("a", "new"), "absent", [1])]
+
+
 @pytest.fixture(scope="module")
 def golden():
     recorded = json.loads(GOLDEN.read_text())
@@ -99,6 +123,11 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         cases = {name: run_case(name, Path(tmp)) for name in CASES}
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for (case, *key), old, new in changed_leaves(
+            {"environment": recorded.get("environment"), **recorded.get("cases", {})},
+            {"environment": environment(), **cases}):
+        print(f"{case} {'.'.join(key)}: {old} → {new}")
     GOLDEN.write_text(json.dumps({"environment": environment(), "cases": cases},
                                  indent=2) + "\n")
     print(f"wrote {len(cases)} cases to {GOLDEN}", file=sys.stderr)

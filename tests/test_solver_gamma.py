@@ -8,6 +8,7 @@ import pytest
 from relaystop import (
     EstimatorConfig,
     FixedGain,
+    PolicyKind,
     SolverFailureError,
     full_csi_rate_sampler,
     solve_full_csi_lambda,
@@ -18,7 +19,16 @@ from relaystop import (
     success_prob,
 )
 from relaystop import solver
-from .conftest import ENGINE_FAILURE, hook_params, make_params, stress_params
+from .conftest import (
+    ENGINE_FAILURE,
+    L1_EST,
+    hook_params,
+    l1_reference,
+    make_params,
+    reference_sub_lambda,
+    reference_w,
+    stress_params,
+)
 
 EST = EstimatorConfig(mc_samples=1000, quad_points=64, seed=1, tol=1e-9)
 # K = L = 1 with p0 = p1 = 0.5 and constant rate 1 (F = 3, g = 2)
@@ -334,3 +344,57 @@ def test_stress_solve_work_budget():
         sol = solve(STRESS, est)
         work = (sol.iterations, sol.inner_iterations, sol.kernel_rows)
         assert all(used <= most for used, most in zip(work, budget)), (solve.__name__, work)
+
+
+# --- the exact reference at L = 1 ---------------------------------------------
+
+L1 = make_params(num_relays=1, relay_prob=1.0)  # the two-part base with one relay
+BILEVEL = [PolicyKind.INTUITIVE_BILEVEL, PolicyKind.OPTIMAL_BILEVEL]
+
+
+@pytest.fixture(scope="module")
+def l1_refs():
+    """Each bi-level rule's L = 1 reference at 60 and at 120 nodes."""
+    return {kind: [l1_reference(L1, kind, nodes) for nodes in (60, 120)] for kind in BILEVEL}
+
+
+@pytest.mark.parametrize("kind, gamma", zip(BILEVEL, [1.144911936937, 1.165030850021]),
+                         ids=["intuitive", "coupled"])
+def test_l1_reference_converges_as_the_nodes_double(l1_refs, kind, gamma):
+    coarse, fine = l1_refs[kind]
+    assert abs(coarse.gamma - fine.gamma) <= 1e-12
+    assert abs(fine.gamma - gamma) <= 1e-12
+
+
+def test_l1_reference_nodes_match_the_bisection_references(l1_refs):
+    # the sum's relay-level values at a few nodes, from the batch solvers,
+    # against the scalar bisections on the single-realization positive part
+    est = EstimatorConfig(tol=1e-12)
+    for kind in BILEVEL:
+        ref = l1_refs[kind][0]
+        f = ref.nodes[[0, 3, 10, 25]]
+        if kind is PolicyKind.INTUITIVE_BILEVEL:
+            got = solve_sub_layer_batch(L1, f[:, None], L1_EST).threshold
+            want = [reference_sub_lambda(L1, [x], est) for x in f]
+        else:
+            got = solve_sub_w_batch(L1, f[:, None], ref.gamma, L1_EST)
+            want = [reference_w(L1, [x], ref.gamma, est) for x in f]
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11, err_msg=kind.name)
+
+
+def test_l1_solvers_are_unbiased_within_their_sampling_error(l1_refs):
+    # Seeds 1-5 at 50k samples, fixed before the first run. Each sampled root
+    # has sd ref.sd / sqrt(n) (delta method), so the mean of k roots lies
+    # within 4 ref.sd / sqrt(k n) of gamma* but for a 6e-5 chance; 1e-5
+    # bounds the O(1/n) bias of a sampled root (CHANGES.md has both).
+    seeds, n = range(1, 6), 50_000
+    roots = {kind: [] for kind in BILEVEL}
+    for seed in seeds:
+        est = EstimatorConfig(mc_samples=n, seed=seed, tol=1e-9)
+        intuitive = solve_main_gamma_intuitive(L1, est)
+        roots[PolicyKind.INTUITIVE_BILEVEL].append(intuitive.value)
+        roots[PolicyKind.OPTIMAL_BILEVEL].append(
+            solve_main_gamma_optimal(L1, est, start=intuitive).value)
+    for kind, ref in ((kind, l1_refs[kind][1]) for kind in BILEVEL):
+        bound = 4.0 * ref.sd / np.sqrt(len(seeds) * n) + 1e-5
+        assert abs(np.mean(roots[kind]) - ref.gamma) <= bound, (kind.name, roots[kind], bound)

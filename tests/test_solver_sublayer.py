@@ -603,18 +603,12 @@ def test_row_right_of_the_root_steps_to_its_tangent_point(cost):
     cost_slope, target = (0.0, 0.7 * slope) if cost == "reward" else (slope, 0.0)
     root = solver._newton_rows([kernel], cost_slope, target, EST, 1.0)[0]  # caches e0
     start = root + 0.1
-    passes = []
-    excess_tail = kernel.excess_tail
-
-    def recording(thetas, idx=slice(None)):
-        passes.append(np.copy(thetas))
-        return excess_tail(thetas, idx)
-
-    kernel.excess_tail = recording
+    excess, tail = kernel.excess_tail(start)
+    recorded = _recording(kernel)
     kernel_rows = solver._newton_rows([kernel], cost_slope, target, EST, 1.0, start)[4]
+    passes = [thetas for _, thetas in recorded]
     # kernel rows count rows x relays over the excess passes
     assert kernel_rows == sum(thetas.size for thetas in passes) * kernel.rows.shape[1]
-    excess, tail = excess_tail(start)
     f = excess - cost_slope * start - target
     assert np.all(f < 0.0)
     tangent = start + f / (tail + cost_slope)
@@ -641,15 +635,29 @@ def test_e0_is_the_excess_pass_at_zero_bit_for_bit(name):
     assert kernel.e0.tobytes() == kernel.excess_tail(np.zeros(rows.shape[0]))[0].tobytes()
 
 
+def _recording(kernel):
+    """Record each excess pass of ``kernel`` as (sample rows, thetas)."""
+    passes = []
+    excess_tail = kernel.excess_tail
+
+    def recording(thetas, idx=slice(None)):
+        passes.append((np.arange(kernel.rows.shape[0])[idx], np.copy(thetas)))
+        return excess_tail(thetas, idx)
+
+    kernel.excess_tail = recording
+    return passes
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm-tail-0"])
 @pytest.mark.parametrize("cost", ["reward", "reward/10", "throughput"])
 @pytest.mark.parametrize("name", list(ENGINE_CASES))
-def test_cold_rows_start_from_the_first_step_bit_for_bit(name, cost):
-    # without a start the first iteration runs on e0 and tail 1 at theta <= 0;
-    # a start of zeros evaluates them there: the same roots, tails and
-    # residuals, with one pass and rows x L kernel rows more. The reward
-    # target at the median E[R] puts half the rows on the linear branch; at a
-    # tenth of it, some "stress" rows bisect after their first step, as the
-    # step history of the first iteration requires
+def test_every_row_starts_at_the_tangent_root_from_zero(name, cost, warm):
+    # at theta <= 0 the excess is e0 - theta, so every row's first pass is at
+    # theta1 = (e0 - target) / (1 + cost_slope); where theta1 <= 0 that is the
+    # root, and the row leaves after that pass. The reward target at the
+    # median E[R] puts half the rows there. A warm start from rows whose
+    # previous tail was 0 (NaN or -inf from _tangent_start) starts them at
+    # theta1 as well
     params, kernel = _engine_kernel(name)
     slope = params.slot_time / (params.data_time
                                 * success_prob(params.num_relays, params.relay_prob))
@@ -658,13 +666,52 @@ def test_cold_rows_start_from_the_first_step_bit_for_bit(name, cost):
     else:
         cost_slope = 0.0
         target = float(np.median(kernel.e0)) / (10.0 if cost == "reward/10" else 1.0)
-    cold = solver._newton_rows([kernel], cost_slope, target, EST, 1.0)
-    zeros = solver._newton_rows([kernel], cost_slope, target, EST, 1.0,
-                                np.zeros(kernel.rows.shape[0]))
-    for got, want in zip(cold[:3], zeros[:3]):
-        assert got.tobytes() == want.tobytes()
-    assert cold[3] == zeros[3] - 1
-    assert cold[4] == zeros[4] - kernel.rows.size
+    theta1 = (kernel.e0 - target) / (1.0 + cost_slope)
+    start = None
+    if warm:
+        past = np.nextafter(kernel.sat_top, np.inf)  # the excess and the tail are 0 here
+        excess, tail = kernel.excess_tail(past)
+        assert np.all((excess == 0.0) & (tail == 0.0))
+        start = solver._tangent_start(past, excess - cost_slope * past - target, tail,
+                                      target, target)
+        assert np.all(np.isnan(start) | np.isneginf(start))
+    passes = _recording(kernel)
+    theta, tail, f, _, kernel_rows = solver._newton_rows([kernel], cost_slope, target, EST,
+                                                         1.0, start)
+    rows, first = passes[0]
+    np.testing.assert_array_equal(rows, np.arange(kernel.rows.shape[0]))
+    assert first.tobytes() == theta1.tobytes()
+    linear = theta1 <= 0.0
+    if cost == "reward":
+        assert 0 < np.count_nonzero(linear) < linear.size
+    assert theta[linear].tobytes() == theta1[linear].tobytes()
+    assert np.all((tail[linear] == 1.0) & (np.abs(f[linear]) <= EST.tol))
+    assert not any(np.any(linear[idx]) for idx, _ in passes[1:])
+    assert kernel_rows == sum(thetas.size for _, thetas in passes) * kernel.rows.shape[1]
+
+
+def test_cold_rows_take_newton_steps_after_their_first_pass():
+    # stress_solve at seed 1 (2000 samples), the coupled solve's first
+    # evaluation: Newton from the left of a convex decreasing residual climbs
+    # to the root, so each pass after the first is the tangent root of the
+    # last and none overshoots. Rows 656, 831 and 1937 step just over half
+    # of theta1 after their first pass, under an eighth of the chord, so a
+    # crawl guard that counted a step from theta = 0 would bisect them
+    est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=1, tol=1e-6)
+    gamma = solve_main_gamma_intuitive(STRESS, est).value
+    rows = channel.sample_first_hop_rows(STRESS, np.random.default_rng(1), 2000)
+    kernel = second_hop_kernel(STRESS, rows)
+    target = solver._reward_target(STRESS, gamma)
+    excess_tail = kernel.excess_tail
+    passes = _recording(kernel)
+    theta = solver._newton_rows([kernel], 0.0, target, est, 0.5 * STRESS.data_time)[0]
+    for row in (656, 831, 1937):
+        path = [thetas[np.searchsorted(idx, row)] for idx, thetas in passes if row in idx]
+        assert len(path) >= 3, row
+        excess, tail = excess_tail(np.array(path[:-1]), np.full(len(path) - 1, row))
+        np.testing.assert_allclose(path[1:], path[:-1] + (excess - target) / tail, rtol=1e-12,
+                                   err_msg=str(row))
+        assert np.all(np.diff(path) >= 0.0) and path[-1] == theta[row], row
 
 
 def test_non_finite_target_fails_after_one_pass():

@@ -6,6 +6,11 @@ gives the elementwise boolean array. All thresholds are inclusive (stop on >=),
 matching the rule definitions the thresholds were solved for. Boundary hits
 are measure-zero under continuous fading but matter for the deterministic
 channel hooks used in tests.
+
+Stop sets: full CSI, a threshold on the best-relay rate; the coupled rule, on
+W (which rises in each first-hop gain), then on the relay's rate; the
+intuitive rule, on the relay's rate, after a source-level gain that is not
+monotone in the first-hop gains at L >= 2.
 """
 from __future__ import annotations
 
@@ -59,7 +64,7 @@ def intuitive_main_decide(spec: PolicySpec, stats: SubLayerStats, t_data: float)
     """Source-level rule of the intuitive scheme, relay chosen later."""
     _require_kind(spec, PolicyKind.INTUITIVE_BILEVEL)
     g = spec.gamma_star
-    return stats.expected_bits - g * stats.expected_time >= g * t_data / 2.0
+    return stats.threshold * stats.expected_time - g * stats.expected_time >= g * t_data / 2.0
 
 
 def intuitive_sub_decide(threshold, rate_m):

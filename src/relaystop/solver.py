@@ -5,15 +5,13 @@ expected positive part, decreasing in the unknown, equals a linear contention
 cost, increasing in the unknown. The residual is convex, so Newton steps from
 the left of the root never overshoot, and convexity certifies enclosures.
 
-The full-CSI expectation is exact: the best-relay rate over two Rayleigh
-hops has a closed-form tail (a Bessel K1 term), integrated by a fixed
-Gauss-Legendre rule. The two-part expectations are split by hop. Second-hop
-(single-gain) expectations are deterministic: the second hop's model
-evaluates them in closed form, through the kernel its ``relay_kernel``
-method builds (``relaystop.channel``). First-hop expectations use a fixed,
-seed-determined Monte Carlo sample that is reused for every candidate
-threshold (common random numbers), so each realized residual is itself a
-convex decreasing function with a unique root.
+The full-CSI expectation is exact (``channel.best_relay_excess_tail``). The
+two-part expectations are split by hop. Second-hop (single-gain) expectations
+are deterministic: the second hop's model evaluates them in closed form,
+through the kernel its ``relay_kernel`` method builds. First-hop expectations
+use a fixed, seed-determined Monte Carlo sample that is reused for every
+candidate threshold (common random numbers), so each realized residual is
+itself a convex decreasing function with a unique root.
 
 One guarded-Newton engine finds every root, on a batch of rows at once,
 dropping converged rows from the residual passes. A relay-level solve, one
@@ -24,9 +22,10 @@ root (the residual is convex), so the engine steps there from the right.
 The coupled solve starts at the intuitive root, which it dominates, and each
 outer evaluation after the first starts every row at its new tangent root.
 
-This module names no hop model: ``relaystop.channel`` resolves the optional
-``first_hop`` / ``second_hop`` arguments, draws the first-hop sample and
-builds the second-hop kernels, whose ``excess_tail`` the engine calls. A
+This module names no hop model and reads no power or mean gain:
+``relaystop.channel`` resolves the optional ``first_hop`` / ``second_hop``
+arguments, draws the first-hop sample, builds the second-hop kernels, whose
+``excess_tail`` the engine calls, and evaluates the best-relay law. A
 point-mass second hop, and any finite-support ``rate_sampler`` a caller
 passes, make the closed-form worked examples exact.
 """
@@ -34,11 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .channel import (EULER_GAMMA, LN2, SystemParams, as_rows, full_csi_rate_sampler,
+from .channel import (SystemParams, as_rows, best_relay_excess_tail, full_csi_rate_sampler,
                       sample_first_hop_rows, second_hop_kernel)
 from .contention import success_prob
 from .errors import InvalidParameterError, SolverFailureError
@@ -103,15 +101,12 @@ class SubLayerStats:
 
     threshold: maximal conditional relay-level throughput; also the stop
         threshold on the observed relay rate.
-    expected_bits: expected bits delivered once this realization is accepted
-        (threshold * expected_time by construction).
     expected_time: expected relay-level time, contention plus the second-hop
-        transmission half.
+        transmission half; accepted, a realization delivers threshold * expected_time bits.
     stop_prob: per relay-level observation probability of stopping.
     """
 
     threshold: float
-    expected_bits: float
     expected_time: float
     stop_prob: float
 
@@ -141,7 +136,7 @@ def solve_full_csi_lambda(params: SystemParams, est: EstimatorConfig,
 
     By default R is the best-relay rate of the Rayleigh hops of ``params``,
     and the expectation and its slope -T P(R >= 2 lam) are evaluated from
-    the closed-form tail (``_best_relay_excess_tail``): deterministic, with
+    the closed-form law ``channel.best_relay_excess_tail``: deterministic, with
     no sample and no random draw. A ``rate_sampler`` instead solves on its
     fixed sample of ``est.mc_samples`` rates drawn from ``est.seed``.
     """
@@ -152,7 +147,7 @@ def solve_full_csi_lambda(params: SystemParams, est: EstimatorConfig,
         evaluate = _piecewise_linear_residual(half_rates, t, cost)
     else:
         def evaluate(lam: float):
-            excess, tail = _best_relay_excess_tail(params, 2.0 * lam)
+            excess, tail = best_relay_excess_tail(params, 2.0 * lam)
             return 0.5 * t * excess - lam * cost, -t * tail - cost, (0, 0)
     return _solve_convex(evaluate, cost, est, "full-CSI throughput")
 
@@ -186,151 +181,6 @@ def oracle_threshold_search(params: SystemParams, grid, est: EstimatorConfig,
     tp = np.where(kept > 0, 0.5 * t * (suffix[idx] / n) / (t * kept / n + cost), -np.inf)
     best = int(np.argmax(tp))  # the first of equal maxima
     return float(thresholds[best]), float(tp[best])
-
-
-# ---------------------------------------------------------------------------
-# Best-relay rate tail (full CSI, Rayleigh hops)
-#
-# One relay's rate is at least x iff (a - c)(b - c) >= c (c + 1) with a, b > c,
-# where c = 2^x - 1 and a = Ps |f|^2, b = Pr |g|^2 are exponential with means
-# a_bar, b_bar. Integrating b's tail over a gives (Hasna and Alouini, IEEE
-# Trans. Wireless Commun., 2003)
-#   t(c) = z e^{-c (1/a_bar + 1/b_bar)} K1(z),  z = 2 sqrt(c (c + 1) / (a_bar b_bar)),
-# and the best of L independent relays has the tail 1 - (1 - t)^L. In
-# y = kappa c, kappa = (1/sqrt(a_bar) + 1/sqrt(b_bar))^2, the exponent
-# z + c (1/a_bar + 1/b_bar) is at least y, so t falls like sqrt(y) e^{-y}.
-#
-# E[max(R - theta, 0)] = int_{c0}^inf (1 - (1 - t)^L) dc / ((1 + c) ln 2),
-# c0 = 2^theta - 1, by a fixed Gauss-Legendre rule of 32 nodes per panel in
-# y = kappa c: 4 panels of equal width in ln y on [y0, 1] (empty for y0 >= 1),
-# which resolve the log singularity at c = 0 and the pole of 1/(1 + c) at
-# c = -1, and 4 panels on [max(y0, 1), that + M] with edges at 0, 1/20, 3/20
-# and 7/20 of M = 40 + ln L, the cut where L e^{-M} = e^{-40}. Below
-# y = e^{-40} the tail is 1 to within O(c ln c), so that piece is integrated
-# exactly. Against scipy's quad the excess agrees within 2e-14 relative over
-# SNRs 1e-2 to 1e6 and L = 1 to 64 (measured; tests/test_solver_full_csi.py
-# allows 5e-14).
-
-_QUAD_NODES = 32
-_LOG_FLOOR = -40.0     # ln y below which the tail is taken as 1
-_CUT = 40.0            # the cut M is _CUT + ln L
-_UPPER_EDGES = np.array([0.0, 0.05, 0.15, 0.35, 1.0])
-_DROP_Y = 800.0        # from y0 on, t and the excess are 0 in float
-
-
-@cache  # built on first use, so that runs without a full-CSI solve never pay it
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]: Newton
-    on the Legendre recurrence from the asymptotic guesses. For n = 32 four
-    steps converge the nodes; the fifth pass takes the weights' derivative at
-    them."""
-    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(5):
-        p0, p1 = np.ones(n), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
-        x = x - p1 / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
-def _panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss-Legendre rule on each panel between
-    consecutive ``edges``, flattened."""
-    x, w = _gauss_legendre(_QUAD_NODES)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return (mid + half * x).ravel(), (half * w).ravel()
-
-
-def _best_relay_excess_tail(params: SystemParams, theta: float) -> tuple[float, float]:
-    """(E[max(R - theta, 0)], P(R >= theta)) for theta >= 0, R the best-relay
-    rate over the Rayleigh hops of ``params`` (see the section comment)."""
-    a_bar = params.source_power * params.first_hop_mean_gain
-    b_bar = params.relay_power * params.second_hop_mean_gain
-    kappa = (1.0 / math.sqrt(a_bar) + 1.0 / math.sqrt(b_bar)) ** 2
-    num_relays = params.num_relays
-    y0 = kappa * math.expm1(min(theta, 1000.0) * LN2)
-    if y0 >= _DROP_Y:
-        return 0.0, 0.0
-    top = max(y0, 1.0)
-    y, w = _panel_rule(top + (_CUT + math.log(num_relays)) * _UPPER_EDGES)
-    flat = 0.0  # the integral of 1 / ((1 + c) ln 2) below y = e^{_LOG_FLOOR}
-    if y0 < 1.0:
-        log_lo = max(math.log(y0), _LOG_FLOOR) if y0 > 0.0 else _LOG_FLOOR
-        u, v = _panel_rule(np.linspace(log_lo, 0.0, 5))
-        y_low = np.exp(u)
-        y, w = np.concatenate([y_low, y]), np.concatenate([v * y_low, w])
-        flat = (math.log1p(math.exp(log_lo) / kappa) - math.log1p(y0 / kappa)) / LN2
-    c = y / kappa
-    if theta > 0.0:  # the tail at theta, in the same pass
-        c = np.append(c, y0 / kappa)
-    z = 2.0 * np.sqrt(c) * np.sqrt(c + 1.0) / math.sqrt(a_bar * b_bar)
-    relay_tail = np.minimum(
-        z * _scaled_k1(z) * np.exp(-(z + c * (1.0 / a_bar + 1.0 / b_bar))), 1.0)
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives 1
-        best = -np.expm1(num_relays * np.log1p(-relay_tail))  # 1 - (1 - t)^L, exact for tiny t
-    n = w.size
-    excess = float(w @ (best[:n] / (1.0 + c[:n]))) / (kappa * LN2) + flat
-    return excess, (float(best[n]) if theta > 0.0 else 1.0)
-
-
-# e^z K1(z): below K1_SERIES_TOP the series of A&S 9.6.11,
-#   z K1(z) = 1 + (z^2/2) sum_k (z^2/4)^k [ln(z/2) - (psi(k+1) + psi(k+2))/2] / (k! (k+1)!),
-# whose first omitted term is 6e-18 relative at z = 2, where the sum cancels
-# by about 4x; from it on, sqrt(z) e^z K1(z) as a Chebyshev series in w = 4/z - 1,
-# fitted against mpmath at 40 digits (tests/test_solver_full_csi.py re-fits
-# it). Both hold 7e-16 relative against mpmath.
-K1_SERIES_TOP = 2.0
-_K1_TERMS = 12
-_K1_I = tuple(1.0 / (math.factorial(k) * math.factorial(k + 1)) for k in range(_K1_TERMS))
-_K1_PSI = tuple(c * (0.5 * (sum(1.0 / j for j in range(1, k + 1))
-                            + sum(1.0 / j for j in range(1, k + 2))) - EULER_GAMMA)
-                for k, c in enumerate(_K1_I))
-_K1_CHEB = (
-    1.3603130952422213, 0.10392373657681724, -0.002857816859622779,
-    0.00019521551847135162, -1.936197974166083e-05, 2.406484947837217e-06,
-    -3.5019606030878126e-07, 5.7410841254500495e-08, -1.0345762465678097e-08,
-    2.0150497551970347e-09, -4.1903547593419254e-10, 9.218315187605315e-11,
-    -2.129967838427791e-11, 5.139639673482343e-12, -1.2891739609498229e-12,
-    3.348419666052243e-13, -8.976705182010146e-14, 2.4771544242195988e-14,
-    -7.0198370892147685e-15, 2.038703166239861e-15, -6.057047270643018e-16,
-    1.8380935752430455e-16, -5.689462849193648e-17, 1.7940510478863572e-17,
-    -5.7567444820733025e-18, 1.8778651901623268e-18,
-)
-
-
-def _scaled_k1(z: np.ndarray) -> np.ndarray:
-    """e^z K1(z) elementwise for z > 0, with e^z K1(z) = 0 at z = inf."""
-    out = np.empty_like(z)
-    low = z < K1_SERIES_TOP
-    if low.any():
-        x = z[low]
-        y = 0.25 * x * x
-        acc = np.log(0.5 * x) * _polynomial(_K1_I, y)
-        acc -= _polynomial(_K1_PSI, y)
-        acc *= 0.5 * x
-        acc += 1.0 / x
-        acc *= np.exp(x)
-        out[low] = acc
-    high = ~low
-    if high.any():
-        x = z[high]
-        w2 = 8.0 / x - 2.0  # 2w
-        b1 = b2 = np.zeros_like(x)
-        for coef in _K1_CHEB[:0:-1]:  # Clenshaw: b_k = 2w b_{k+1} - b_{k+2} + c_k
-            b1, b2 = w2 * b1 - b2 + coef, b1
-        out[high] = (0.5 * w2 * b1 - b2 + _K1_CHEB[0]) / np.sqrt(x)
-    return out
-
-
-def _polynomial(coefs, x: np.ndarray) -> np.ndarray:
-    """sum_k coefs[k] x^k by Horner's rule."""
-    acc = np.full_like(x, coefs[-1])
-    for coef in coefs[-2::-1]:
-        acc *= x
-        acc += coef
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +219,7 @@ def _intuitive_rows(params, kernels, est):
     with np.errstate(divide="ignore"):
         expected_time = (0.5 * params.data_time
                          + params.slot_time / (2.0 * p_r * stop_prob))
-    return SubLayerStats(lam, lam * expected_time, expected_time, stop_prob), tuple(work)
+    return SubLayerStats(lam, expected_time, stop_prob), tuple(work)
 
 
 def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,
@@ -431,7 +281,7 @@ def _intuitive_gamma(params, kernels, est) -> ThresholdSolution:
     except SolverFailureError as err:
         raise SolverFailureError(f"{name}: {err}") from err
     cost = params.slot_time / (2.0 * success_prob(params.num_sources, params.source_prob))
-    evaluate = _piecewise_linear_residual(stats.expected_bits,
+    evaluate = _piecewise_linear_residual(stats.threshold * stats.expected_time,
                                           stats.expected_time + 0.5 * params.data_time, cost)
     return _solve_convex(evaluate, cost, est, name, work=work)
 

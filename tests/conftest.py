@@ -16,9 +16,10 @@ from relaystop import (
     solve_sub_w_batch,
     success_prob,
 )
-from relaystop.channel import as_rows, rate_saturation, second_hop_kernel
+from relaystop.channel import (as_rows, best_relay_excess_tail, rate_saturation,
+                               second_hop_kernel)
 from relaystop.policies import intuitive_main_decide, optimal_main_decide
-from relaystop.solver import CHUNK_ROWS, _best_relay_excess_tail, _draw_rates
+from relaystop.solver import CHUNK_ROWS, _draw_rates
 
 
 # A root search's failure: it names the worst row, its residual and its enclosure.
@@ -158,7 +159,7 @@ def full_csi_residual(params: SystemParams, lam: float | np.ndarray) -> float | 
     an array of lam gives an array of residuals."""
     lams = np.asarray(lam, dtype=float)
     cost = params.slot_time / success_prob(params.num_sources, params.source_prob)
-    out = [0.5 * params.data_time * _best_relay_excess_tail(params, 2.0 * x)[0] - x * cost
+    out = [0.5 * params.data_time * best_relay_excess_tail(params, 2.0 * x)[0] - x * cost
            for x in lams.ravel()]
     return out[0] if lams.ndim == 0 else np.array(out)
 
@@ -299,17 +300,24 @@ def policy_value(params: SystemParams, spec, samples: int, seed: int,
         w = solve_sub_w_batch(params, rows, spec.gamma_star, est)
         theta = spec.gamma_star + w / (0.5 * t)
         stop = optimal_main_decide(spec, w, t)
-    p_r = success_prob(params.num_relays, params.relay_prob)
     x = np.zeros(samples)
     y = np.full(samples, params.slot_time / (2.0 * success_prob(params.num_sources,
                                                                  params.source_prob)))
     for i in range(0, samples, CHUNK_ROWS):
         idx = i + np.flatnonzero(stop[i:i + CHUNK_ROWS])
-        kernel = second_hop_kernel(params, rows[idx])
-        excess, tail = kernel.excess_tail(theta[idx])
-        x[idx] = 0.5 * t * (excess / tail + theta[idx])
-        y[idx] += 0.5 * t + params.slot_time / (2.0 * p_r * tail) + 0.5 * t
+        x[idx], time_ = relay_level_bits_and_time(params, rows[idx], theta[idx])
+        y[idx] += time_ + 0.5 * t
     return _ratio_with_stderr(x, y)
+
+
+def relay_level_bits_and_time(params: SystemParams, rows: np.ndarray, theta: np.ndarray):
+    """Per first-hop row with relay-level threshold theta: the expected bits
+    (T/2)(excess(theta)/P + theta) and the relay time T/2 + tau/(2 p_r P),
+    P = tail(theta)."""
+    half_t = 0.5 * params.data_time
+    excess, tail = second_hop_kernel(params, rows).excess_tail(theta)
+    p_r = success_prob(params.num_relays, params.relay_prob)
+    return half_t * (excess / tail + theta), half_t + params.slot_time / (2.0 * p_r * tail)
 
 
 def _ratio_with_stderr(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -328,6 +336,7 @@ def _ratio_with_stderr(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 #   E[max(g(f), 0)] = e^{-f0/mu} int_0^inf g(f0 + mu s) e^{-s} ds.
 # The gains come from the batch solvers at tol 1e-13; f0 and gamma* are roots
 # found by scipy's brentq. No sample enters, so the only error is the rule's.
+# The same sum gives each rule's policy value V(gamma') at an imposed rate.
 
 
 L1_EST = EstimatorConfig(tol=1e-13)
@@ -339,59 +348,95 @@ class L1Reference(NamedTuple):
     sd: float  # delta-method sd of one sample row's share of the sampled root
 
 
+def _l1_gain(params: SystemParams, kind, gamma: float, f) -> np.ndarray:
+    """The rule's source-level gain at rate gamma per first-hop gain in f."""
+    half_t = 0.5 * params.data_time
+    rows = np.asarray(f, dtype=float).reshape(-1, 1)
+    if kind is PolicyKind.INTUITIVE_BILEVEL:
+        stats = solve_sub_layer_batch(params, rows, L1_EST)
+        bits = stats.threshold * stats.expected_time
+        return bits - gamma * (stats.expected_time + half_t)
+    return solve_sub_w_batch(params, rows, gamma, L1_EST) - half_t * gamma
+
+
+def _l1_boundary(params: SystemParams, kind, gamma: float) -> float:
+    """The root f0 of the rule's gain at rate gamma, by brentq."""
+    from scipy.optimize import brentq
+
+    def g(f):
+        return float(_l1_gain(params, kind, gamma, [f])[0])
+    hi = 1.0
+    while g(hi) <= 0.0:
+        hi *= 2.0
+    return brentq(g, 1e-12, hi, xtol=1e-15, rtol=8.9e-16)
+
+
+def _l1_stop_set(params: SystemParams, kind, gamma: float, f0: float, nodes: int):
+    """The sum's nodes f0 + mu s_i, their weights e^{-f0/mu} w_i and the gains
+    there, after checking on the grid (those nodes, and Gauss-Legendre nodes
+    on (0, f0)) that the gain changes sign once, at f0."""
+    mu = params.first_hop_mean_gain
+    s, w = np.polynomial.laguerre.laggauss(nodes)
+    u = 0.5 * (np.polynomial.legendre.leggauss(nodes)[0] + 1.0)
+    g = _l1_gain(params, kind, gamma, np.concatenate([f0 * u, f0 + mu * s]))
+    below, above = g[:nodes], g[nodes:]
+    assert np.all(below <= 0.0) and np.all(above > 0.0), (
+        f"{kind} gain at gamma {gamma} changes sign more than once: split at every crossing")
+    return f0 + mu * s, math.exp(-f0 / mu) * w, above
+
+
 def l1_reference(params: SystemParams, kind, nodes: int) -> L1Reference:
     """gamma* of the rule ``kind`` at L = 1 from a ``nodes``-point Gauss-Laguerre
     sum above the stop boundary f0, with the per-row sd of the sampled root.
     gamma* must lie in [0.9, 1.5], as it does on make_params(num_relays=1,
     relay_prob=1.0).
 
-    Every evaluation checks on its grid (the sum's nodes, and Gauss-Legendre
-    nodes on (0, f0)) that the gain changes sign once, at f0; it fails where
-    the stop set is not [f0, inf). The sd is sqrt(Var max(g, 0)) / |R'(gamma*)|,
+    Every evaluation checks on its grid that the gain changes sign once, at
+    f0 (``_l1_stop_set``). The sd is sqrt(Var max(g, 0)) / |R'(gamma*)|,
     the delta method for the root of mean(max(g_i, 0)) - gamma cost; R' is a
     central difference of the sum at fixed f0, which g(f0) = 0 allows.
     """
     from scipy.optimize import brentq
 
-    mu, half_t = params.first_hop_mean_gain, 0.5 * params.data_time
     cost = params.slot_time / (2.0 * success_prob(params.num_sources, params.source_prob))
-    s, w = np.polynomial.laguerre.laggauss(nodes)
-    u = 0.5 * (np.polynomial.legendre.leggauss(nodes)[0] + 1.0)
     roots = {}
 
-    def gain(gamma, f):
-        """The rule's source-level gain at rate gamma per first-hop gain in f."""
-        rows = np.asarray(f, dtype=float).reshape(-1, 1)
-        if kind is PolicyKind.INTUITIVE_BILEVEL:
-            stats = solve_sub_layer_batch(params, rows, L1_EST)
-            return stats.expected_bits - gamma * (stats.expected_time + half_t)
-        return solve_sub_w_batch(params, rows, gamma, L1_EST) - half_t * gamma
-
-    def boundary(gamma):
-        def g(f):
-            return float(gain(gamma, [f])[0])
-        hi = 1.0
-        while g(hi) <= 0.0:
-            hi *= 2.0
-        return brentq(g, 1e-12, hi, xtol=1e-15, rtol=8.9e-16)
-
     def positive_part(gamma, f0):
-        """e^{-f0/mu} (sum w g, sum w g^2) over the nodes above f0, after the sign check."""
-        g = gain(gamma, np.concatenate([f0 * u, f0 + mu * s]))
-        below, above = g[:nodes], g[nodes:]
-        assert np.all(below <= 0.0) and np.all(above > 0.0), (
-            f"{kind} gain at gamma {gamma} changes sign more than once: split at every crossing")
-        return math.exp(-f0 / mu) * np.array([w @ above, w @ above ** 2])
+        """sum w g over the nodes above f0."""
+        _, w, g = _l1_stop_set(params, kind, gamma, f0, nodes)
+        return float(w @ g)
 
     def residual(gamma):
-        roots[gamma] = f0 = boundary(gamma)
-        return float(positive_part(gamma, f0)[0]) - gamma * cost
+        roots[gamma] = f0 = _l1_boundary(params, kind, gamma)
+        return positive_part(gamma, f0) - gamma * cost
 
     gamma = brentq(residual, 0.9, 1.5, xtol=1e-15, rtol=8.9e-16)
     f0, h = roots[gamma], 1e-5
-    mean, square = positive_part(gamma, f0)
-    slope = (positive_part(gamma + h, f0)[0] - positive_part(gamma - h, f0)[0]) / (2.0 * h) - cost
-    return L1Reference(gamma, f0 + mu * s, math.sqrt(square - mean ** 2) / abs(slope))
+    f, w, g = _l1_stop_set(params, kind, gamma, f0, nodes)
+    mean, square = w @ g, w @ g ** 2
+    slope = (positive_part(gamma + h, f0) - positive_part(gamma - h, f0)) / (2.0 * h) - cost
+    return L1Reference(gamma, f, math.sqrt(square - mean ** 2) / abs(slope))
+
+
+def l1_policy_value(params: SystemParams, kind, gamma: float, nodes: int = 60) -> float:
+    """V(gamma): the exact throughput of the complete policy that the rule
+    ``kind`` defines at the imposed rate gamma, at L = 1.
+
+    The source stops where the rule's gain is >= 0, on [f0, inf); the relay
+    then stops at R >= theta, theta = lam(f) (intuitive) or gamma + W/(T/2)
+    (coupled). The renewal-reward ratio of ``policy_value`` becomes
+    e^{-f0/mu} sum w bits / (tau/(2 p_s) + e^{-f0/mu} sum w (time + T/2)).
+    """
+    half_t = 0.5 * params.data_time
+    f, w, _ = _l1_stop_set(params, kind, gamma, _l1_boundary(params, kind, gamma), nodes)
+    rows = f[:, None]
+    if kind is PolicyKind.INTUITIVE_BILEVEL:
+        theta = solve_sub_layer_batch(params, rows, L1_EST).threshold
+    else:
+        theta = gamma + solve_sub_w_batch(params, rows, gamma, L1_EST) / half_t
+    bits, time_ = relay_level_bits_and_time(params, rows, theta)
+    cost = params.slot_time / (2.0 * success_prob(params.num_sources, params.source_prob))
+    return float(w @ bits) / (cost + float(w @ (time_ + half_t)))
 
 
 @pytest.fixture

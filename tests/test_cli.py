@@ -392,6 +392,8 @@ LOADER_ERRORS = {
     "missing-params": ({"params": None}, ["solve"], "params: section is required"),
     "misspelled-section": ({"estimator": None, "estimatr": {"mc_samples": 5000, "seed": 7}},
                            ["solve"], "config root: unknown fields ['estimatr']"),
+    "misspelled-field": ({"params.num_relay": 2}, ["solve"],
+                         "params: unknown fields ['num_relay']"),
     "unknown-scenario": ({"scenario": "3"}, ["solve"], "scenario: must be one of"),
     "non-object-section": ({"sim": 5}, ["solve"], "sim: must be an object"),
     # a second spelling of a hop of params, which the loader once let win silently

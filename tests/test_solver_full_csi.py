@@ -12,10 +12,10 @@ from relaystop import (
     EstimatorConfig,
     InvalidParameterError,
     SolverFailureError,
+    channel,
     full_csi_rate_sampler,
     oracle_threshold_search,
     solve_full_csi_lambda,
-    solver,
     success_prob,
 )
 from .conftest import (
@@ -329,12 +329,12 @@ def test_scaled_k1_matches_scipy():
     from scipy import special
 
     z = np.concatenate([np.geomspace(1e-300, 1e300, 4001),
-                        np.linspace(0.9, 1.1, 201) * solver.K1_SERIES_TOP])
-    np.testing.assert_allclose(solver._scaled_k1(z), special.k1e(z), rtol=1.5e-15, atol=0.0)
-    assert solver._scaled_k1(np.array([np.inf]))[0] == 0.0
-    for part in (z[z < solver.K1_SERIES_TOP], z[z >= solver.K1_SERIES_TOP]):  # one branch only
-        np.testing.assert_allclose(solver._scaled_k1(part), special.k1e(part), rtol=1.5e-15)
-    assert solver._scaled_k1(np.empty(0)).shape == (0,)
+                        np.linspace(0.9, 1.1, 201) * channel.K1_SERIES_TOP])
+    np.testing.assert_allclose(channel._scaled_k1(z), special.k1e(z), rtol=1.5e-15, atol=0.0)
+    assert channel._scaled_k1(np.array([np.inf]))[0] == 0.0
+    for part in (z[z < channel.K1_SERIES_TOP], z[z >= channel.K1_SERIES_TOP]):  # one branch only
+        np.testing.assert_allclose(channel._scaled_k1(part), special.k1e(part), rtol=1.5e-15)
+    assert channel._scaled_k1(np.empty(0)).shape == (0,)
 
 
 def test_scaled_k1_matches_mpmath_and_its_chebyshev_fit_reproduces():
@@ -347,7 +347,7 @@ def test_scaled_k1_matches_mpmath_and_its_chebyshev_fit_reproduces():
     with mpmath.workdps(40):
         n = 40
         nodes = [mpmath.cos(mpmath.pi * (k + mpmath.mpf(1) / 2) / n) for k in range(n)]
-        top = mpmath.mpf(solver.K1_SERIES_TOP)
+        top = mpmath.mpf(channel.K1_SERIES_TOP)
         values = []
         for w in nodes:
             z = 2 * top / (w + 1)
@@ -358,18 +358,18 @@ def test_scaled_k1_matches_mpmath_and_its_chebyshev_fit_reproduces():
         fit = [float(c) for c in fit]
         z = np.concatenate([np.geomspace(1e-8, 1e4, 80), np.linspace(1.99, 2.01, 11)])
         want = np.array([float(mpmath.exp(v) * mpmath.besselk(1, mpmath.mpf(v))) for v in z])
-    kept = len(solver._K1_CHEB)
+    kept = len(channel._K1_CHEB)
     assert abs(fit[kept - 1]) >= 1e-18 > max(abs(c) for c in fit[kept:])
-    np.testing.assert_allclose(solver._K1_CHEB, fit[:kept], rtol=1e-15, atol=1e-20)
-    np.testing.assert_allclose(solver._scaled_k1(z), want, rtol=7e-16, atol=0.0)
+    np.testing.assert_allclose(channel._K1_CHEB, fit[:kept], rtol=1e-15, atol=1e-20)
+    np.testing.assert_allclose(channel._scaled_k1(z), want, rtol=7e-16, atol=0.0)
 
 
 def test_gauss_legendre_rule():
     # nodes against numpy's; weights by exactness up to degree 2n - 1
-    x, w = solver._gauss_legendre(solver._QUAD_NODES)
-    want = np.polynomial.legendre.leggauss(solver._QUAD_NODES)[0]
+    x, w = channel._gauss_legendre(channel._QUAD_NODES)
+    want = np.polynomial.legendre.leggauss(channel._QUAD_NODES)[0]
     np.testing.assert_allclose(np.sort(x), want, rtol=0.0, atol=2e-16)
-    for k in range(0, 2 * solver._QUAD_NODES, 2):
+    for k in range(0, 2 * channel._QUAD_NODES, 2):
         assert float(w @ x ** k) == pytest.approx(2.0 / (k + 1), rel=1e-14, abs=0.0), k
         assert abs(float(w @ x ** (k + 1))) <= 1e-15
 
@@ -384,13 +384,13 @@ def test_best_relay_excess_and_tail_match_quadrature_reference(name):
     kappa = (1.0 / math.sqrt(a) + 1.0 / math.sqrt(b)) ** 2
     for y0 in (0.0, 1e-20, 1e-6, 0.3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 10.0, 40.0):
         theta = math.log2(1.0 + y0 / kappa)
-        excess, tail = solver._best_relay_excess_tail(params, theta)
+        excess, tail = channel.best_relay_excess_tail(params, theta)
         # the reference's own rel error is 1.2e-14; the rule measured 2e-14
         assert excess == pytest.approx(_reference_excess(params, theta), rel=5e-14, abs=0.0), y0
         want = _reference_best_tail(math.expm1(theta * math.log(2.0)), params)
         assert tail == pytest.approx(want, rel=1e-14, abs=0.0), y0
     far = math.log2(1.0 + 801.0 / kappa)
-    assert solver._best_relay_excess_tail(params, far) == (0.0, 0.0)
+    assert channel.best_relay_excess_tail(params, far) == (0.0, 0.0)
     assert _reference_best_tail(math.expm1(far * math.log(2.0)), params) == 0.0
 
 
@@ -418,7 +418,7 @@ def test_closed_form_tail_matches_a_large_sample():
     rates = np.concatenate([sampler(rng, 500_000) for _ in range(4)])
     n = rates.size
     for x in (0.5, 1.0, 2.0208, 3.0, 4.0):
-        excess, tail = solver._best_relay_excess_tail(params, x)
+        excess, tail = channel.best_relay_excess_tail(params, x)
         hit = rates >= x
         assert abs(hit.mean() - tail) <= 4.0 * math.sqrt(tail * (1.0 - tail) / n), x
         part = np.maximum(rates - x, 0.0)

@@ -9,6 +9,7 @@ from relaystop import (
     EstimatorConfig,
     FixedGain,
     PolicyKind,
+    PolicySpec,
     SolverFailureError,
     full_csi_rate_sampler,
     solve_full_csi_lambda,
@@ -18,11 +19,13 @@ from relaystop import (
     solve_sub_w_batch,
     success_prob,
 )
-from relaystop import solver
+from relaystop import channel, solver
+from relaystop.policies import intuitive_main_decide
 from .conftest import (
     ENGINE_FAILURE,
     L1_EST,
     hook_params,
+    l1_policy_value,
     l1_reference,
     make_params,
     reference_sub_lambda,
@@ -57,8 +60,8 @@ def _intuitive_residual(params, est, gamma):
     stats = solve_sub_layer_batch(params, rows, est)
     p_s = success_prob(params.num_sources, params.source_prob)
     half_t = 0.5 * params.data_time
-    gain = np.maximum(stats.expected_bits - gamma * stats.expected_time - gamma * half_t,
-                      0.0).mean()
+    bits = stats.threshold * stats.expected_time
+    gain = np.maximum(bits - gamma * stats.expected_time - gamma * half_t, 0.0).mean()
     return gain - gamma * params.slot_time / (2.0 * p_s)
 
 
@@ -398,3 +401,129 @@ def test_l1_solvers_are_unbiased_within_their_sampling_error(l1_refs):
     for kind, ref in ((kind, l1_refs[kind][1]) for kind in BILEVEL):
         bound = 4.0 * ref.sd / np.sqrt(len(seeds) * n) + 1e-5
         assert abs(np.mean(roots[kind]) - ref.gamma) <= bound, (kind.name, roots[kind], bound)
+
+
+# --- each rule's policy value V(gamma') at L = 1 -------------------------------
+#
+# At an imposed rate gamma' each rule defines a complete policy: the source
+# stops where the rule's gain is >= 0, and the relay at R >= lam(f)
+# (intuitive) or R >= gamma' + W/(T/2) (coupled). Its throughput V(gamma')
+# exceeds gamma' by R(gamma') / (expected cycle time), R the rule's
+# source-level residual (Dinkelbach), so V(gamma') >= gamma' exactly when
+# gamma' <= gamma*, and V(gamma*) = gamma*: a scan of V finds gamma* with no
+# root search of the solver's.
+
+L1_STARS = {PolicyKind.INTUITIVE_BILEVEL: 1.1449119369370,
+            PolicyKind.OPTIMAL_BILEVEL: 1.1650308500211}
+
+
+@pytest.fixture(scope="module")
+def l1_scans(l1_refs):
+    """Each rule's V on 21 points 0.005 apart, the middle one its gamma*."""
+    scans = {}
+    for kind in BILEVEL:
+        grid = l1_refs[kind][1].gamma + 0.005 * np.arange(-10, 11)
+        scans[kind] = grid, np.array([l1_policy_value(L1, kind, g) for g in grid])
+    return scans
+
+
+@pytest.mark.parametrize("kind", BILEVEL, ids=["intuitive", "coupled"])
+def test_l1_policy_value_peaks_at_the_rules_own_gamma(l1_scans, kind):
+    grid, value = l1_scans[kind]
+    assert abs(value[10] - grid[10]) <= 1e-12
+    assert abs(value[10] - L1_STARS[kind]) <= 1e-12
+    assert int(np.argmax(value)) == 10
+    away = np.arange(grid.size) != 10
+    np.testing.assert_array_equal((value >= grid)[away], (grid <= grid[10])[away])
+
+
+def test_l1_coupled_policy_beats_the_intuitive_one_at_its_rate(l1_refs):
+    # even at the intuitive rule's own rate the coupled policy earns more
+    # than the best intuitive policy, V_int(gamma_int) = gamma_int
+    gamma_int = l1_refs[PolicyKind.INTUITIVE_BILEVEL][1].gamma
+    value = l1_policy_value(L1, PolicyKind.OPTIMAL_BILEVEL, gamma_int)
+    assert value == pytest.approx(1.16468, abs=5e-6)
+    assert value > gamma_int
+
+
+# --- the source-level stop sets along one first-hop gain ------------------------
+#
+# The coupled rule stops the source iff W >= (T/2) gamma*, and W is
+# nondecreasing in each first-hop gain: at fixed theta the kernel's excess
+# rises in each a_j = Ps f_j. So its stop set is a threshold in W and an upper
+# set of first-hop gains. The intuitive rule's gain (lam(f) - gamma) time(f)
+# - gamma T/2 is not monotone at L >= 2, so its stop set is not.
+
+
+def _gain_lines(params, rng, lines: int, points: int) -> np.ndarray:
+    """First-hop rows along ``lines`` lines, each varying the gain of relay
+    line % L over [0, 80] at ``points`` points, the others at one draw."""
+    num_relays = params.num_relays
+    rows = np.repeat(rng.exponential(params.first_hop_mean_gain, (lines, 1, num_relays)),
+                     points, axis=1)
+    rows[np.arange(lines), :, np.arange(lines) % num_relays] = np.linspace(0.0, 80.0, points)
+    return rows.reshape(-1, num_relays)
+
+
+def _assert_w_rises_along_lines(params, gamma: float, lines: int = 60, points: int = 800):
+    tol = 1e-12
+    rows = _gain_lines(params, np.random.default_rng(13), lines, points)
+    w = solve_sub_w_batch(params, rows, gamma, EstimatorConfig(tol=tol)).reshape(lines, points)
+    # each W is within tol max(1, (T/2) theta) of its root, (T/2) theta = W + (T/2) gamma
+    err = tol * np.maximum(1.0, np.abs(w + 0.5 * params.data_time * gamma))
+    falls = np.diff(w, axis=1) < -(err[:, 1:] + err[:, :-1])
+    assert not falls.any(), (f"W falls on {falls.any(axis=1).sum()} of {lines} lines, "
+                             f"by up to {-np.diff(w, axis=1).max()}")
+
+
+class _FlippedRelayKernel:
+    """A defective second-hop kernel: relay 1's excess and tail enter the
+    relay mean with the wrong sign."""
+
+    def __init__(self, params, rows, second_hop=None):
+        self.full, self.one = (channel.second_hop_kernel(params, r, second_hop)
+                               for r in (rows, rows[:, :1]))
+        self.flip = 2.0 / rows.shape[1]
+        self.rows, self.sat_top = rows, self.full.sat_top
+        self.e0 = self.full.e0 - self.flip * self.one.e0
+
+    def excess_tail(self, thetas, idx=slice(None)):
+        (excess, tail), (one_excess, one_tail) = (k.excess_tail(thetas, idx)
+                                                  for k in (self.full, self.one))
+        return excess - self.flip * one_excess, tail - self.flip * one_tail
+
+
+def _solved_coupled_gamma(params) -> float:
+    return solve_main_gamma_optimal(params, EstimatorConfig(mc_samples=2000, seed=1)).value
+
+
+@pytest.mark.parametrize("params", [make_params(), STRESS], ids=["base", "stress"])
+def test_coupled_gain_rises_in_each_first_hop_gain(params):
+    _assert_w_rises_along_lines(params, _solved_coupled_gamma(params))
+
+
+def test_a_kernel_with_one_relay_flipped_fails_the_rise(monkeypatch):
+    params = make_params()
+    gamma = _solved_coupled_gamma(params)
+    monkeypatch.setattr(solver, "second_hop_kernel", _FlippedRelayKernel)
+    with pytest.raises(AssertionError, match="W falls on"):
+        _assert_w_rises_along_lines(params, gamma)
+
+
+def test_intuitive_stop_set_is_not_an_upper_set():
+    # make_params() at gamma 1.0176 with f2 = 1.2853, along f1: the rule
+    # accepts f1 <= 0.2715, rejects [0.272, 0.361], and accepts from 0.3615 on;
+    # its gain dips to -0.00908 at f1 = 0.307
+    params = make_params()
+    gamma, f1 = 1.0176, np.linspace(0.0, 1.0, 2001)
+    stats = solve_sub_layer_batch(params, np.column_stack([f1, np.full_like(f1, 1.2853)]),
+                                  EstimatorConfig(tol=1e-12))
+    spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=gamma)
+    stop = intuitive_main_decide(spec, stats, params.data_time)
+    assert stop[0] and stop[-1]
+    assert f1[1:][stop[1:] != stop[:-1]] == pytest.approx([0.272, 0.3615], abs=1e-12)
+    gain = (stats.threshold * stats.expected_time
+            - gamma * (stats.expected_time + 0.5 * params.data_time))
+    assert f1[np.argmin(gain)] == pytest.approx(0.307, abs=1e-12)
+    assert gain.min() == pytest.approx(-0.00908, abs=5e-6)
+    assert np.abs(gain).min() > 1e-6  # every decision is far from the solver tol

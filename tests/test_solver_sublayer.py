@@ -322,7 +322,7 @@ def test_intuitive_degenerate_zero_gains():
     stats = solve_sub_layer_batch(HOOK, [[0.0]], EST)
     assert stats.threshold[0] == 0.0
     assert stats.stop_prob[0] == 1.0
-    assert stats.expected_bits[0] == 0.0
+    assert stats.threshold[0] * stats.expected_time[0] == 0.0  # bits
     # T/2 + tau / (2 p_r) = 1 + 0.2
     assert stats.expected_time[0] == pytest.approx(1.2, abs=1e-12)
 
@@ -334,7 +334,7 @@ def test_intuitive_constant_rate_closed_form():
     assert stats.threshold[0] == pytest.approx(1.0 / 1.2, abs=1e-8)
     assert stats.stop_prob[0] == 1.0
     assert stats.expected_time[0] == pytest.approx(1.2, abs=1e-8)
-    assert stats.expected_bits[0] == pytest.approx(1.0, abs=1e-8)
+    assert stats.threshold[0] * stats.expected_time[0] == pytest.approx(1.0, abs=1e-8)  # bits
     # the tests' bisection reference must meet the same closed form
     assert reference_sub_lambda(HOOK, [3.0], EST, second_hop=hop) \
         == pytest.approx(1.0 / 1.2, abs=1e-8)
@@ -344,13 +344,15 @@ def test_intuitive_exponential_contract():
     params = make_params()
     f_sq = np.array([2.0, 0.3])
     stats = solve_sub_layer_batch(params, [f_sq], EST)
-    lam, bits, time_ = stats.threshold[0], stats.expected_bits[0], stats.expected_time[0]
+    lam, time_ = stats.threshold[0], stats.expected_time[0]
     p_r = success_prob(params.num_relays, params.relay_prob)
     lhs = sub_layer_expected_positive_part(params, f_sq, lam, EST)
     rhs = lam * params.slot_time / (params.data_time * p_r)
     assert abs(lhs - rhs) <= EST.tol
     assert lam < max(rate_saturation(params.source_power, f) for f in f_sq)
-    assert bits == lam * time_
+    # the bits lam * time are (T/2) E[R | R >= lam], up to the root's residual
+    tail = sub_layer_tail_prob(params, f_sq, lam)
+    assert lam * time_ == pytest.approx(0.5 * params.data_time * (lhs / tail + lam), abs=1e-8)
     assert time_ >= 0.5 * params.data_time
 
 
@@ -366,7 +368,6 @@ def test_intuitive_batch_matches_scalar(rng):
                 2.0 * p_r * sub_layer_tail_prob(params, rows[i], lam))
             assert stats.threshold[i] == pytest.approx(lam, abs=5e-9)
             assert stats.expected_time[i] == pytest.approx(time_, rel=1e-7)
-        assert np.all(stats.expected_bits == stats.threshold * stats.expected_time)
 
 
 def test_intuitive_threshold_below_saturation(rng):

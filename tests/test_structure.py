@@ -1,8 +1,9 @@
 """Module boundaries of the package, checked on its source.
 
 No module reaches into another's private names, and the solver names no hop
-model: each hop's law lives on the model in ``relaystop.channel``, and the
-solver calls it by method.
+model and reads no power or mean gain: each hop's law, and the best-relay law
+built on both hops, lives in ``relaystop.channel``, and the solver calls it by
+name or by method.
 """
 
 import ast
@@ -13,6 +14,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "relaystop"
 MODULES = sorted(PACKAGE.glob("*.py"))
 HOP_MODELS = {"RayleighFading", "FixedGain"}
+HOP_LAW_INPUTS = {"source_power", "relay_power", "first_hop_mean_gain", "second_hop_mean_gain"}
 
 
 def _private(name: str) -> bool:
@@ -61,6 +63,12 @@ def hop_dispatch(tree: ast.Module) -> list[str]:
     return found
 
 
+def hop_law_reads(tree: ast.Module) -> list[str]:
+    """Each read of a power or a hop's mean gain, the inputs of the channel laws."""
+    return [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in HOP_LAW_INPUTS]
+
+
 def test_the_package_has_modules():
     assert {"channel.py", "solver.py", "simulator.py"} <= {m.name for m in MODULES}
 
@@ -72,6 +80,10 @@ def test_no_module_imports_another_modules_private_names(module):
 
 def test_solver_names_no_hop_model():
     assert hop_dispatch(ast.parse((PACKAGE / "solver.py").read_text())) == []
+
+
+def test_solver_reads_no_power_or_mean_gain():
+    assert hop_law_reads(ast.parse((PACKAGE / "solver.py").read_text())) == []
 
 
 def test_the_checks_see_what_they_forbid():
@@ -88,3 +100,8 @@ def test_the_checks_see_what_they_forbid():
                         "    pass\n")
     assert sorted(hop_dispatch(planted)) == sorted([
         "import FixedGain", "RayleighFading", "isinstance(hop, channel.RayleighFading)"])
+    planted = ast.parse("a_bar = params.source_power * params.first_hop_mean_gain\n"
+                        "kappa = 1.0 / (cfg.params.relay_power * mean_gain)\n"
+                        "b_bar = p.second_hop_mean_gain if p.num_relays else p.slot_time\n")
+    assert sorted(hop_law_reads(planted)) == sorted([
+        "source_power", "first_hop_mean_gain", "relay_power", "second_hop_mean_gain"])

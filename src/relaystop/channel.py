@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
+from .contention import success_prob
 from .errors import InvalidParameterError
 
 LN2 = math.log(2.0)
@@ -93,10 +94,12 @@ class SystemParams:
 def _check_contention_prob(name: str, p: float, n: int) -> None:
     if not (0.0 < p <= 1.0):
         raise InvalidParameterError(f"{name} must lie in (0, 1]")
-    # p == 1 with more than one contender makes every slot collide.
-    if p == 1.0 and n > 1:
+    # p == 1 with more than one contender makes every slot collide; far from
+    # 1/n, (1 - p)^(n - 1) underflows and so does the slot success probability
+    if success_prob(n, p) == 0.0:
         raise InvalidParameterError(
-            f"{name} = 1 is only allowed with a single contender")
+            f"{name} = {p} with {n} contenders gives a slot success probability "
+            "of 0, so contention never ends")
 
 
 @dataclass(frozen=True)
@@ -254,7 +257,7 @@ def _clip_gains(name: str, values):
 # ``e0`` = E[R] per row, and ``excess_tail(thetas, idx)``, one closed-form
 # pass giving (E[max(R - theta, 0)], P(R >= theta)) for the rows ``idx``; at
 # theta <= 0 these are e0 - theta, bit for bit, and 1. A kernel holds no
-# scratch state; its lazy ``e0`` is the same whichever thread computes it.
+# scratch state.
 
 
 class _PointMassKernel:
@@ -264,10 +267,7 @@ class _PointMassKernel:
         self.rows = rows
         self.rates = af_rate(params.source_power, params.relay_power, rows, gain)
         self.sat_top = np.atleast_1d(self.rates).max(axis=1)
-
-    @cached_property
-    def e0(self) -> np.ndarray:
-        return self.rates.mean(axis=1)
+        self.e0 = self.rates.mean(axis=1)
 
     def excess_tail(self, thetas: np.ndarray, idx=slice(None)):
         thetas = np.asarray(thetas, dtype=float)
@@ -295,16 +295,12 @@ class _RayleighKernel:
         self.inv_mean = 1.0 / (params.relay_power * mean_gain)  # kappa / (1 + a)
         with np.errstate(over="ignore"):  # kappa = inf only zeroes S(kappa (u0 + 1))
             self.kappa = self.scale * self.inv_mean
-
-    @cached_property
-    def e0(self) -> np.ndarray:
-        """At theta = 0, u0 = 0, so each relay term is S(m) - S(kappa_j), m =
-        1/(Pr E|g|^2) one scalar: a relay with a = 0 has kappa = (1 + 0) m =
-        m, a zero term as its u0 = inf gives, and kappa = inf gives S(kappa)
-        = 0."""
+        # At theta = 0, u0 = 0, so each relay term is S(m) - S(kappa_j), m =
+        # 1/(Pr E|g|^2) one scalar: a relay with a = 0 has kappa = (1 + 0) m =
+        # m, a zero term as its u0 = inf gives, and kappa = inf gives S(kappa) = 0.
         s = _scaled_exp1(self.kappa)
         np.subtract(_scaled_exp1(np.array([self.inv_mean]))[0], s, out=s)
-        return s.mean(axis=1) / LN2
+        self.e0 = s.mean(axis=1) / LN2
 
     def excess_tail(self, thetas: np.ndarray, idx=slice(None)):
         thetas = np.asarray(thetas, dtype=float)

@@ -14,10 +14,12 @@ once; its stop positions cut the chunk into packets, a packet that has not
 stopped by the chunk's end carries its observations into the next chunk,
 and contention time is a segment sum of slot counts. The relay level runs
 as repeated passes, one observation per pass, over the packets of a source
-chunk that have not stopped yet, so its cap is a limit on passes. Each
-chunk solves its relay level once, W per row for the coupled rule and the
-relay-level throughput per row for the intuitive one, and both levels then
-decide through the ``policies`` predicates.
+chunk that have not stopped yet. One never-stop guard, ``OBSERVATION_CAP``
+(read at call time), limits a packet's observations at each level, so at
+the relay level it limits the passes. Each chunk solves its relay level
+once, W per row for the coupled rule and the relay-level throughput per row
+for the intuitive one, and both levels then decide through the ``policies``
+predicates.
 
 Stream layout: a run is fully determined by (params, spec, config, seed).
 
@@ -51,15 +53,17 @@ from .solver import EstimatorConfig, solve_sub_layer_batch, solve_sub_w_batch
 
 _OBS_CHUNK = 2048
 
+# Observations one packet may take at either level before the run fails: a
+# packet past it has a policy that (almost) never stops.
+OBSERVATION_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run-length, seeding, and guard settings for one simulation."""
+    """Run length and seed of one simulation."""
 
     packets: int
     seed: int = 0
-    sub_observation_cap: int = 1_000_000
-    main_observation_cap: int = 1_000_000
 
     def __post_init__(self) -> None:
         # the throughput standard error needs at least two renewal cycles
@@ -67,22 +71,18 @@ class SimConfig:
             raise InvalidParameterError("packets must be an integer >= 2")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise InvalidParameterError("seed must be an integer >= 0")
-        for cap in (self.sub_observation_cap, self.main_observation_cap):
-            # a NaN cap would compare False forever and disable the never-stop guard
-            if not isinstance(cap, int) or cap < 1:
-                raise InvalidParameterError("observation caps must be integers >= 1")
 
 
 @dataclass(frozen=True, eq=False)
 class SimStats:
-    """Simulation output: one column per packet field, plus run totals.
+    """Simulation output: one column per packet field, plus the throughput.
 
     Entry i of each column belongs to the i-th delivered packet:
     main_observations / sub_observations count source- and relay-level
     observations (sub is 0 in the full-CSI scenario), rate_at_stop is the
     accepted rate, relay the 1-based forwarding relay, elapsed the cycle time
     including the data transmission, and bits the delivered bits.
-    throughput is total_bits / total_time and throughput_stderr its
+    throughput is bits.sum() / elapsed.sum() and throughput_stderr its
     ratio-estimator standard error over the per-packet (bits, elapsed) pairs.
     """
 
@@ -92,8 +92,6 @@ class SimStats:
     relay: np.ndarray
     elapsed: np.ndarray
     bits: np.ndarray
-    total_bits: float
-    total_time: float
     throughput: float
     throughput_stderr: float
 
@@ -125,8 +123,7 @@ def run_scenario1(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
 
 
 def run_scenario2(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
-                  est: EstimatorConfig | None = None,
-                  first_hop=None, second_hop=None) -> SimStats:
+                  est: EstimatorConfig, first_hop=None, second_hop=None) -> SimStats:
     """Simulate the two-part access protocol under a bi-level policy.
 
     Source level: contention in half slots; the winner observes only its
@@ -135,13 +132,13 @@ def run_scenario2(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
     i.i.d. On stop it broadcasts for T/2, then relays contend in half slots;
     each winning relay draws its fresh second-hop gain and applies the
     relay-level rule; on its stop the forward leg takes T/2 and delivers
-    (T/2) * rate bits. A relay level that exceeds its observation cap is a
-    hard error, since it means the thresholds are inconsistent.
+    (T/2) * rate bits. ``est`` sets the relay-level solves of each chunk.
+    A packet past ``OBSERVATION_CAP`` observations at either level is a hard
+    error.
     """
     if spec.kind not in (PolicyKind.INTUITIVE_BILEVEL, PolicyKind.OPTIMAL_BILEVEL):
         raise InvalidParameterError("run_scenario2 needs a bi-level policy")
     params.require_relay_prob()
-    est = est if est is not None else EstimatorConfig()
     ss = np.random.SeedSequence(cfg.seed)
     rng_cont, rng_first, rng_second, rng_relay = (np.random.default_rng(s)
                                                   for s in ss.spawn(4))
@@ -152,8 +149,8 @@ def run_scenario2(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
         rows = sample_first_hop_rows(params, rng_first, _OBS_CHUNK, first_hop)
         stop, relay_stop = _decision_rules(params, est, spec, rows, second_hop)
         ends, obs, slots = cutter.cut(stop)
-        sub_obs, sub_slots, rate, relay = _relay_passes(params, cfg, rows, ends, relay_stop,
-                                                        hop, rng_relay, rng_second)
+        sub_obs, sub_slots, rate, relay = _relay_passes(params, rows, ends, relay_stop, hop,
+                                                        rng_relay, rng_second)
         parts.append((obs, slots + sub_slots, sub_obs, rate, relay))
     main_obs, slots, sub_obs, rate_at_stop, relays = (np.concatenate(c) for c in zip(*parts))
     half_t = 0.5 * params.data_time
@@ -171,7 +168,7 @@ class _PacketCutter:
     """
 
     def __init__(self, cfg: SimConfig, rng: np.random.Generator, n: int, p: float):
-        self.owed, self.cap = cfg.packets, cfg.main_observation_cap
+        self.owed, self.cap = cfg.packets, OBSERVATION_CAP
         self.rng, self.n, self.p = rng, n, p
         self.open_obs = self.open_slots = 0
 
@@ -214,7 +211,7 @@ def _decision_rules(params, est, spec, rows, second_hop):
             lambda i, rates: policies.optimal_sub_decide(spec, w[i], rates, params.data_time))
 
 
-def _relay_passes(params, cfg, rows, ends, relay_stop, hop, rng_relay, rng_second):
+def _relay_passes(params, rows, ends, relay_stop, hop, rng_relay, rng_second):
     """Relay level of the packets whose source level stopped at rows ``ends``.
 
     Each pass gives every packet still running one relay-level observation.
@@ -227,10 +224,11 @@ def _relay_passes(params, cfg, rows, ends, relay_stop, hop, rng_relay, rng_secon
     passes = 0
     while live.size:
         passes += 1
-        if passes > cfg.sub_observation_cap:
+        if passes > OBSERVATION_CAP:
             raise CappedPacketError(
-                f"no relay-level stop within {cfg.sub_observation_cap} observations; "
-                "relay thresholds are inconsistent with the source-level stop")
+                f"no relay-level stop within {OBSERVATION_CAP} observations; the relay "
+                "thresholds are inconsistent with the source-level stop, or the relay "
+                "level stops too rarely to simulate")
         s, winners = sample_contention(rng_relay, params.num_relays, params.relay_prob,
                                        live.size, winners=True)
         gains = hop.sample(rng_second, live.size)
@@ -264,8 +262,4 @@ def _aggregate(main_observations, sub_observations, rate_at_stop, relay,
                elapsed, bits) -> SimStats:
     throughput, stderr = _ratio_and_stderr(bits, elapsed)
     return SimStats(main_observations, sub_observations, rate_at_stop, relay,
-                    elapsed, bits,
-                    total_bits=float(bits.sum()),
-                    total_time=float(elapsed.sum()),
-                    throughput=throughput,
-                    throughput_stderr=stderr)
+                    elapsed, bits, throughput, stderr)

@@ -103,12 +103,10 @@ class SubLayerStats:
         threshold on the observed relay rate.
     expected_time: expected relay-level time, contention plus the second-hop
         transmission half; accepted, a realization delivers threshold * expected_time bits.
-    stop_prob: per relay-level observation probability of stopping.
     """
 
     threshold: float
     expected_time: float
-    stop_prob: float
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +197,7 @@ def solve_sub_layer_batch(params: SystemParams, f_rows, est: EstimatorConfig,
     The threshold lam solves E[max(R_m - lam, 0)] = lam * tau / (T p_r); the
     expected time is T/2 plus one expected contention per observation over a
     geometric observation count. All-zero first-hop gains give threshold 0
-    and stop probability 1 rather than an error.
+    and expected time T/2 + tau / (2 p_r), one observation, rather than an error.
     """
     kernels = _chunk_kernels(params, as_rows(f_rows, params.num_relays), second_hop)
     return _intuitive_rows(params, kernels, est)[0]
@@ -219,7 +217,7 @@ def _intuitive_rows(params, kernels, est):
     with np.errstate(divide="ignore"):
         expected_time = (0.5 * params.data_time
                          + params.slot_time / (2.0 * p_r * stop_prob))
-    return SubLayerStats(lam, expected_time, stop_prob), tuple(work)
+    return SubLayerStats(lam, expected_time), tuple(work)
 
 
 def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,

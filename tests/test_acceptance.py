@@ -31,6 +31,7 @@ from relaystop import (
     success_prob,
 )
 from relaystop.channel import SystemParams, af_rate, rate_saturation
+from relaystop.simulator import OBSERVATION_CAP
 from .conftest import discrete_rate_sampler, full_csi_residual, reference_w
 
 # Three standard exponential-channel configurations.
@@ -205,12 +206,11 @@ def test_criterion_7_optimal_rule_consistency(two_part_solutions):
     spec = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=sol_opt.value)
     stats = run_scenario2(CONFIG_TWO_PART, spec,
                           SimConfig(packets=100_000, seed=777), est=EST_TWO_PART)
-    cfg_cap = SimConfig(packets=2, seed=0).sub_observation_cap
     checks = {
         "within_3_stderr": abs(stats.throughput - sol_opt.value)
         <= 3.0 * stats.throughput_stderr,
         "zero_capped_packets": stats.bits.size == 100_000
-        and int(stats.sub_observations.max()) < cfg_cap,
+        and int(stats.sub_observations.max()) < OBSERVATION_CAP,
     }
     _report(7, "optimal bi-level consistency", checks)
 

@@ -218,6 +218,13 @@ def test_system_params_validation():
     with pytest.raises(InvalidParameterError):
         make_params(num_relays=2, relay_prob=1.0)
     make_params(num_sources=1, source_prob=1.0)  # fine
+    # a slot success probability n p (1 - p)^(n - 1) that rounds to 0 never ends
+    # a contention, at either level
+    for fields in (dict(num_sources=1076), dict(num_sources=163, source_prob=0.99),
+                   dict(num_relays=2000)):
+        with pytest.raises(InvalidParameterError, match="slot success probability of 0"):
+            make_params(**fields)
+    make_params(num_sources=1075)  # 0.5^1074 is the smallest subnormal
     p = make_params(relay_prob=None)
     with pytest.raises(InvalidParameterError):
         p.require_relay_prob()

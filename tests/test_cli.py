@@ -28,6 +28,7 @@ from relaystop import (
 )
 from relaystop import cli, packetlog
 from relaystop.cli import _write_packets_csv, load_config, main
+from relaystop.simulator import OBSERVATION_CAP
 from .conftest import make_params
 
 BASE_CONFIG = {
@@ -152,7 +153,7 @@ def test_simulate_writes_outputs_and_matches(tmp_path, capsys):
     assert summary["thresholds"]["iterations"] >= 1
     assert summary["thresholds"]["inner_iterations"] == 0  # no relay level
     results = summary["results"]
-    assert 1 <= results["max_main_observations"] <= summary["config"]["sim"]["main_observation_cap"]
+    assert 1 <= results["max_main_observations"] <= OBSERVATION_CAP
     assert results["max_sub_observations"] == 0  # scenario 1 has no relay level
     assert {v["name"] for v in summary["verdicts"]} == {"throughput_matches_threshold"}
     with (out_dir / "packets.csv").open() as fh:
@@ -249,6 +250,19 @@ def test_oracle_agreement(tmp_path, capsys):
     assert rc == 0
     assert "oracle_threshold_agreement: PASS" in out
     assert "oracle_throughput_agreement: PASS" in out
+
+
+def test_oracle_throughput_verdict_fails_on_a_1e_9_shift(tmp_path, capsys, monkeypatch):
+    # the margin is the solve's enclosure width plus the suffix sums' rounding,
+    # far below a relative shift of 1e-9 of the solved lambda
+    path = write_config(tmp_path)
+    real = cli.solve_full_csi_lambda
+    monkeypatch.setattr(cli, "solve_full_csi_lambda", lambda *a, **kw: dataclasses.replace(
+        real(*a, **kw), value=real(*a, **kw).value * (1.0 + 1e-9)))
+    assert main(["oracle", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "verdict oracle_threshold_agreement: PASS" in out
+    assert "verdict oracle_throughput_agreement: FAIL" in out
 
 
 def _wrapped(name, change):
@@ -402,6 +416,13 @@ LOADER_ERRORS = {
                         ["solve"], "config root: unknown fields ['channel']"),
     "oracle-points": ({"oracle": {"points": 50}}, ["solve"],
                       "config root: unknown fields ['oracle']"),
+    # the never-stop guard is the library constant simulator.OBSERVATION_CAP
+    "observation-cap": ({"sim.main_observation_cap": 1000}, ["simulate"],
+                        "sim: unknown fields ['main_observation_cap']"),
+    # every slot collides or succeeds with a probability that rounds to 0
+    "zero-success-prob": ({"params.num_relays": 2000}, ["solve"],
+                          "params: relay_prob = 0.5 with 2000 contenders gives a slot "
+                          "success probability of 0"),
     "boolean-number": ({"params.slot_time": True}, ["solve"],
                        "params.slot_time: expected a number, got a boolean"),
     "non-integer-int": ({"params.num_relays": 2.5}, ["solve"],
@@ -411,6 +432,10 @@ LOADER_ERRORS = {
     "out-of-range-sweep-value": ({}, ["sweep", "--axis", "num_relays", "--values", "0"],
                                  "error: sweep value '0' for num_relays: "
                                  "num_relays must be an integer >= 1\n"),
+    "zero-success-prob-sweep-value": ({}, ["sweep", "--axis", "num_sources", "--values", "1076"],
+                                      "error: sweep value '1076' for num_sources: source_prob "
+                                      "= 0.5 with 1076 contenders gives a slot success "
+                                      "probability of 0"),
     "oracle-on-scenario-2": ({"scenario": "2-intuitive"}, ["oracle"],
                              "oracle runs target scenario 1 only"),
 }
@@ -535,7 +560,7 @@ def test_packets_csv_bytes_match_csv_writer(tmp_path, monkeypatch, block):
     main_obs = rng.geometric(0.01, n)
     main_obs[0] = 2**40
     stats = SimStats(main_obs, rng.integers(0, 3, n), floats[0], rng.integers(1, 5, n),
-                     floats[1], floats[2], 0.0, 0.0, 0.0, 0.0)
+                     floats[1], floats[2], 0.0, 0.0)
     path = tmp_path / "packets.csv"
     _write_packets_csv(path, stats)
     ref = tmp_path / "reference.csv"
@@ -616,7 +641,7 @@ def test_packet_log_memory_stays_in_budget(tmp_path):
     rate = rng.exponential(2.0, n)
     stats = SimStats(rng.geometric(0.3, n), rng.geometric(0.5, n), rate,
                      rng.integers(1, 3, n), 1.0 + 0.1 * rng.geometric(0.2, n), 0.5 * rate,
-                     0.0, 0.0, 0.0, 0.0)
+                     0.0, 0.0)
     tracemalloc.start()
     try:
         _write_packets_csv(tmp_path / "packets.csv", stats)

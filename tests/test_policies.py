@@ -63,14 +63,14 @@ def test_full_csi_decide_wrong_kind():
 
 
 def test_intuitive_main_decide():
-    stats = SubLayerStats(threshold=1.0 / 1.2, expected_time=1.2, stop_prob=1.0)
+    stats = SubLayerStats(threshold=1.0 / 1.2, expected_time=1.2)
     # bits 1, and 1 - 0.4 * 1.2 = 0.52 >= 0.4 * 2 / 2
     assert intuitive_main_decide(INT, stats, 2.0)
-    zero = SubLayerStats(0.0, 1.2, 1.0)
+    zero = SubLayerStats(0.0, 1.2)
     assert not intuitive_main_decide(INT, zero, 2.0)
     # exact equality stops (binary-exact constants: 0.375*2 - 0.25*2 == 0.25*1)
     quarter = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=0.25)
-    edge = SubLayerStats(0.375, 2.0, 0.7)
+    edge = SubLayerStats(0.375, 2.0)
     assert intuitive_main_decide(quarter, edge, 2.0)
     with pytest.raises(PolicyMismatchError):
         intuitive_main_decide(OPT, stats, 2.0)
@@ -84,7 +84,7 @@ def test_intuitive_main_equivalent_threshold_form():
     for _ in range(200):
         lam = float(rng.uniform(0, 1.5))
         time_ = float(rng.uniform(0.5, 3.0))
-        stats = SubLayerStats(lam, time_, 0.5)
+        stats = SubLayerStats(lam, time_)
         direct = intuitive_main_decide(spec, stats, 2.0)
         assert direct == ((lam - g) * time_ >= g * 1.0)
 
@@ -128,7 +128,7 @@ def test_predicates_on_arrays_match_scalar_calls():
     rules = [
         (lambda r, b, t, x: full_csi_decide(FULL, r), 3),
         (lambda r, b, t, x: intuitive_main_decide(  # threshold bits / time
-            quarter_int, SubLayerStats(b / t, t, 1.0), 2.0), 2),
+            quarter_int, SubLayerStats(b / t, t), 2.0), 2),
         (lambda r, b, t, x: intuitive_sub_decide(0.5, r), 1),
         (lambda r, b, t, x: optimal_main_decide(quarter_opt, x, 2.0), 3),
         (lambda r, b, t, x: optimal_sub_decide(quarter_opt, x, r, 2.0), 4),
@@ -158,10 +158,10 @@ def test_decisions_invariant_under_time_rescaling():
     spec_s = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=g_s)
     for i in range(rows.shape[0]):
         d_b = intuitive_main_decide(
-            spec_b, SubLayerStats(stats_b.threshold[i], stats_b.expected_time[i], 1.0),
+            spec_b, SubLayerStats(stats_b.threshold[i], stats_b.expected_time[i]),
             params.data_time)
         d_s = intuitive_main_decide(
-            spec_s, SubLayerStats(stats_s.threshold[i], stats_s.expected_time[i], 1.0),
+            spec_s, SubLayerStats(stats_s.threshold[i], stats_s.expected_time[i]),
             scaled.data_time)
         assert d_b == d_s
 

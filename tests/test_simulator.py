@@ -1,5 +1,7 @@
 """Protocol simulation: renewal accounting, distributions, reproducibility."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -23,6 +25,7 @@ from relaystop import (
     solve_sub_w_batch,
     success_prob,
 )
+from relaystop import simulator
 from relaystop.channel import af_rate
 from relaystop.simulator import _OBS_CHUNK, _decision_rules
 from .conftest import (
@@ -62,10 +65,11 @@ def test_scenario1_constant_rate_closed_form():
     assert np.allclose(stats.elapsed, 2.2) and np.all(stats.bits == 1.0)
 
 
-def test_scenario1_never_stop_guard():
+def test_scenario1_never_stop_guard(monkeypatch):
     spec = full_spec(2.0)  # threshold 4 above the constant rate 1
+    monkeypatch.setattr(simulator, "OBSERVATION_CAP", 50)
     with pytest.raises(CappedPacketError):
-        run_scenario1(DET, spec, SimConfig(packets=2, seed=7, main_observation_cap=50),
+        run_scenario1(DET, spec, SimConfig(packets=2, seed=7),
                       observation_sampler=fixed_rate_observations(1.0))
 
 
@@ -81,7 +85,7 @@ def test_scenario1_matches_solver(small_est):
     sol = solve_full_csi_lambda(params, est)
     stats = run_scenario1(params, full_spec(sol.value), SimConfig(packets=20000, seed=32))
     assert abs(stats.throughput - sol.value) <= 3.0 * stats.throughput_stderr
-    assert stats.total_bits / stats.total_time == stats.throughput
+    assert stats.bits.sum() / stats.elapsed.sum() == stats.throughput
 
 
 def test_scenario1_renewal_shuffle_invariance(rng):
@@ -204,24 +208,43 @@ def test_scenario2_solver_consistency_optimal():
     assert abs(stats.throughput - sol.value) <= 3.0 * stats.throughput_stderr
 
 
-def test_scenario2_observation_caps_are_hard_errors():
+def test_scenario2_observation_caps_are_hard_errors(monkeypatch):
     params = det2_params()
     spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=DET_GAMMA)
-    cfg = SimConfig(packets=10, seed=6, sub_observation_cap=1_000_000)
+    cfg = SimConfig(packets=10, seed=6)
     stats = run_scenario2(params, spec, cfg, est=DET_EST, **DET_HOPS)
     assert stats.bits.size == 10
+    monkeypatch.setattr(simulator, "OBSERVATION_CAP", 25)
     with pytest.raises(CappedPacketError, match="source-level"):
         # a gamma far above the optimum never lets the source level stop
         run_scenario2(params, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=5.0),
-                      SimConfig(packets=2, seed=6, sub_observation_cap=25,
-                                main_observation_cap=25), est=DET_EST, **DET_HOPS)
-    # a starved relay-level cap must raise, never silently truncate
+                      SimConfig(packets=2, seed=6), est=DET_EST, **DET_HOPS)
+    # a starved relay-level cap must raise, never silently truncate; at gamma* = 0
+    # the intuitive source level stops at every first observation, so a cap of 1
+    # binds only the relay level, whose solved thresholds stop with probability < 1
     fading = make_params()
     est = EstimatorConfig(mc_samples=1000, quad_points=64, seed=3, tol=1e-6)
-    sol = solve_main_gamma_optimal(fading, est)
-    with pytest.raises(CappedPacketError, match="relay-level"):
-        run_scenario2(fading, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=sol.value),
-                      SimConfig(packets=50, seed=9, sub_observation_cap=1), est=est)
+    monkeypatch.setattr(simulator, "OBSERVATION_CAP", 1)
+    with pytest.raises(CappedPacketError, match="relay-level stop within 1 observations"):
+        run_scenario2(fading, PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=0.0),
+                      SimConfig(packets=50, seed=9), est=est)
+
+
+def test_relay_level_guard_names_a_level_too_rare_to_simulate(monkeypatch):
+    # near-certain source contention: the coupled gamma* is about 4e-19, each
+    # row's relay threshold lies just below its top saturation rate, and the
+    # relay level stops with probability about 1e-17 per observation
+    params = stress_params()
+    params = dataclasses.replace(params, num_sources=8, source_prob=0.999)
+    est = EstimatorConfig(mc_samples=1000, quad_points=64, seed=0, tol=1e-6)
+    sol = solve_main_gamma_optimal(params, est)
+    assert 0.0 < sol.value < 1e-17
+    monkeypatch.setattr(simulator, "OBSERVATION_CAP", 200)
+    with pytest.raises(CappedPacketError, match="no relay-level stop within 200 observations; "
+                       "the relay thresholds are inconsistent with the source-level stop, "
+                       "or the relay level stops too rarely to simulate"):
+        run_scenario2(params, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=sol.value),
+                      SimConfig(packets=200, seed=0), est=est)
 
 
 def test_scenario2_coupled_rejects_negative_gamma():
@@ -233,14 +256,14 @@ def test_scenario2_coupled_rejects_negative_gamma():
 
 def test_scenario2_requires_bilevel_policy():
     with pytest.raises(InvalidParameterError):
-        run_scenario2(det2_params(), full_spec(0.5), SimConfig(packets=2, seed=0))
+        run_scenario2(det2_params(), full_spec(0.5), SimConfig(packets=2, seed=0), est=DET_EST)
 
 
 def test_scenario2_requires_relay_prob():
     params = make_params(relay_prob=None)
     spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=0.4)
     with pytest.raises(InvalidParameterError):
-        run_scenario2(params, spec, SimConfig(packets=2, seed=0))
+        run_scenario2(params, spec, SimConfig(packets=2, seed=0), est=DET_EST)
 
 
 def test_scenario2_deterministic_reruns_bit_identical():
@@ -260,13 +283,6 @@ def test_sim_config_validation():
     # the throughput standard error needs two renewal cycles
     with pytest.raises(InvalidParameterError, match=">= 2"):
         SimConfig(packets=1)
-    with pytest.raises(InvalidParameterError):
-        SimConfig(packets=10, sub_observation_cap=0)
-    # a NaN cap never compares above the count, so it would disable the guard
-    with pytest.raises(InvalidParameterError, match="integers"):
-        SimConfig(packets=10, main_observation_cap=float("nan"))
-    with pytest.raises(InvalidParameterError, match="integers"):
-        SimConfig(packets=10, sub_observation_cap=2.5)
     with pytest.raises(InvalidParameterError, match="seed"):
         SimConfig(packets=10, seed=-1)
 
@@ -310,11 +326,12 @@ def _segment_sums(draws, n):
     return draws.reshape(-1, n).sum(axis=1)
 
 
-def test_scenario1_packets_span_chunk_boundaries():
+def test_scenario1_packets_span_chunk_boundaries(monkeypatch):
     # every packet needs 3001 observations, so each one carries observations and
     # contention slots across one or two chunk boundaries
     params = hook_params(source_prob=0.5)
-    cfg = SimConfig(packets=5, seed=4, main_observation_cap=STOP_EVERY)
+    cfg = SimConfig(packets=5, seed=4)
+    monkeypatch.setattr(simulator, "OBSERVATION_CAP", STOP_EVERY)
     stats = run_scenario1(params, full_spec(0.25), cfg,
                           observation_sampler=_every_nth_rate(STOP_EVERY))
     assert np.all(stats.main_observations == STOP_EVERY)
@@ -322,9 +339,9 @@ def test_scenario1_packets_span_chunk_boundaries():
     rng_cont = np.random.default_rng(np.random.SeedSequence(4).spawn(2)[0])
     slots = _segment_sums(rng_cont.geometric(0.5, 5 * STOP_EVERY), STOP_EVERY)
     assert np.array_equal(stats.elapsed, params.slot_time * slots + params.data_time)
+    monkeypatch.setattr(simulator, "OBSERVATION_CAP", STOP_EVERY - 1)
     with pytest.raises(CappedPacketError):
-        run_scenario1(params, full_spec(0.25),
-                      SimConfig(packets=5, seed=4, main_observation_cap=STOP_EVERY - 1),
+        run_scenario1(params, full_spec(0.25), cfg,
                       observation_sampler=_every_nth_rate(STOP_EVERY))
 
 
@@ -367,14 +384,14 @@ def test_scenario1_matches_per_observation_loop():
 
 
 @pytest.mark.parametrize("cap", [_OBS_CHUNK // 2, 2 * _OBS_CHUNK + 1])
-def test_never_stopping_stream_hits_the_cap_across_chunks(cap):
+def test_never_stopping_stream_hits_the_cap_across_chunks(monkeypatch, cap):
+    monkeypatch.setattr(simulator, "OBSERVATION_CAP", cap)
     with pytest.raises(CappedPacketError, match=f"within {cap} "):
-        run_scenario1(DET, full_spec(2.0), SimConfig(packets=2, seed=7, main_observation_cap=cap),
+        run_scenario1(DET, full_spec(2.0), SimConfig(packets=2, seed=7),
                       observation_sampler=fixed_rate_observations(1.0))
     with pytest.raises(CappedPacketError, match=f"source-level stop within {cap} "):
         run_scenario2(det2_params(), PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=5.0),
-                      SimConfig(packets=2, seed=7, main_observation_cap=cap),
-                      est=DET_EST, **DET_HOPS)
+                      SimConfig(packets=2, seed=7), est=DET_EST, **DET_HOPS)
 
 
 class _EveryNthRow:
@@ -389,9 +406,10 @@ class _EveryNthRow:
 
 
 @pytest.mark.parametrize("kind", [PolicyKind.INTUITIVE_BILEVEL, PolicyKind.OPTIMAL_BILEVEL])
-def test_scenario2_packets_span_chunk_boundaries(kind):
+def test_scenario2_packets_span_chunk_boundaries(monkeypatch, kind):
     params = hook_params(source_prob=0.5, relay_prob=1.0)
-    cfg = SimConfig(packets=5, seed=4, main_observation_cap=STOP_EVERY)
+    cfg = SimConfig(packets=5, seed=4)
+    monkeypatch.setattr(simulator, "OBSERVATION_CAP", STOP_EVERY)
     stats = run_scenario2(params, PolicySpec(kind, gamma_star=DET_GAMMA), cfg, est=DET_EST,
                           first_hop=_EveryNthRow(STOP_EVERY), second_hop=FixedGain(2.0))
     assert np.all(stats.main_observations == STOP_EVERY)
@@ -402,6 +420,10 @@ def test_scenario2_packets_span_chunk_boundaries(kind):
     half_slot = 0.5 * params.slot_time
     np.testing.assert_allclose(stats.elapsed, half_slot * (slots + 1) + params.data_time,
                                rtol=1e-15)
+    monkeypatch.setattr(simulator, "OBSERVATION_CAP", STOP_EVERY - 1)
+    with pytest.raises(CappedPacketError, match="source-level"):
+        run_scenario2(params, PolicySpec(kind, gamma_star=DET_GAMMA), cfg, est=DET_EST,
+                      first_hop=_EveryNthRow(STOP_EVERY), second_hop=FixedGain(2.0))
 
 
 @pytest.mark.parametrize("params", [make_params(), stress_params()], ids=["base", "stress"])

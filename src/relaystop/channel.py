@@ -80,9 +80,11 @@ class SystemParams:
             value = getattr(self, name)
             if not (value > 0.0) or not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite and > 0")
-        _check_contention_prob("source_prob", self.source_prob, self.num_sources)
+        _check_contention_prob("source_prob", self.source_prob, self.num_sources,
+                               self.slot_time)
         if self.relay_prob is not None:
-            _check_contention_prob("relay_prob", self.relay_prob, self.num_relays)
+            _check_contention_prob("relay_prob", self.relay_prob, self.num_relays,
+                                   self.slot_time)
 
     def require_relay_prob(self) -> float:
         if self.relay_prob is None:
@@ -91,15 +93,17 @@ class SystemParams:
         return self.relay_prob
 
 
-def _check_contention_prob(name: str, p: float, n: int) -> None:
+def _check_contention_prob(name: str, p: float, n: int, slot_time: float) -> None:
     if not (0.0 < p <= 1.0):
         raise InvalidParameterError(f"{name} must lie in (0, 1]")
     # p == 1 with more than one contender makes every slot collide; far from
-    # 1/n, (1 - p)^(n - 1) underflows and so does the slot success probability
-    if success_prob(n, p) == 0.0:
+    # 1/n, (1 - p)^(n - 1) underflows, and the mean contention time
+    # slot_time / p_s, every solve's cost, overflows before it does
+    p_s = success_prob(n, p)
+    if p_s == 0.0 or not math.isfinite(slot_time / p_s):
         raise InvalidParameterError(
             f"{name} = {p} with {n} contenders gives a slot success probability "
-            "of 0, so contention never ends")
+            f"of {p_s:.3g}, so the mean contention time slot_time / p_s is not finite")
 
 
 @dataclass(frozen=True)

@@ -280,9 +280,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
 
 
 def cmd_compare(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
-    sol_int = solve_main_gamma_intuitive(cfg.params, cfg.estimator)
-    # the coupled solve starts at the intuitive root, so it reuses this one
-    sol_opt = solve_main_gamma_optimal(cfg.params, cfg.estimator, start=sol_int)
+    sol_opt = solve_main_gamma_optimal(cfg.params, cfg.estimator)
+    sol_int = sol_opt.start
     spec_int = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=sol_int.value)
     spec_opt = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=sol_opt.value)
     stats_int = run_scenario2(cfg.params, spec_int, cfg.sim, est=cfg.estimator)

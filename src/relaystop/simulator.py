@@ -19,7 +19,8 @@ chunk that have not stopped yet. One never-stop guard, ``OBSERVATION_CAP``
 the relay level it limits the passes. Each chunk solves its relay level
 once, W per row for the coupled rule and the relay-level throughput per row
 for the intuitive one, and both levels then decide through the ``policies``
-predicates.
+predicates. A chunk with a packet whose relay level the guard would stop
+all but surely is refused before its first relay pass.
 
 Stream layout: a run is fully determined by (params, spec, config, seed).
 
@@ -46,7 +47,7 @@ import numpy as np
 from . import policies
 from .channel import (SystemParams, af_rate, default_observations, hop_models,
                       sample_first_hop_rows)
-from .contention import sample_contention
+from .contention import sample_contention, success_prob
 from .errors import CappedPacketError, InvalidParameterError
 from .policies import PolicyKind, PolicySpec
 from .solver import EstimatorConfig, solve_sub_layer_batch, solve_sub_w_batch
@@ -147,8 +148,10 @@ def run_scenario2(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
     parts = []
     while cutter.owed:
         rows = sample_first_hop_rows(params, rng_first, _OBS_CHUNK, first_hop)
-        stop, relay_stop = _decision_rules(params, est, spec, rows, second_hop)
+        stop, relay_stop, relay_stop_prob = _decision_rules(params, est, spec, rows,
+                                                            second_hop)
         ends, obs, slots = cutter.cut(stop)
+        _refuse_rare_relay_stops(relay_stop_prob[ends], len(parts) * _OBS_CHUNK + ends)
         sub_obs, sub_slots, rate, relay = _relay_passes(params, rows, ends, relay_stop, hop,
                                                         rng_relay, rng_second)
         parts.append((obs, slots + sub_slots, sub_obs, rate, relay))
@@ -196,19 +199,41 @@ class _PacketCutter:
 
 
 def _decision_rules(params, est, spec, rows, second_hop):
-    """The source-level stop mask of first-hop rows, and the relay-level rule
-    ``relay_stop(i, rates)`` of packets whose source level stopped at rows i.
+    """The source-level stop mask of first-hop rows, the relay-level rule
+    ``relay_stop(i, rates)`` of packets whose source level stopped at rows i,
+    and each row's relay-level stop probability per observation.
 
     Each rule solves its relay level once per row: the intuitive rule its
     relay-level throughput, the coupled rule its reward fixed point W.
     """
     if spec.kind is PolicyKind.INTUITIVE_BILEVEL:
         stats = solve_sub_layer_batch(params, rows, est, second_hop)
+        # the expected relay-level time is T/2 + tau / (2 p_r P)
+        contention = stats.expected_time - 0.5 * params.data_time
+        with np.errstate(divide="ignore"):
+            stop_prob = params.slot_time / (
+                2.0 * success_prob(params.num_relays, params.relay_prob) * contention)
         return (policies.intuitive_main_decide(spec, stats, params.data_time),
-                lambda i, rates: policies.intuitive_sub_decide(stats.threshold[i], rates))
-    w = solve_sub_w_batch(params, rows, spec.gamma_star, est, second_hop)
+                lambda i, rates: policies.intuitive_sub_decide(stats.threshold[i], rates),
+                stop_prob)
+    w, stop_prob = solve_sub_w_batch(params, rows, spec.gamma_star, est, second_hop)
     return (policies.optimal_main_decide(spec, w, params.data_time),
-            lambda i, rates: policies.optimal_sub_decide(spec, w[i], rates, params.data_time))
+            lambda i, rates: policies.optimal_sub_decide(spec, w[i], rates, params.data_time),
+            stop_prob)
+
+
+def _refuse_rare_relay_stops(stop_prob, rows):
+    """Raise CappedPacketError if a packet's relay level stops with probability
+    P per observation where OBSERVATION_CAP * P, the bound on its chance to
+    stop within the cap, is below 1e-9; ``rows`` number its first-hop rows."""
+    rare = OBSERVATION_CAP * stop_prob < 1e-9
+    if rare.any():
+        i = int(np.argmax(rare))
+        raise CappedPacketError(
+            f"the relay level stops too rarely to simulate: at first-hop row {rows[i]} it "
+            f"stops with probability {stop_prob[i]:.3g} per observation, so within "
+            f"{OBSERVATION_CAP} observations with probability at most "
+            f"{OBSERVATION_CAP * stop_prob[i]:.3g}")
 
 
 def _relay_passes(params, rows, ends, relay_stop, hop, rng_relay, rng_second):

@@ -32,7 +32,7 @@ passes, make the closed-form worked examples exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,7 +82,8 @@ class EstimatorConfig:
 class ThresholdSolution:
     """A solved threshold, its residual, residual evaluations, root enclosure,
     and relay-level work summed over chunks and evaluations: row-Newton
-    iterations and kernel rows (rows x relays over the row-Newton passes)."""
+    iterations and kernel rows (rows x relays over the row-Newton passes).
+    A coupled solve's ``start`` is the intuitive solution it started from."""
 
     value: float
     residual: float
@@ -90,6 +91,7 @@ class ThresholdSolution:
     bracket: tuple[float, float]
     inner_iterations: int = 0
     kernel_rows: int = 0
+    start: ThresholdSolution | None = None
 
 
 @dataclass(frozen=True)
@@ -221,8 +223,9 @@ def _intuitive_rows(params, kernels, est):
 
 
 def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,
-                      est: EstimatorConfig, second_hop=None) -> np.ndarray:
-    """Relay-level reward fixed point W, one per first-hop realization.
+                      est: EstimatorConfig, second_hop=None) -> tuple[np.ndarray, np.ndarray]:
+    """Relay-level reward fixed point W, one per first-hop realization, and
+    the stop probability per relay-level observation of its stop rule.
 
     At the imposed return rate gamma, W solves
     E[max((T/2) R_m - (T/2) gamma, W)] = W + gamma tau / (2 p_r); W may be
@@ -234,7 +237,8 @@ def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,
     target = _reward_target(params, gamma)
     half_t = 0.5 * params.data_time
     kernels = _chunk_kernels(params, as_rows(f_rows, params.num_relays), second_hop)
-    return half_t * (_newton_rows(kernels, 0.0, target, est, half_t)[0] - gamma)
+    theta, stop_prob = _newton_rows(kernels, 0.0, target, est, half_t)[:2]
+    return half_t * (theta - gamma), stop_prob
 
 
 def _reward_target(params: SystemParams, gamma: float) -> float:
@@ -296,8 +300,7 @@ def _piecewise_linear_residual(gain0, per_unit, cost):
 
 
 def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
-                             first_hop=None, second_hop=None,
-                             start: ThresholdSolution | None = None) -> ThresholdSolution:
+                             first_hop=None, second_hop=None) -> ThresholdSolution:
     """Source-level throughput fixed point for the reward-coupled rule.
 
     Over the same fixed first-hop sample as the intuitive solver, finds the
@@ -308,12 +311,11 @@ def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
     the relay-level stop probability, so the residual's slope is
     -mean((T/2)(2 + k / P(theta)) over rows with a positive part) - cost.
     Newton starts at the intuitive root, solved on the same rows and
-    kernels; the coupled rule dominates it, so the start lies left of the
-    root. A caller that already holds ``solve_main_gamma_intuitive`` on the
-    same arguments passes it as ``start`` and skips that solve; its
-    relay-level work is counted as if solved here. Each evaluation solves W
-    on every chunk in one ``_newton_rows`` call and sums over the whole
-    sample; after the first, each row starts at its new tangent root.
+    kernels and returned as ``start``, whose relay-level work the counts
+    include; the coupled rule dominates it, so the start lies left of the
+    root. Each evaluation solves W on every chunk in one ``_newton_rows``
+    call and sums over the whole sample; after the first, each row starts
+    at its new tangent root.
     """
     rows = sample_first_hop_rows(params, np.random.default_rng(est.seed), est.mc_samples,
                                  first_hop)
@@ -322,8 +324,7 @@ def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
     half_t = 0.5 * params.data_time
     k = params.slot_time / (params.data_time * p_r)
     kernels = list(_chunk_kernels(params, rows, second_hop))
-    if start is None:
-        start = _intuitive_gamma(params, kernels, est)
+    start = _intuitive_gamma(params, kernels, est)
     last = None  # (theta, residual, tail, target) of the last evaluation
 
     def evaluate(gamma: float):
@@ -339,8 +340,9 @@ def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
         return (float(np.maximum(gain, 0.0).mean()) - gamma * cost,
                 -half_t * steep / gain.size - cost, (inner, kernel_rows))
 
-    return _solve_convex(evaluate, cost, est, "two-part throughput (coupled rule)",
-                         start=start.value, work=(start.inner_iterations, start.kernel_rows))
+    sol = _solve_convex(evaluate, cost, est, "two-part throughput (coupled rule)",
+                        start=start.value, work=(start.inner_iterations, start.kernel_rows))
+    return replace(sol, start=start)
 
 
 # ---------------------------------------------------------------------------

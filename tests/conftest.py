@@ -297,7 +297,7 @@ def policy_value(params: SystemParams, spec, samples: int, seed: int,
         theta = stats.threshold
         stop = intuitive_main_decide(spec, stats, t)
     else:
-        w = solve_sub_w_batch(params, rows, spec.gamma_star, est)
+        w = solve_sub_w_batch(params, rows, spec.gamma_star, est)[0]
         theta = spec.gamma_star + w / (0.5 * t)
         stop = optimal_main_decide(spec, w, t)
     x = np.zeros(samples)
@@ -356,7 +356,7 @@ def _l1_gain(params: SystemParams, kind, gamma: float, f) -> np.ndarray:
         stats = solve_sub_layer_batch(params, rows, L1_EST)
         bits = stats.threshold * stats.expected_time
         return bits - gamma * (stats.expected_time + half_t)
-    return solve_sub_w_batch(params, rows, gamma, L1_EST) - half_t * gamma
+    return solve_sub_w_batch(params, rows, gamma, L1_EST)[0] - half_t * gamma
 
 
 def _l1_boundary(params: SystemParams, kind, gamma: float) -> float:
@@ -433,7 +433,7 @@ def l1_policy_value(params: SystemParams, kind, gamma: float, nodes: int = 60) -
     if kind is PolicyKind.INTUITIVE_BILEVEL:
         theta = solve_sub_layer_batch(params, rows, L1_EST).threshold
     else:
-        theta = gamma + solve_sub_w_batch(params, rows, gamma, L1_EST) / half_t
+        theta = gamma + solve_sub_w_batch(params, rows, gamma, L1_EST)[0] / half_t
     bits, time_ = relay_level_bits_and_time(params, rows, theta)
     cost = params.slot_time / (2.0 * success_prob(params.num_sources, params.source_prob))
     return float(w @ bits) / (cost + float(w @ (time_ + half_t)))

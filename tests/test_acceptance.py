@@ -294,7 +294,7 @@ def test_criterion_10_structural_properties(two_part_solutions):
     half_t = 0.5 * CONFIG_TWO_PART.data_time
 
     def value_fn(gamma):
-        w = solve_sub_w_batch(CONFIG_TWO_PART, sample, gamma, est)
+        w = solve_sub_w_batch(CONFIG_TWO_PART, sample, gamma, est)[0]
         return float(np.maximum(w - half_t * gamma, 0.0).mean()
                      - gamma * CONFIG_TWO_PART.slot_time / (2.0 * p_s))
 

@@ -224,7 +224,15 @@ def test_system_params_validation():
                    dict(num_relays=2000)):
         with pytest.raises(InvalidParameterError, match="slot success probability of 0"):
             make_params(**fields)
-    make_params(num_sources=1075)  # 0.5^1074 is the smallest subnormal
+    # tau / p_s, every solve's contention cost, overflows before p_s reaches 0:
+    # at tau = 0.1 and p = 0.5 from 1038 contenders, at either level
+    for fields in (dict(num_sources=1038), dict(num_sources=1060), dict(num_sources=1075),
+                   dict(num_relays=1038)):
+        with pytest.raises(InvalidParameterError, match=r"slot success probability of "
+                           r"\S+e-3\d\d, so the mean contention time slot_time / p_s is "
+                           "not finite"):
+            make_params(**fields)
+    make_params(num_sources=1037, num_relays=1037)  # tau / p_s = 1.2e308
     p = make_params(relay_prob=None)
     with pytest.raises(InvalidParameterError):
         p.require_relay_prob()

@@ -204,15 +204,16 @@ def printed_values(out: str) -> dict:
 
 
 def test_compare_optimal_matches_standalone_solve(tmp_path, capsys):
+    # both rules, digit for digit: compare reports the coupled solve's own
+    # intuitive start as its intuitive result
     path = write_config(tmp_path, **SMALL_COMPARE)
     assert main(["compare", "--config", str(path)]) == 0
     compared = printed_values(capsys.readouterr().out)
-    assert main(["solve", "--config", str(path), "--scenario", "2-optimal"]) == 0
-    solved = printed_values(capsys.readouterr().out)
-    assert compared["gamma_star_optimal"] == solved["gamma_star"]
-    assert compared["iterations_optimal"] == solved["iterations"]
-    assert compared["inner_iterations_optimal"] == solved["inner_iterations"]
-    assert compared["kernel_rows_optimal"] == solved["kernel_rows"]
+    for rule, scenario in (("optimal", "2-optimal"), ("intuitive", "2-intuitive")):
+        assert main(["solve", "--config", str(path), "--scenario", scenario]) == 0
+        solved = printed_values(capsys.readouterr().out)
+        for key in ("gamma_star", "residual", "iterations", "inner_iterations", "kernel_rows"):
+            assert compared[f"{key}_{rule}"] == solved[key], (rule, key)
 
 
 def test_compare_solves_the_intuitive_gamma_once(tmp_path, monkeypatch):
@@ -299,7 +300,7 @@ VERDICT_DEFECTS = {
                               _lowered_run("run_scenario2", PolicyKind.OPTIMAL_BILEVEL)),
     "solver_dominance": (["compare"], "solver_dominance", _wrapped(
         "solve_main_gamma_optimal",
-        lambda sol, *a, start, **kw: dataclasses.replace(sol, value=start.value - 1e-3))),
+        lambda sol, *a, **kw: dataclasses.replace(sol, value=sol.start.value - 1e-3))),
     "simulated_dominance": (["compare"], "simulated_dominance",
                             _lowered_run("run_scenario2", PolicyKind.OPTIMAL_BILEVEL)),
     "_match": (["sweep", "--axis", "num_relays", "--values", "2", "--simulate"],
@@ -423,6 +424,11 @@ LOADER_ERRORS = {
     "zero-success-prob": ({"params.num_relays": 2000}, ["solve"],
                           "params: relay_prob = 0.5 with 2000 contenders gives a slot "
                           "success probability of 0"),
+    # a slot success probability so small that the contention cost overflows
+    "overflowing-contention-cost": ({"params.num_sources": 1060}, ["solve"],
+                                    "params: source_prob = 0.5 with 1060 contenders gives a "
+                                    "slot success probability of 8.58e-317, so the mean "
+                                    "contention time slot_time / p_s is not finite"),
     "boolean-number": ({"params.slot_time": True}, ["solve"],
                        "params.slot_time: expected a number, got a boolean"),
     "non-integer-int": ({"params.num_relays": 2.5}, ["solve"],
@@ -720,13 +726,20 @@ def test_scenario1_solve_loads_no_random_scipy_or_polynomial():
 
 
 def test_cli_import_defers_the_packet_log_module():
-    # commands that write no log (solve, sweep, oracle) do not load the
-    # formatter or build its tables
+    # The import budget of every CLI start, in a fresh interpreter that sees
+    # what the CLI alone pulls in. Commands that write no log (solve, sweep,
+    # oracle) do not load the formatter or build its tables. scipy and mpmath
+    # are test dependencies only; import scipy.special alone takes about 0.4 s.
+    # numpy.random costs 9-13 ms and about 6 MB on import, which the solve that
+    # first draws pays: loaded here, it would move from the benchmark's solve_s
+    # into its setup_s and read as a solver gain.
     src = str(Path(relaystop.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = "import sys, relaystop.cli; print('relaystop.packetlog' in sys.modules)"
+    code = ("import sys, relaystop.cli; print(sorted(m for m in sys.modules if m in "
+            "('relaystop.packetlog', 'scipy', 'mpmath', 'numpy.random') "
+            "or m.startswith(('scipy.', 'mpmath.', 'numpy.random.'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

@@ -167,8 +167,8 @@ def test_decisions_invariant_under_time_rescaling():
 
     go_b = solve_main_gamma_optimal(params, est).value
     go_s = solve_main_gamma_optimal(scaled, est).value
-    w_b = solve_sub_w_batch(params, rows, go_b, est)
-    w_s = solve_sub_w_batch(scaled, rows, go_s, est)
+    w_b = solve_sub_w_batch(params, rows, go_b, est)[0]
+    w_s = solve_sub_w_batch(scaled, rows, go_s, est)[0]
     ospec_b = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=go_b)
     ospec_s = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=go_s)
     for i in range(rows.shape[0]):

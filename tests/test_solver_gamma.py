@@ -68,7 +68,7 @@ def _intuitive_residual(params, est, gamma):
 def _optimal_residual(params, est, gamma):
     rows = np.random.default_rng(est.seed).exponential(
         params.first_hop_mean_gain, (est.mc_samples, params.num_relays))
-    w = solve_sub_w_batch(params, rows, gamma, est)
+    w = solve_sub_w_batch(params, rows, gamma, est)[0]
     p_s = success_prob(params.num_sources, params.source_prob)
     half_t = 0.5 * params.data_time
     return np.maximum(w - half_t * gamma, 0.0).mean() \
@@ -272,6 +272,16 @@ def test_coupled_root_inside_residual_sign_change_on_stress_config():
     assert _optimal_residual(STRESS, est, sol.value + 10.0 * est.tol) < 0.0
 
 
+@pytest.mark.parametrize("params", [make_params(), STRESS], ids=["base", "stress"])
+def test_coupled_start_is_the_intuitive_solution(params):
+    # the coupled solve returns the intuitive solve it started from, field for
+    # field; neither the intuitive nor the full-CSI solution has a start
+    est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=3, tol=1e-6)
+    intuitive = solve_main_gamma_intuitive(params, est)
+    assert solve_main_gamma_optimal(params, est).start == intuitive
+    assert intuitive.start is None and solve_full_csi_lambda(params, est).start is None
+
+
 def test_inner_iterations_are_counted():
     est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=3, tol=1e-6)
     assert solve_full_csi_lambda(STRESS, est).inner_iterations == 0
@@ -314,13 +324,12 @@ def test_coupled_evaluations_are_warm_started(monkeypatch, params, hops):
 
 W_ROWS = np.random.default_rng(11).exponential(STRESS.first_hop_mean_gain, (300, 4))
 CAP_CASES = {
-    "full-csi": (lambda est, start: solve_full_csi_lambda(STRESS, est), "full-CSI throughput"),
-    "intuitive": (lambda est, start: solve_main_gamma_intuitive(STRESS, est),
+    "full-csi": (lambda est: solve_full_csi_lambda(STRESS, est), "full-CSI throughput"),
+    "intuitive": (lambda est: solve_main_gamma_intuitive(STRESS, est),
                   r"two-part throughput \(intuitive rule\): relay-level rows"),
-    # started at the solved intuitive root, the coupled solve's own rows hit the cap
-    "coupled": (lambda est, start: solve_main_gamma_optimal(STRESS, est, start=start),
+    "coupled": (lambda est: solve_main_gamma_optimal(STRESS, est),
                 r"two-part throughput \(coupled rule\) at 0\.7\d+: relay-level rows"),
-    "w": (lambda est, start: solve_sub_w_batch(STRESS, W_ROWS, 0.7, est), "relay-level rows"),
+    "w": (lambda est: solve_sub_w_batch(STRESS, W_ROWS, 0.7, est), "relay-level rows"),
 }
 
 
@@ -328,12 +337,16 @@ CAP_CASES = {
 def test_iteration_cap_failure_names_the_solve(monkeypatch, name):
     solve, where = CAP_CASES[name]
     est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=1, tol=1e-6)
-    start = solve_main_gamma_intuitive(STRESS, est)
+    if name == "coupled":
+        # its intuitive start, solved under the full cap, is injected, so
+        # that the coupled solve's own rows hit the cap
+        start = solve_main_gamma_intuitive(STRESS, est)
+        monkeypatch.setattr(solver, "_intuitive_gamma", lambda *args: start)
     monkeypatch.setattr(solver, "MAX_ITER", 2)
     worst = "0" if name == "full-csi" else r"\d+"
     with pytest.raises(SolverFailureError,
                        match=f"^{where}: " + ENGINE_FAILURE.format(2, worst, r"\S+")):
-        solve(est, start)
+        solve(est)
 
 
 def test_stress_solve_work_budget():
@@ -380,7 +393,7 @@ def test_l1_reference_nodes_match_the_bisection_references(l1_refs):
             got = solve_sub_layer_batch(L1, f[:, None], L1_EST).threshold
             want = [reference_sub_lambda(L1, [x], est) for x in f]
         else:
-            got = solve_sub_w_batch(L1, f[:, None], ref.gamma, L1_EST)
+            got = solve_sub_w_batch(L1, f[:, None], ref.gamma, L1_EST)[0]
             want = [reference_w(L1, [x], ref.gamma, est) for x in f]
         np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11, err_msg=kind.name)
 
@@ -394,10 +407,9 @@ def test_l1_solvers_are_unbiased_within_their_sampling_error(l1_refs):
     roots = {kind: [] for kind in BILEVEL}
     for seed in seeds:
         est = EstimatorConfig(mc_samples=n, seed=seed, tol=1e-9)
-        intuitive = solve_main_gamma_intuitive(L1, est)
-        roots[PolicyKind.INTUITIVE_BILEVEL].append(intuitive.value)
-        roots[PolicyKind.OPTIMAL_BILEVEL].append(
-            solve_main_gamma_optimal(L1, est, start=intuitive).value)
+        coupled = solve_main_gamma_optimal(L1, est)
+        roots[PolicyKind.INTUITIVE_BILEVEL].append(coupled.start.value)
+        roots[PolicyKind.OPTIMAL_BILEVEL].append(coupled.value)
     for kind, ref in ((kind, l1_refs[kind][1]) for kind in BILEVEL):
         bound = 4.0 * ref.sd / np.sqrt(len(seeds) * n) + 1e-5
         assert abs(np.mean(roots[kind]) - ref.gamma) <= bound, (kind.name, roots[kind], bound)
@@ -468,7 +480,7 @@ def _gain_lines(params, rng, lines: int, points: int) -> np.ndarray:
 def _assert_w_rises_along_lines(params, gamma: float, lines: int = 60, points: int = 800):
     tol = 1e-12
     rows = _gain_lines(params, np.random.default_rng(13), lines, points)
-    w = solve_sub_w_batch(params, rows, gamma, EstimatorConfig(tol=tol)).reshape(lines, points)
+    w = solve_sub_w_batch(params, rows, gamma, EstimatorConfig(tol=tol))[0].reshape(lines, points)
     # each W is within tol max(1, (T/2) theta) of its root, (T/2) theta = W + (T/2) gamma
     err = tol * np.maximum(1.0, np.abs(w + 0.5 * params.data_time * gamma))
     falls = np.diff(w, axis=1) < -(err[:, 1:] + err[:, :-1])
@@ -527,3 +539,97 @@ def test_intuitive_stop_set_is_not_an_upper_set():
     assert f1[np.argmin(gain)] == pytest.approx(0.307, abs=1e-12)
     assert gain.min() == pytest.approx(-0.00908, abs=5e-6)
     assert np.abs(gain).min() > 1e-6  # every decision is far from the solver tol
+
+
+# --- the diversity claim as exact relations on one fixed sample -----------------
+#
+# No-wait (accept every source winner, and then the first relay) is one policy
+# of each optimum's problem, so lambda* and the coupled gamma* are at least its
+# throughput. The intuitive gamma* is not an optimum of its sample problem, so
+# no-wait bounds nothing for it. At p = 1/N the sources are exchangeable: the
+# first-hop rows do not depend on N, which enters each solve only through its
+# contention cost tau / p_s, and p_s = (1 - 1/N)^(N - 1) falls in N, so each
+# root falls. Each root is good to the solver's tol, and each relation allows
+# that and no other margin.
+
+DIVERSITY_EST = EstimatorConfig(mc_samples=2000, seed=1, tol=1e-9)
+SOURCE_COUNTS = (1, 2, 4, 8, 16)
+
+
+def _assert_optima_beat_no_wait(params, est=DIVERSITY_EST):
+    t, tau = params.data_time, params.slot_time
+    p_s = success_prob(params.num_sources, params.source_prob)
+    p_r = success_prob(params.num_relays, params.relay_prob)
+    lam = solve_full_csi_lambda(params, est).value
+    no_wait = 0.5 * t * channel.best_relay_excess_tail(params, 0.0)[0] / (t + tau / p_s)
+    assert lam >= no_wait - est.tol, ("lambda*", lam, no_wait)
+    # the coupled solve's own rows, and their mean relay rates e0
+    rows = channel.sample_first_hop_rows(params, np.random.default_rng(est.seed),
+                                         est.mc_samples)
+    e0 = channel.second_hop_kernel(params, rows).e0
+    gamma = solve_main_gamma_optimal(params, est).value
+    no_wait = 0.5 * t * e0.mean() / (t + tau / (2.0 * p_s) + tau / (2.0 * p_r))
+    assert gamma >= no_wait - est.tol, ("coupled gamma*", gamma, no_wait)
+
+
+def _assert_roots_fall_in_sources(params, est=DIVERSITY_EST):
+    flat = []  # each solve whose roots do not fall, with its roots
+    for solve in (solve_full_csi_lambda, solve_main_gamma_intuitive, solve_main_gamma_optimal):
+        roots = [solve(dataclasses.replace(params, num_sources=n, source_prob=1.0 / n), est).value
+                 for n in SOURCE_COUNTS]
+        if not np.all(np.diff(roots) < -2.0 * est.tol):
+            flat.append((solve.__name__, roots))
+    assert not flat, "; ".join(f"{name}: {roots}" for name, roots in flat)
+
+
+@pytest.mark.parametrize("params", [make_params(), STRESS], ids=["base", "stress"])
+def test_optima_beat_the_no_wait_policy(params):
+    _assert_optima_beat_no_wait(params)
+
+
+def test_every_root_falls_in_the_source_count():
+    _assert_roots_fall_in_sources(make_params())
+
+
+def _rate_law_in_nats(params, theta):
+    """A defective best-relay law: rates in nats, not bits (ln 2 times as large)."""
+    excess, tail = channel.best_relay_excess_tail(params, theta / channel.LN2)
+    return channel.LN2 * excess, tail
+
+
+class _KernelInNats:
+    """A defective second-hop kernel: rates in nats, not bits."""
+
+    def __init__(self, params, rows, second_hop=None):
+        self.bits = channel.second_hop_kernel(params, rows, second_hop)
+        self.rows, self.sat_top = rows, channel.LN2 * self.bits.sat_top
+        self.e0 = channel.LN2 * self.bits.e0
+
+    def excess_tail(self, thetas, idx=slice(None)):
+        excess, tail = self.bits.excess_tail(np.asarray(thetas) / channel.LN2, idx)
+        return channel.LN2 * excess, tail
+
+
+# Each relation with a defect planted in the solver, and the solve it names:
+# lambda* and the coupled gamma* on rates in nats, 0.69 times the rates in
+# bits, and every solve on a contention cost that ignores p_s (p_s = 1 at
+# every N). The no-wait relations catch only errors this gross: the coupled
+# gamma* in nats fails by 1.2%.
+DIVERSITY_DEFECTS = {
+    "lambda-no-wait": (_assert_optima_beat_no_wait, "best_relay_excess_tail",
+                       _rate_law_in_nats, r"lambda\*"),
+    "coupled-no-wait": (_assert_optima_beat_no_wait, "second_hop_kernel", _KernelInNats,
+                        "coupled gamma"),
+    "source-count": (_assert_roots_fall_in_sources, "success_prob", lambda n, p: 1.0,
+                     "solve_full_csi_lambda.*solve_main_gamma_intuitive.*"
+                     "solve_main_gamma_optimal"),
+}
+
+
+@pytest.mark.parametrize("relation, name, defect, message", DIVERSITY_DEFECTS.values(),
+                         ids=DIVERSITY_DEFECTS.keys())
+def test_a_planted_defect_fails_each_diversity_relation(monkeypatch, relation, name, defect,
+                                                        message):
+    monkeypatch.setattr(solver, name, defect)
+    with pytest.raises(AssertionError, match=message):
+        relation(make_params())

@@ -388,7 +388,7 @@ def test_intuitive_threshold_below_saturation(rng):
 def test_w_constant_rate_closed_form():
     # W = (T/2)(r - gamma) - gamma tau / (2 p_r) = 0.6 - 0.08 = 0.52
     hop = FixedGain(2.0)
-    w = solve_sub_w_batch(HOOK, [[3.0]], 0.4, EST, second_hop=hop)[0]
+    (w,), _ = solve_sub_w_batch(HOOK, [[3.0]], 0.4, EST, second_hop=hop)
     assert w == pytest.approx(0.52, abs=1e-8)
     assert abs(w_residual(HOOK, [3.0], 0.4, w, EST, second_hop=hop)) <= EST.tol
     assert reference_w(HOOK, [3.0], 0.4, EST, second_hop=hop) == pytest.approx(0.52, abs=1e-8)
@@ -397,7 +397,7 @@ def test_w_constant_rate_closed_form():
 def test_w_zero_gains_closed_form():
     # zero rate: max(-(T/2) gamma - W, 0) = gamma tau / (2 p_r)
     # -> W = -(T/2) gamma - gamma tau / (2 p_r) = -0.4 - 0.08
-    w = solve_sub_w_batch(HOOK, [[0.0]], 0.4, EST)[0]
+    (w,), _ = solve_sub_w_batch(HOOK, [[0.0]], 0.4, EST)
     assert w == pytest.approx(-0.48, abs=1e-8)
     assert reference_w(HOOK, [0.0], 0.4, EST) == pytest.approx(-0.48, abs=1e-8)
     # cross-check the branch by substituting into the unshifted equation
@@ -410,14 +410,14 @@ def test_w_gamma_zero_boundary():
     # at gamma = 0 the root is the essential supremum (T/2) * saturation;
     # the solver lands at the float-tail boundary just under it
     sat = rate_saturation(HOOK.source_power, 3.0)
-    w = solve_sub_w_batch(HOOK, [[3.0]], 0.0, EST)[0]
+    (w,), _ = solve_sub_w_batch(HOOK, [[3.0]], 0.0, EST)
     assert abs(w_residual(HOOK, [3.0], 0.0, w, EST)) <= EST.tol
     assert w <= 0.5 * HOOK.data_time * sat
     assert w == pytest.approx(0.5 * HOOK.data_time * sat, abs=0.01)
     # A stress batch: near saturation some rows' residuals and slopes fall
     # below 1e-300, and every row still converges.
     rows = np.random.default_rng(1).exponential(STRESS.first_hop_mean_gain, (500, 4))
-    w = solve_sub_w_batch(STRESS, rows, 0.0, EST)
+    w = solve_sub_w_batch(STRESS, rows, 0.0, EST)[0]
     tops = 0.5 * STRESS.data_time * rate_saturation(STRESS.source_power, rows).max(axis=1)
     assert np.all(w <= tops)
     assert abs(w_residual(STRESS, rows[159], 0.0, w[159], EST)) <= EST.tol
@@ -435,7 +435,7 @@ def test_w_batch_matches_scalar(rng):
              (STRESS, rng.exponential(4.0, (60, 4)))]
     for params, rows in cases:
         for gamma in (0.2, 0.7, 1.4):
-            batch = solve_sub_w_batch(params, rows, gamma, EST)
+            batch = solve_sub_w_batch(params, rows, gamma, EST)[0]
             for i in (0, 13, 31, 59):
                 assert batch[i] == pytest.approx(
                     reference_w(params, rows[i], gamma, EST), abs=5e-9)
@@ -452,12 +452,14 @@ def test_w_slope_is_the_envelope_derivative(params, rng):
                                                             params.relay_prob))
     h = 1e-5
     for gamma in (0.3, 0.8):
-        w = solve_sub_w_batch(params, rows, gamma, est)
-        central = (solve_sub_w_batch(params, rows, gamma + h, est)
-                   - solve_sub_w_batch(params, rows, gamma - h, est)) / (2.0 * h)
+        w, stop_prob = solve_sub_w_batch(params, rows, gamma, est)
+        central = (solve_sub_w_batch(params, rows, gamma + h, est)[0]
+                   - solve_sub_w_batch(params, rows, gamma - h, est)[0]) / (2.0 * h)
         stop = np.array([sub_layer_tail_prob(params, row, gamma + wi / half_t)
                          for row, wi in zip(rows, w)])
         np.testing.assert_allclose(central, -half_t * (1.0 + k / stop), rtol=1e-6)
+        # the solve's own stop probability is the tail at its root
+        np.testing.assert_allclose(stop_prob, stop, rtol=1e-9)
 
 
 def test_w_residual_against_monte_carlo(rng):
@@ -465,7 +467,7 @@ def test_w_residual_against_monte_carlo(rng):
     params = make_params(source_power=1.0, relay_power=1.0)
     f_sq = np.array([2.5, 0.8])
     gamma = 0.5
-    w = solve_sub_w_batch(params, [f_sq], gamma, EST)[0]
+    (w,), _ = solve_sub_w_batch(params, [f_sq], gamma, EST)
     g = rng.exponential(1.0, 10**6)
     j = rng.integers(0, 2, 10**6)
     reward = 0.5 * params.data_time * af_rate(1.0, 1.0, f_sq[j], g)

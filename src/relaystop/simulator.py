@@ -19,8 +19,9 @@ chunk that have not stopped yet. One never-stop guard, ``OBSERVATION_CAP``
 the relay level it limits the passes. Each chunk solves its relay level
 once, W per row for the coupled rule and the relay-level throughput per row
 for the intuitive one, and both levels then decide through the ``policies``
-predicates. A chunk with a packet whose relay level the guard would stop
-all but surely is refused before its first relay pass.
+predicates. Both solves also return each row's relay-level stop probability
+P, and a chunk with a packet whose relay level the guard would stop all but
+surely (by that P) is refused before its first relay pass.
 
 Stream layout: a run is fully determined by (params, spec, config, seed).
 
@@ -47,7 +48,7 @@ import numpy as np
 from . import policies
 from .channel import (SystemParams, af_rate, default_observations, hop_models,
                       sample_first_hop_rows)
-from .contention import sample_contention, success_prob
+from .contention import sample_contention
 from .errors import CappedPacketError, InvalidParameterError
 from .policies import PolicyKind, PolicySpec
 from .solver import EstimatorConfig, solve_sub_layer_batch, solve_sub_w_batch
@@ -204,15 +205,11 @@ def _decision_rules(params, est, spec, rows, second_hop):
     and each row's relay-level stop probability per observation.
 
     Each rule solves its relay level once per row: the intuitive rule its
-    relay-level throughput, the coupled rule its reward fixed point W.
+    relay-level throughput, the coupled rule its reward fixed point W. Both
+    solves return the stop probability.
     """
     if spec.kind is PolicyKind.INTUITIVE_BILEVEL:
-        stats = solve_sub_layer_batch(params, rows, est, second_hop)
-        # the expected relay-level time is T/2 + tau / (2 p_r P)
-        contention = stats.expected_time - 0.5 * params.data_time
-        with np.errstate(divide="ignore"):
-            stop_prob = params.slot_time / (
-                2.0 * success_prob(params.num_relays, params.relay_prob) * contention)
+        stats, stop_prob = solve_sub_layer_batch(params, rows, est, second_hop)
         return (policies.intuitive_main_decide(spec, stats, params.data_time),
                 lambda i, rates: policies.intuitive_sub_decide(stats.threshold[i], rates),
                 stop_prob)

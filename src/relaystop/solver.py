@@ -10,8 +10,9 @@ two-part expectations are split by hop. Second-hop (single-gain) expectations
 are deterministic: the second hop's model evaluates them in closed form,
 through the kernel its ``relay_kernel`` method builds. First-hop expectations
 use a fixed, seed-determined Monte Carlo sample that is reused for every
-candidate threshold (common random numbers), so each realized residual is
-itself a convex decreasing function with a unique root.
+candidate threshold (common random numbers), so each realized residual, a
+sample average of per-row gains, is a convex decreasing function with a
+unique root.
 
 One guarded-Newton engine finds every root, on a batch of rows at once,
 dropping converged rows from the residual passes. A relay-level solve, one
@@ -144,7 +145,9 @@ def solve_full_csi_lambda(params: SystemParams, est: EstimatorConfig,
     cost = params.slot_time / success_prob(params.num_sources, params.source_prob)
     if rate_sampler is not None:
         half_rates = 0.5 * t * _draw_rates(params, est, rate_sampler)
-        evaluate = _piecewise_linear_residual(half_rates, t, cost)
+
+        def evaluate(lam: float):
+            return *_sample_average_residual(half_rates - lam * t, t, lam, cost), (0, 0)
     else:
         def evaluate(lam: float):
             excess, tail = best_relay_excess_tail(params, 2.0 * lam)
@@ -193,16 +196,17 @@ def oracle_threshold_search(params: SystemParams, grid, est: EstimatorConfig,
 
 
 def solve_sub_layer_batch(params: SystemParams, f_rows, est: EstimatorConfig,
-                          second_hop=None) -> SubLayerStats:
-    """Relay-level throughput statistics, one entry per first-hop realization.
+                          second_hop=None) -> tuple[SubLayerStats, np.ndarray]:
+    """Relay-level throughput statistics, one entry per first-hop realization,
+    and the stop probability P per relay-level observation at each root.
 
     The threshold lam solves E[max(R_m - lam, 0)] = lam * tau / (T p_r); the
-    expected time is T/2 plus one expected contention per observation over a
-    geometric observation count. All-zero first-hop gains give threshold 0
-    and expected time T/2 + tau / (2 p_r), one observation, rather than an error.
+    expected time T/2 + tau / (2 p_r P) adds one expected contention per
+    observation over a geometric observation count. All-zero first-hop gains
+    give threshold 0 and P = 1, one observation, rather than an error.
     """
     kernels = _chunk_kernels(params, as_rows(f_rows, params.num_relays), second_hop)
-    return _intuitive_rows(params, kernels, est)[0]
+    return _intuitive_rows(params, kernels, est)[:2]
 
 
 def _chunk_kernels(params, rows, second_hop):
@@ -212,14 +216,14 @@ def _chunk_kernels(params, rows, second_hop):
 
 
 def _intuitive_rows(params, kernels, est):
-    """Relay-level throughput statistics over chunk kernels, and the relay-level work."""
+    """Relay-level throughput statistics over chunk kernels, their stop probability and work."""
     p_r = success_prob(params.num_relays, params.require_relay_prob())
     slope = params.slot_time / (params.data_time * p_r)
     lam, stop_prob, _, *work = _newton_rows(kernels, slope, 0.0, est, 1.0)
     with np.errstate(divide="ignore"):
         expected_time = (0.5 * params.data_time
                          + params.slot_time / (2.0 * p_r * stop_prob))
-    return SubLayerStats(lam, expected_time), tuple(work)
+    return SubLayerStats(lam, expected_time), stop_prob, tuple(work)
 
 
 def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,
@@ -234,19 +238,14 @@ def solve_sub_w_batch(params: SystemParams, f_rows, gamma: float,
     supremum of the reward, (T/2) * max saturation, and the solver lands at
     the float-tail boundary just below it.
     """
-    target = _reward_target(params, gamma)
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise InvalidParameterError("gamma must be finite and >= 0")
+    p_r = success_prob(params.num_relays, params.require_relay_prob())
+    target = params.slot_time / (params.data_time * p_r) * gamma
     half_t = 0.5 * params.data_time
     kernels = _chunk_kernels(params, as_rows(f_rows, params.num_relays), second_hop)
     theta, stop_prob = _newton_rows(kernels, 0.0, target, est, half_t)[:2]
     return half_t * (theta - gamma), stop_prob
-
-
-def _reward_target(params: SystemParams, gamma: float) -> float:
-    """The relay-level reward target gamma tau / (T p_r) at the imposed rate gamma."""
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise InvalidParameterError("gamma must be finite and >= 0")
-    p_r = success_prob(params.num_relays, params.require_relay_prob())
-    return params.slot_time / (params.data_time * p_r) * gamma
 
 
 def _tangent_start(theta, residual, tail, old_target, target):
@@ -279,24 +278,25 @@ def solve_main_gamma_intuitive(params: SystemParams, est: EstimatorConfig,
 def _intuitive_gamma(params, kernels, est) -> ThresholdSolution:
     name = "two-part throughput (intuitive rule)"
     try:
-        stats, work = _intuitive_rows(params, kernels, est)
+        stats, _, work = _intuitive_rows(params, kernels, est)
     except SolverFailureError as err:
         raise SolverFailureError(f"{name}: {err}") from err
     cost = params.slot_time / (2.0 * success_prob(params.num_sources, params.source_prob))
-    evaluate = _piecewise_linear_residual(stats.threshold * stats.expected_time,
-                                          stats.expected_time + 0.5 * params.data_time, cost)
+    bits = stats.threshold * stats.expected_time
+    per_unit = stats.expected_time + 0.5 * params.data_time
+
+    def evaluate(gamma: float):
+        return *_sample_average_residual(bits - gamma * per_unit, per_unit, gamma, cost), (0, 0)
+
     return _solve_convex(evaluate, cost, est, name, work=work)
 
 
-def _piecewise_linear_residual(gain0, per_unit, cost):
-    """Residual mean(max(gain0 - x per_unit, 0)) - x cost, its right derivative
-    -mean(per_unit over rows still positive) - cost, and no relay-level work."""
-    def evaluate(x: float):
-        gain = gain0 - x * per_unit
-        slope = -float(np.where(gain > 0.0, per_unit, 0.0).sum()) / gain.size - cost
-        return float(np.maximum(gain, 0.0).mean() - x * cost), slope, (0, 0)
-
-    return evaluate
+def _sample_average_residual(gain, gain_slope, x, cost):
+    """The sample-average residual mean(max(gain, 0)) - x cost at x, and its
+    right derivative -sum(gain_slope over rows with gain > 0) / n - cost,
+    where gain_slope is each row's -d gain / dx (an array or one value)."""
+    slope = -float(np.where(gain > 0.0, gain_slope, 0.0).sum()) / gain.size - cost
+    return float(np.maximum(gain, 0.0).mean() - x * cost), slope
 
 
 def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
@@ -329,16 +329,17 @@ def solve_main_gamma_optimal(params: SystemParams, est: EstimatorConfig,
 
     def evaluate(gamma: float):
         nonlocal last
-        target = _reward_target(params, gamma)
+        target = k * gamma
         warm = None if last is None else _tangent_start(*last, target)
         theta, stop_prob, residual, inner, kernel_rows = _newton_rows(
             kernels, 0.0, target, est, half_t, warm)
         last = theta, residual, stop_prob, target
+        # -d gain / d gamma per row; k / P is inf where P is 0 or subnormal, and
+        # an infinite slope makes _newton bisect rather than step
+        with np.errstate(divide="ignore", over="ignore"):
+            steep = half_t * (2.0 + k / stop_prob)
         gain = half_t * (theta - gamma) - half_t * gamma
-        with np.errstate(divide="ignore"):
-            steep = float((2.0 + k / stop_prob[gain > 0.0]).sum())
-        return (float(np.maximum(gain, 0.0).mean()) - gamma * cost,
-                -half_t * steep / gain.size - cost, (inner, kernel_rows))
+        return *_sample_average_residual(gain, steep, gamma, cost), (inner, kernel_rows)
 
     sol = _solve_convex(evaluate, cost, est, "two-part throughput (coupled rule)",
                         start=start.value, work=(start.inner_iterations, start.kernel_rows))

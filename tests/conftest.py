@@ -293,7 +293,7 @@ def policy_value(params: SystemParams, spec, samples: int, seed: int,
     est = est if est is not None else EstimatorConfig(tol=1e-9)
     rows = RayleighFading(params.first_hop_mean_gain).sample(rng, (samples, params.num_relays))
     if spec.kind is PolicyKind.INTUITIVE_BILEVEL:
-        stats = solve_sub_layer_batch(params, rows, est)
+        stats = solve_sub_layer_batch(params, rows, est)[0]
         theta = stats.threshold
         stop = intuitive_main_decide(spec, stats, t)
     else:
@@ -353,7 +353,7 @@ def _l1_gain(params: SystemParams, kind, gamma: float, f) -> np.ndarray:
     half_t = 0.5 * params.data_time
     rows = np.asarray(f, dtype=float).reshape(-1, 1)
     if kind is PolicyKind.INTUITIVE_BILEVEL:
-        stats = solve_sub_layer_batch(params, rows, L1_EST)
+        stats = solve_sub_layer_batch(params, rows, L1_EST)[0]
         bits = stats.threshold * stats.expected_time
         return bits - gamma * (stats.expected_time + half_t)
     return solve_sub_w_batch(params, rows, gamma, L1_EST)[0] - half_t * gamma
@@ -431,7 +431,7 @@ def l1_policy_value(params: SystemParams, kind, gamma: float, nodes: int = 60) -
     f, w, _ = _l1_stop_set(params, kind, gamma, _l1_boundary(params, kind, gamma), nodes)
     rows = f[:, None]
     if kind is PolicyKind.INTUITIVE_BILEVEL:
-        theta = solve_sub_layer_batch(params, rows, L1_EST).threshold
+        theta = solve_sub_layer_batch(params, rows, L1_EST)[0].threshold
     else:
         theta = gamma + solve_sub_w_batch(params, rows, gamma, L1_EST)[0] / half_t
     bits, time_ = relay_level_bits_and_time(params, rows, theta)

@@ -267,7 +267,7 @@ def test_criterion_9_analytic_bounds():
 
     rows = rng.exponential(1.0, (1000, CONFIG_TWO_PART.num_relays))
     est = EstimatorConfig(mc_samples=1000, quad_points=64, seed=5, tol=1e-9)
-    lam = solve_sub_layer_batch(CONFIG_TWO_PART, rows, est).threshold
+    lam = solve_sub_layer_batch(CONFIG_TWO_PART, rows, est)[0].threshold
     sat = rate_saturation(CONFIG_TWO_PART.source_power, rows).max(axis=1)
     checks["sub_threshold_finite"] = bool(np.all(lam < sat + 1e-12)) \
         and bool(np.all(np.isfinite(lam)))

@@ -152,8 +152,8 @@ def test_decisions_invariant_under_time_rescaling():
 
     g_b = solve_main_gamma_intuitive(params, est).value
     g_s = solve_main_gamma_intuitive(scaled, est).value
-    stats_b = solve_sub_layer_batch(params, rows, est)
-    stats_s = solve_sub_layer_batch(scaled, rows, est)
+    stats_b = solve_sub_layer_batch(params, rows, est)[0]
+    stats_s = solve_sub_layer_batch(scaled, rows, est)[0]
     spec_b = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=g_b)
     spec_s = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=g_s)
     for i in range(rows.shape[0]):

@@ -27,6 +27,7 @@ from relaystop import (
 )
 from relaystop import simulator
 from relaystop.channel import af_rate
+from relaystop.policies import intuitive_main_decide
 from relaystop.simulator import _OBS_CHUNK, _decision_rules
 from .conftest import (
     coupled_sign_rules,
@@ -246,6 +247,33 @@ def test_relay_level_guard_names_a_level_too_rare_to_simulate():
                        r"at most \S+e-1\d$"):
         run_scenario2(params, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=sol.value),
                       SimConfig(packets=200, seed=0), est=est)
+
+
+def test_intuitive_relay_level_guard_reads_the_solved_stop_probability(monkeypatch):
+    # the intuitive rule refuses from the P its relay-level solve returns: a
+    # planted P of 1e-20 on one row of the first chunk whose source level
+    # stops is named, before the first relay pass
+    params = make_params()
+    est = EstimatorConfig(mc_samples=500, quad_points=64, seed=0, tol=1e-6)
+    spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL,
+                      gamma_star=solve_main_gamma_intuitive(params, est).value)
+    solve, planted = simulator.solve_sub_layer_batch, []
+
+    def rare(*args, **kwargs):
+        stats, stop_prob = solve(*args, **kwargs)
+        if not planted:
+            planted.append(int(np.flatnonzero(
+                intuitive_main_decide(spec, stats, params.data_time))[2]))
+            stop_prob = stop_prob.copy()
+            stop_prob[planted[0]] = 1e-20
+        return stats, stop_prob
+
+    monkeypatch.setattr(simulator, "solve_sub_layer_batch", rare)
+    with pytest.raises(CappedPacketError) as err:
+        run_scenario2(params, spec, SimConfig(packets=200, seed=0), est=est)
+    assert str(err.value).startswith(
+        f"the relay level stops too rarely to simulate: at first-hop row {planted[0]} it "
+        "stops with probability 1e-20 per observation")
 
 
 def test_scenario2_coupled_rejects_negative_gamma():

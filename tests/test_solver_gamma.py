@@ -1,6 +1,7 @@
 """Source-level fixed points of the two-part access scheme."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def test_optimal_deterministic_closed_form():
 def _intuitive_residual(params, est, gamma):
     rows = np.random.default_rng(est.seed).exponential(
         params.first_hop_mean_gain, (est.mc_samples, params.num_relays))
-    stats = solve_sub_layer_batch(params, rows, est)
+    stats = solve_sub_layer_batch(params, rows, est)[0]
     p_s = success_prob(params.num_sources, params.source_prob)
     half_t = 0.5 * params.data_time
     bits = stats.threshold * stats.expected_time
@@ -362,6 +363,19 @@ def test_stress_solve_work_budget():
         assert all(used <= most for used, most in zip(work, budget)), (solve.__name__, work)
 
 
+def test_coupled_solve_with_a_subnormal_stop_probability_raises_no_warning():
+    # 1037 sources, the most SystemParams accepts at p_s = 0.5: gamma* is about
+    # 4.3e-308, and where a row's relay stop probability P is subnormal its
+    # outer slope term k / P overflows; that infinite slope makes the outer
+    # Newton bisect, as at P = 0, and must not warn
+    params = dataclasses.replace(STRESS, num_sources=1037)
+    est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=0, tol=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_main_gamma_optimal(params, est)
+    assert 0.0 < sol.value < 1e-307 and abs(sol.residual) <= est.tol
+
+
 # --- the exact reference at L = 1 ---------------------------------------------
 
 L1 = make_params(num_relays=1, relay_prob=1.0)  # the two-part base with one relay
@@ -390,7 +404,7 @@ def test_l1_reference_nodes_match_the_bisection_references(l1_refs):
         ref = l1_refs[kind][0]
         f = ref.nodes[[0, 3, 10, 25]]
         if kind is PolicyKind.INTUITIVE_BILEVEL:
-            got = solve_sub_layer_batch(L1, f[:, None], L1_EST).threshold
+            got = solve_sub_layer_batch(L1, f[:, None], L1_EST)[0].threshold
             want = [reference_sub_lambda(L1, [x], est) for x in f]
         else:
             got = solve_sub_w_batch(L1, f[:, None], ref.gamma, L1_EST)[0]
@@ -529,7 +543,7 @@ def test_intuitive_stop_set_is_not_an_upper_set():
     params = make_params()
     gamma, f1 = 1.0176, np.linspace(0.0, 1.0, 2001)
     stats = solve_sub_layer_batch(params, np.column_stack([f1, np.full_like(f1, 1.2853)]),
-                                  EstimatorConfig(tol=1e-12))
+                                  EstimatorConfig(tol=1e-12))[0]
     spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=gamma)
     stop = intuitive_main_decide(spec, stats, params.data_time)
     assert stop[0] and stop[-1]

@@ -319,7 +319,7 @@ def test_excess_slope_is_minus_tail(snr):
 # --- relay-level throughput fixed point ----------------------------------------
 
 def test_intuitive_degenerate_zero_gains():
-    stats = solve_sub_layer_batch(HOOK, [[0.0]], EST)
+    stats = solve_sub_layer_batch(HOOK, [[0.0]], EST)[0]
     assert stats.threshold[0] == 0.0
     # one observation: T/2 plus one expected contention, tau / (2 p_r)
     p_r = success_prob(HOOK.num_relays, HOOK.relay_prob)
@@ -332,7 +332,7 @@ def test_intuitive_degenerate_zero_gains():
 def test_intuitive_constant_rate_closed_form():
     # rate constant 1 via F=3, g=2: lam = r / (1 + tau / (T p_r)) = 1 / 1.2
     hop = FixedGain(2.0)
-    stats = solve_sub_layer_batch(HOOK, [[3.0]], EST, second_hop=hop)
+    stats = solve_sub_layer_batch(HOOK, [[3.0]], EST, second_hop=hop)[0]
     assert stats.threshold[0] == pytest.approx(1.0 / 1.2, abs=1e-8)
     # every observation stops: T/2 plus one expected contention, tau / (2 p_r)
     p_r = success_prob(HOOK.num_relays, HOOK.relay_prob)
@@ -347,7 +347,7 @@ def test_intuitive_constant_rate_closed_form():
 def test_intuitive_exponential_contract():
     params = make_params()
     f_sq = np.array([2.0, 0.3])
-    stats = solve_sub_layer_batch(params, [f_sq], EST)
+    stats = solve_sub_layer_batch(params, [f_sq], EST)[0]
     lam, time_ = stats.threshold[0], stats.expected_time[0]
     p_r = success_prob(params.num_relays, params.relay_prob)
     lhs = sub_layer_expected_positive_part(params, f_sq, lam, EST)
@@ -364,7 +364,10 @@ def test_intuitive_batch_matches_scalar(rng):
     cases = [(make_params(), rng.exponential(1.0, (50, 2))),
              (STRESS, rng.exponential(4.0, (50, 4)))]
     for params, rows in cases:
-        stats = solve_sub_layer_batch(params, rows, EST)
+        stats, stop_prob = solve_sub_layer_batch(params, rows, EST)
+        # the returned P is the kernel's tail at each lambda, bit for bit
+        tail = second_hop_kernel(params, rows).excess_tail(stats.threshold)[1]
+        assert stop_prob.tobytes() == tail.tobytes()
         p_r = success_prob(params.num_relays, params.relay_prob)
         for i in (0, 7, 23, 49):
             lam = reference_sub_lambda(params, rows[i], EST)
@@ -377,7 +380,7 @@ def test_intuitive_batch_matches_scalar(rng):
 def test_intuitive_threshold_below_saturation(rng):
     params = make_params()
     rows = rng.exponential(1.0, (1000, 2))
-    stats = solve_sub_layer_batch(params, rows, EST)
+    stats = solve_sub_layer_batch(params, rows, EST)[0]
     sat = np.log1p(params.source_power * rows).max(axis=1) / math.log(2.0)
     assert np.all(stats.threshold < sat + 1e-12)
     assert np.all(np.isfinite(stats.expected_time))  # a stop probability > 0
@@ -706,7 +709,8 @@ def test_cold_rows_take_newton_steps_after_their_first_pass():
     gamma = solve_main_gamma_intuitive(STRESS, est).value
     rows = channel.sample_first_hop_rows(STRESS, np.random.default_rng(1), 2000)
     kernel = second_hop_kernel(STRESS, rows)
-    target = solver._reward_target(STRESS, gamma)
+    p_r = success_prob(STRESS.num_relays, STRESS.relay_prob)
+    target = STRESS.slot_time / (STRESS.data_time * p_r) * gamma  # gamma tau / (T p_r)
     excess_tail = kernel.excess_tail
     passes = _recording(kernel)
     theta = solver._newton_rows([kernel], 0.0, target, est, 0.5 * STRESS.data_time)[0]

@@ -3,7 +3,8 @@
 No module reaches into another's private names, and the solver names no hop
 model and reads no power or mean gain: each hop's law, and the best-relay law
 built on both hops, lives in ``relaystop.channel``, and the solver calls it by
-name or by method.
+name or by method. The simulator names no ``success_prob``: the relay
+contention law lives in the solver, whose relay-level solves return P.
 """
 
 import ast
@@ -69,6 +70,15 @@ def hop_law_reads(tree: ast.Module) -> list[str]:
             if isinstance(node, ast.Attribute) and node.attr in HOP_LAW_INPUTS]
 
 
+def name_uses(tree: ast.Module, name: str) -> list[str]:
+    """Each use of ``name``: an import of it, the bare name or an attribute."""
+    return [ast.unparse(node) if not isinstance(node, ast.alias) else f"import {node.name}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and node.name == name)]
+
+
 def test_the_package_has_modules():
     assert {"channel.py", "solver.py", "simulator.py"} <= {m.name for m in MODULES}
 
@@ -84,6 +94,12 @@ def test_solver_names_no_hop_model():
 
 def test_solver_reads_no_power_or_mean_gain():
     assert hop_law_reads(ast.parse((PACKAGE / "solver.py").read_text())) == []
+
+
+def test_simulator_names_no_contention_law():
+    # the relay contention law E[time] = T/2 + tau / (2 p_r P) lives in the
+    # solver, which returns P; the simulator does not re-derive it
+    assert name_uses(ast.parse((PACKAGE / "simulator.py").read_text()), "success_prob") == []
 
 
 def test_the_checks_see_what_they_forbid():
@@ -105,3 +121,8 @@ def test_the_checks_see_what_they_forbid():
                         "b_bar = p.second_hop_mean_gain if p.num_relays else p.slot_time\n")
     assert sorted(hop_law_reads(planted)) == sorted([
         "source_power", "first_hop_mean_gain", "relay_power", "second_hop_mean_gain"])
+    planted = ast.parse("from .contention import sample_contention, success_prob\n"
+                        "p_r = contention.success_prob(n, p) * success_prob(2, 0.5)\n"
+                        "stop_prob = success_probability = 1.0\n")
+    assert sorted(name_uses(planted, "success_prob")) == sorted([
+        "import success_prob", "contention.success_prob", "success_prob"])

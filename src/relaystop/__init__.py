@@ -11,8 +11,7 @@ from .channel import (FixedGain, RayleighFading, SystemParams, default_observati
                       full_csi_rate_sampler)
 from .contention import success_prob
 from .errors import (CappedPacketError, ConfigError, ContentionDeadlockError,
-                     InvalidParameterError, PolicyMismatchError, RelayStopError,
-                     SolverFailureError)
+                     InvalidParameterError, RelayStopError, SolverFailureError)
 from .policies import PolicyKind, PolicySpec
 from .simulator import SimConfig, SimStats, run_scenario1, run_scenario2
 from .solver import (EstimatorConfig, SubLayerStats, ThresholdSolution,
@@ -36,5 +35,5 @@ __all__ = [
     "ThresholdSolution", "SubLayerStats", "SimStats",
     # errors
     "RelayStopError", "ConfigError", "InvalidParameterError", "SolverFailureError",
-    "PolicyMismatchError", "ContentionDeadlockError", "CappedPacketError",
+    "ContentionDeadlockError", "CappedPacketError",
 ]

@@ -242,7 +242,7 @@ def _check_powers(source_power, relay_power):
 
 def _clip_gains(name: str, values):
     arr = np.asarray(values, dtype=float)
-    if np.any(arr < 0.0) or np.any(np.isnan(arr)):
+    if not (arr >= 0.0).all():  # one pass: False at negatives and at NaN
         raise InvalidParameterError(f"{name} must be >= 0")
     return np.minimum(arr, GAIN_CAP)
 

@@ -36,7 +36,7 @@ from .solver import (
 )
 
 SCHEMA_VERSION = 1
-SCENARIOS = ("1", "2-intuitive", "2-optimal")
+SCENARIOS = tuple(kind.value for kind in PolicyKind)
 # the config root's sections, in echo order
 SECTIONS = ("schema", "params", "estimator", "sim", "scenario", "out")
 
@@ -213,14 +213,13 @@ def apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def _solve_for_scenario(cfg: ExperimentConfig) -> tuple[ThresholdSolution, PolicySpec]:
-    if cfg.scenario == "1":
-        sol = solve_full_csi_lambda(cfg.params, cfg.estimator)
-        return sol, PolicySpec(PolicyKind.FULL_CSI, lambda_star=sol.value)
-    if cfg.scenario == "2-intuitive":
-        sol = solve_main_gamma_intuitive(cfg.params, cfg.estimator)
-        return sol, PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=sol.value)
-    sol = solve_main_gamma_optimal(cfg.params, cfg.estimator)
-    return sol, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=sol.value)
+    kind = PolicyKind(cfg.scenario)
+    # built per call, so that the solver names are looked up when they run
+    solve = {PolicyKind.FULL_CSI: solve_full_csi_lambda,
+             PolicyKind.INTUITIVE_BILEVEL: solve_main_gamma_intuitive,
+             PolicyKind.OPTIMAL_BILEVEL: solve_main_gamma_optimal}[kind]
+    sol = solve(cfg.params, cfg.estimator)
+    return sol, PolicySpec(kind, sol.value)
 
 
 def _solution_items(sol: ThresholdSolution, name: str) -> dict:
@@ -245,7 +244,7 @@ def cmd_solve(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
 
 
 def _run_simulation(cfg: ExperimentConfig, spec: PolicySpec) -> SimStats:
-    if cfg.scenario == "1":
+    if spec.kind is PolicyKind.FULL_CSI:
         return run_scenario1(cfg.params, spec, cfg.sim)
     return run_scenario2(cfg.params, spec, cfg.sim, est=cfg.estimator)
 
@@ -282,10 +281,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
 def cmd_compare(cfg: ExperimentConfig) -> tuple[ReportSummary, dict]:
     sol_opt = solve_main_gamma_optimal(cfg.params, cfg.estimator)
     sol_int = sol_opt.start
-    spec_int = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=sol_int.value)
-    spec_opt = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=sol_opt.value)
-    stats_int = run_scenario2(cfg.params, spec_int, cfg.sim, est=cfg.estimator)
-    stats_opt = run_scenario2(cfg.params, spec_opt, cfg.sim, est=cfg.estimator)
+    stats_int = _run_simulation(cfg, PolicySpec(PolicyKind.INTUITIVE_BILEVEL, sol_int.value))
+    stats_opt = _run_simulation(cfg, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, sol_opt.value))
 
     pooled = math.hypot(stats_int.throughput_stderr, stats_opt.throughput_stderr)
     tol = cfg.estimator.tol

@@ -9,10 +9,6 @@ class InvalidParameterError(RelayStopError, ValueError):
     """A numeric argument or configuration field is out of its valid range."""
 
 
-class PolicyMismatchError(RelayStopError, ValueError):
-    """A decision function was called with a policy of the wrong kind."""
-
-
 class ContentionDeadlockError(RelayStopError, RuntimeError):
     """Contention cannot succeed (zero success probability or slot cap hit)."""
 

@@ -1,5 +1,9 @@
 """Stopping policies as predicates over observations.
 
+A policy is its kind, valued as the CLI's scenario name, and one solved
+value (lambda* or gamma*). The predicates take the numbers they compare; the
+simulator picks the rule from the kind.
+
 Each rule is one comparison, so it works on a scalar or on a whole block of
 observations alike: a scalar input gives a boolean scalar, an array input
 gives the elementwise boolean array. All thresholds are inclusive (stop on >=),
@@ -20,51 +24,37 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, PolicyMismatchError
+from .errors import InvalidParameterError
 from .solver import SubLayerStats
 
 
 class PolicyKind(Enum):
-    FULL_CSI = "full-csi"
-    INTUITIVE_BILEVEL = "intuitive-bilevel"
-    OPTIMAL_BILEVEL = "optimal-bilevel"
+    FULL_CSI = "1"
+    INTUITIVE_BILEVEL = "2-intuitive"
+    OPTIMAL_BILEVEL = "2-optimal"
 
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """A solved policy: its kind plus the thresholds that kind reads.
-
-    lambda_star is the full-CSI throughput optimum (the rate threshold is
-    twice it); gamma_star is the two-part scheme's throughput optimum.
-    """
+    """A solved policy: its kind and its throughput optimum, lambda* or gamma*."""
 
     kind: PolicyKind
-    lambda_star: float | None = None
-    gamma_star: float | None = None
+    value: float
 
     def __post_init__(self) -> None:
-        name = "lambda_star" if self.kind is PolicyKind.FULL_CSI else "gamma_star"
-        value = getattr(self, name)
-        if value is None or not (math.isfinite(value) and value >= 0.0):
-            raise InvalidParameterError(f"{name} must be finite and >= 0 for this policy kind")
+        if not (math.isfinite(self.value) and self.value >= 0.0):
+            raise InvalidParameterError(f"a {self.kind.value} policy's value must be finite and >= 0")
 
 
-def _require_kind(spec: PolicySpec, kind: PolicyKind) -> None:
-    if spec.kind is not kind:
-        raise PolicyMismatchError(f"expected a {kind.value} policy, got {spec.kind.value}")
-
-
-def full_csi_decide(spec: PolicySpec, rate):
+def full_csi_decide(lambda_star, rate):
     """Stop iff the observed best-relay rate reaches 2*lambda_star."""
-    _require_kind(spec, PolicyKind.FULL_CSI)
-    return rate >= 2.0 * spec.lambda_star
+    return rate >= 2.0 * lambda_star
 
 
-def intuitive_main_decide(spec: PolicySpec, stats: SubLayerStats, t_data: float):
+def intuitive_main_decide(gamma, stats: SubLayerStats, t_data: float):
     """Source-level rule of the intuitive scheme, relay chosen later."""
-    _require_kind(spec, PolicyKind.INTUITIVE_BILEVEL)
-    g = spec.gamma_star
-    return stats.threshold * stats.expected_time - g * stats.expected_time >= g * t_data / 2.0
+    return (stats.threshold * stats.expected_time - gamma * stats.expected_time
+            >= gamma * t_data / 2.0)
 
 
 def intuitive_sub_decide(threshold, rate_m):
@@ -74,14 +64,12 @@ def intuitive_sub_decide(threshold, rate_m):
     return rate_m >= threshold
 
 
-def optimal_main_decide(spec: PolicySpec, w_star, t_data: float):
-    """Source-level rule of the coupled scheme: stop iff W >= (T/2) gamma*."""
-    _require_kind(spec, PolicyKind.OPTIMAL_BILEVEL)
-    return w_star >= 0.5 * t_data * spec.gamma_star
+def optimal_main_decide(gamma, w_star, t_data: float):
+    """Source-level rule of the coupled scheme: stop iff W >= (T/2) gamma."""
+    return w_star >= 0.5 * t_data * gamma
 
 
-def optimal_sub_decide(spec: PolicySpec, w_star, rate_m, t_data: float):
-    """Relay-level rule of the coupled scheme."""
-    _require_kind(spec, PolicyKind.OPTIMAL_BILEVEL)
+def optimal_sub_decide(gamma, w_star, rate_m, t_data: float):
+    """Relay-level rule of the coupled scheme: stop iff (T/2) rate >= W + (T/2) gamma."""
     half_t = 0.5 * t_data
-    return half_t * rate_m >= w_star + half_t * spec.gamma_star
+    return half_t * rate_m >= w_star + half_t * gamma

@@ -116,7 +116,7 @@ def run_scenario1(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
     parts = []
     while cutter.owed:
         rates, best = sampler(rng_obs, _OBS_CHUNK)
-        ends, obs, slots = cutter.cut(policies.full_csi_decide(spec, rates))
+        ends, obs, slots = cutter.cut(policies.full_csi_decide(spec.value, rates))
         parts.append((obs, slots, rates[ends], best[ends]))
     main_obs, slots, rate_at_stop, relays = (np.concatenate(c) for c in zip(*parts))
     return _aggregate(main_obs, np.zeros_like(main_obs), rate_at_stop, relays,
@@ -208,14 +208,15 @@ def _decision_rules(params, est, spec, rows, second_hop):
     relay-level throughput, the coupled rule its reward fixed point W. Both
     solves return the stop probability.
     """
+    gamma = spec.value
     if spec.kind is PolicyKind.INTUITIVE_BILEVEL:
         stats, stop_prob = solve_sub_layer_batch(params, rows, est, second_hop)
-        return (policies.intuitive_main_decide(spec, stats, params.data_time),
+        return (policies.intuitive_main_decide(gamma, stats, params.data_time),
                 lambda i, rates: policies.intuitive_sub_decide(stats.threshold[i], rates),
                 stop_prob)
-    w, stop_prob = solve_sub_w_batch(params, rows, spec.gamma_star, est, second_hop)
-    return (policies.optimal_main_decide(spec, w, params.data_time),
-            lambda i, rates: policies.optimal_sub_decide(spec, w[i], rates, params.data_time),
+    w, stop_prob = solve_sub_w_batch(params, rows, gamma, est, second_hop)
+    return (policies.optimal_main_decide(gamma, w, params.data_time),
+            lambda i, rates: policies.optimal_sub_decide(gamma, w[i], rates, params.data_time),
             stop_prob)
 
 

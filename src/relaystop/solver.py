@@ -429,8 +429,9 @@ def _newton(residual, x, lo, hi, f_hi, tol: float, scale: float, name: str, cost
     Converged rows (|f| and the enclosure inside tol, in caller units via
     ``scale``) leave the residual passes. Returns (x, f, lower, upper,
     iterations): per row the root, its residual and enclosure, then the
-    residual passes. A non-finite residual or MAX_ITER iterations raise
-    SolverFailureError naming the worst row, counted from ``row0``.
+    residual passes. A non-finite residual, a row not done with no float strictly
+    inside its enclosure, or MAX_ITER iterations raise SolverFailureError
+    naming the worst row, counted from ``row0``.
     """
     out = np.empty((4, x.size))
     idx, th, prev = np.arange(x.size), x, np.full(x.size, math.inf)
@@ -460,9 +461,12 @@ def _newton(residual, x, lo, hi, f_hi, tol: float, scale: float, name: str, cost
             return *out, iters
         take = np.where(pos, ((newton >= 0.125 * chord) | (newton <= 0.5 * prev)) & (step <= hi),
                         step > lo) & (step != th)
-        th = np.where(take, step, 0.5 * (lo + hi))
+        nxt = np.where(take, step, 0.5 * (lo + hi))
+        if (stuck := ~done & (nxt == th)).any():  # no float strictly inside the enclosure
+            f = np.where(stuck, f, 0.0)
+            break
         prev = np.abs(newton)
-        idx, th, lo, hi, f_hi, prev, f = (a[~done] for a in (idx, th, lo, hi, f_hi, prev, f))
+        idx, th, lo, hi, f_hi, prev, f = (a[~done] for a in (idx, nxt, lo, hi, f_hi, prev, f))
     worst = int(np.argmax(np.abs(f)))  # the first NaN, if any
     raise SolverFailureError(
         f"{name}: no root after {iters} Newton iteration(s) (worst row {row0 + idx[worst]}: "

@@ -188,14 +188,14 @@ def coupled_sign_rules(params: SystemParams, spec, rows: np.ndarray, second_hop=
     excess(R) <= target. Each decision is the sign of one kernel evaluation,
     so no root is solved and no solver tolerance enters.
     """
-    target = spec.gamma_star * params.slot_time / (
+    target = spec.value * params.slot_time / (
         params.data_time * success_prob(params.num_relays, params.relay_prob))
     kernel = second_hop_kernel(params, as_rows(rows, params.num_relays), second_hop)
 
     def excess(thetas, idx=slice(None)):
         return kernel.excess_tail(thetas, idx)[0]
 
-    return (excess(np.full(kernel.rows.shape[0], 2.0 * spec.gamma_star)) >= target,
+    return (excess(np.full(kernel.rows.shape[0], 2.0 * spec.value)) >= target,
             lambda i, rates: excess(rates, i) <= target)
 
 
@@ -286,7 +286,7 @@ def policy_value(params: SystemParams, spec, samples: int, seed: int,
     t = params.data_time
     if spec.kind is PolicyKind.FULL_CSI:
         rates = full_csi_rate_sampler(params)(rng, samples)
-        stop = rates >= 2.0 * spec.lambda_star
+        stop = rates >= 2.0 * spec.value
         x = np.where(stop, 0.5 * t * rates, 0.0)
         y = t * stop + params.slot_time / success_prob(params.num_sources, params.source_prob)
         return _ratio_with_stderr(x, y)
@@ -295,11 +295,11 @@ def policy_value(params: SystemParams, spec, samples: int, seed: int,
     if spec.kind is PolicyKind.INTUITIVE_BILEVEL:
         stats = solve_sub_layer_batch(params, rows, est)[0]
         theta = stats.threshold
-        stop = intuitive_main_decide(spec, stats, t)
+        stop = intuitive_main_decide(spec.value, stats, t)
     else:
-        w = solve_sub_w_batch(params, rows, spec.gamma_star, est)[0]
-        theta = spec.gamma_star + w / (0.5 * t)
-        stop = optimal_main_decide(spec, w, t)
+        w = solve_sub_w_batch(params, rows, spec.value, est)[0]
+        theta = spec.value + w / (0.5 * t)
+        stop = optimal_main_decide(spec.value, w, t)
     x = np.zeros(samples)
     y = np.full(samples, params.slot_time / (2.0 * success_prob(params.num_sources,
                                                                  params.source_prob)))

@@ -82,7 +82,7 @@ def full_csi_solutions():
 @pytest.fixture(scope="module")
 def scenario1_run(full_csi_solutions):
     sol, _ = full_csi_solutions["A"]
-    spec = PolicySpec(PolicyKind.FULL_CSI, lambda_star=sol.value)
+    spec = PolicySpec(PolicyKind.FULL_CSI, sol.value)
     t0 = time.perf_counter()
     stats = run_scenario1(CONFIG_A, spec, SimConfig(packets=100_000, seed=202))
     return sol, stats, time.perf_counter() - t0
@@ -171,7 +171,7 @@ def test_criterion_5_local_threshold_optimality(full_csi_solutions):
     sol, _ = full_csi_solutions["A"]
     arms = {}
     for label, factor in (("opt", 1.0), ("low", 0.8), ("high", 1.2)):
-        spec = PolicySpec(PolicyKind.FULL_CSI, lambda_star=factor * sol.value)
+        spec = PolicySpec(PolicyKind.FULL_CSI, factor * sol.value)
         arms[label] = run_scenario1(CONFIG_A, spec, SimConfig(packets=100_000, seed=303))
     checks = {}
     for label in ("low", "high"):
@@ -193,7 +193,7 @@ def test_criterion_6_bilevel_closed_forms():
     }
     for label, kind in (("intuitive", PolicyKind.INTUITIVE_BILEVEL),
                         ("optimal", PolicyKind.OPTIMAL_BILEVEL)):
-        spec = PolicySpec(kind, gamma_star=gamma)
+        spec = PolicySpec(kind, gamma)
         stats = run_scenario2(CONFIG_DET, spec, SimConfig(packets=1024, seed=6),
                               est=est, **DET_HOPS)
         checks[f"{label}_sim_value"] = abs(stats.throughput - gamma) <= 1e-12
@@ -203,7 +203,7 @@ def test_criterion_6_bilevel_closed_forms():
 
 def test_criterion_7_optimal_rule_consistency(two_part_solutions):
     _, sol_opt = two_part_solutions
-    spec = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=sol_opt.value)
+    spec = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, sol_opt.value)
     stats = run_scenario2(CONFIG_TWO_PART, spec,
                           SimConfig(packets=100_000, seed=777), est=EST_TWO_PART)
     checks = {
@@ -217,7 +217,7 @@ def test_criterion_7_optimal_rule_consistency(two_part_solutions):
 
 def test_criterion_8_intuitive_consistency_and_dominance(two_part_solutions):
     sol_int, sol_opt = two_part_solutions
-    spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=sol_int.value)
+    spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, sol_int.value)
     stats = run_scenario2(CONFIG_TWO_PART, spec,
                           SimConfig(packets=100_000, seed=777), est=EST_TWO_PART)
     checks = {
@@ -308,7 +308,7 @@ def test_criterion_10_structural_properties(two_part_solutions):
     # bit-exact reproducibility of solve and simulate for a fixed seed
     sol2 = solve_main_gamma_optimal(CONFIG_TWO_PART, est)
     checks["solver_reproducible"] = sol == sol2
-    spec = PolicySpec(PolicyKind.FULL_CSI, lambda_star=0.9)
+    spec = PolicySpec(PolicyKind.FULL_CSI, 0.9)
     a = run_scenario1(CONFIG_A, spec, SimConfig(packets=2000, seed=55))
     b = run_scenario1(CONFIG_A, spec, SimConfig(packets=2000, seed=55))
     columns = ("main_observations", "sub_observations", "rate_at_stop", "relay",

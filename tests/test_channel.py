@@ -114,8 +114,16 @@ def test_af_rate_below_saturation(rng):
 def test_af_rate_rejects_bad_inputs():
     with pytest.raises(InvalidParameterError):
         af_rate(0.0, 1.0, 1.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        af_rate(1.0, 1.0, -1.0, 1.0)
+    # a negative or NaN gain is refused on either hop; +inf (capped) and -0.0 are gains
+    for bad in (-1.0, -np.inf, np.nan):
+        for f, g in ((bad, 1.0), (1.0, bad), (np.array([1.0, bad]), np.ones(2))):
+            with pytest.raises(InvalidParameterError, match="must be >= 0"):
+                af_rate(1.0, 1.0, f, g)
+        with pytest.raises(InvalidParameterError, match="f_sq must be >= 0"):
+            rate_saturation(1.0, bad)
+    assert af_rate(1.0, 1.0, -0.0, 1.0) == 0.0 == rate_saturation(1.0, -0.0)
+    assert np.isfinite(af_rate(1.0, 1.0, np.inf, 1.0))
+    assert np.isfinite(rate_saturation(1.0, np.inf))
     for power in (0.0, np.array([1.0, 2.0])):
         with pytest.raises(InvalidParameterError, match="source_power must be a scalar > 0"):
             rate_saturation(power, 1.0)

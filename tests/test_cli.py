@@ -538,9 +538,20 @@ def test_scenario_override_flag(tmp_path, capsys):
     assert "scenario 2-intuitive" in out
 
 
+def test_scenario_names_are_the_policy_kinds():
+    # one name per rule: the config's scenario string is the PolicyKind value
+    kinds = tuple(kind.value for kind in PolicyKind)
+    assert cli.SCENARIOS == kinds == ("1", "2-intuitive", "2-optimal")
+    sub = next(action for action in cli._build_parser()._actions
+               if action.dest == "command")
+    for command, parser in sub.choices.items():
+        option = next(action for action in parser._actions if action.dest == "scenario")
+        assert tuple(option.choices) == kinds, command
+
+
 def test_packets_csv_reads_back_as_columns(tmp_path):
     params = make_params()
-    spec = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=0.5)
+    spec = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, 0.5)
     est = EstimatorConfig(mc_samples=1000, quad_points=64, seed=3, tol=1e-6)
     stats = run_scenario2(params, spec, SimConfig(packets=200, seed=4), est=est)
     path = tmp_path / "packets.csv"

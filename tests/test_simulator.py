@@ -46,7 +46,7 @@ COLUMNS = ("main_observations", "sub_observations", "rate_at_stop", "relay",
 
 
 def full_spec(lam):
-    return PolicySpec(PolicyKind.FULL_CSI, lambda_star=lam)
+    return PolicySpec(PolicyKind.FULL_CSI, lam)
 
 
 def assert_same_columns(a, b):
@@ -76,7 +76,7 @@ def test_scenario1_never_stop_guard(monkeypatch):
 
 def test_scenario1_requires_full_csi_policy():
     with pytest.raises(InvalidParameterError):
-        run_scenario1(DET, PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=0.4),
+        run_scenario1(DET, PolicySpec(PolicyKind.INTUITIVE_BILEVEL, 0.4),
                       SimConfig(packets=2, seed=0))
 
 
@@ -180,7 +180,7 @@ DET_EST = EstimatorConfig(mc_samples=500, quad_points=64, seed=2, tol=1e-10)
 
 @pytest.mark.parametrize("kind", [PolicyKind.INTUITIVE_BILEVEL, PolicyKind.OPTIMAL_BILEVEL])
 def test_scenario2_deterministic_closed_form(kind):
-    spec = PolicySpec(kind, gamma_star=DET_GAMMA)
+    spec = PolicySpec(kind, DET_GAMMA)
     stats = run_scenario2(det2_params(), spec, SimConfig(packets=1024, seed=6),
                           est=DET_EST, **DET_HOPS)
     assert stats.throughput == pytest.approx(DET_GAMMA, abs=1e-12)
@@ -194,7 +194,7 @@ def test_scenario2_solver_consistency_intuitive():
     params = make_params()
     est = EstimatorConfig(mc_samples=50000, quad_points=64, seed=41, tol=1e-6)
     sol = solve_main_gamma_intuitive(params, est)
-    spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=sol.value)
+    spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, sol.value)
     stats = run_scenario2(params, spec, SimConfig(packets=10000, seed=42), est=est)
     assert abs(stats.throughput - sol.value) <= 3.0 * stats.throughput_stderr
     assert np.all(stats.sub_observations >= 1)
@@ -204,21 +204,21 @@ def test_scenario2_solver_consistency_optimal():
     params = make_params()
     est = EstimatorConfig(mc_samples=50000, quad_points=64, seed=41, tol=1e-6)
     sol = solve_main_gamma_optimal(params, est)
-    spec = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=sol.value)
+    spec = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, sol.value)
     stats = run_scenario2(params, spec, SimConfig(packets=10000, seed=43), est=est)
     assert abs(stats.throughput - sol.value) <= 3.0 * stats.throughput_stderr
 
 
 def test_scenario2_observation_caps_are_hard_errors(monkeypatch):
     params = det2_params()
-    spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=DET_GAMMA)
+    spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, DET_GAMMA)
     cfg = SimConfig(packets=10, seed=6)
     stats = run_scenario2(params, spec, cfg, est=DET_EST, **DET_HOPS)
     assert stats.bits.size == 10
     monkeypatch.setattr(simulator, "OBSERVATION_CAP", 25)
     with pytest.raises(CappedPacketError, match="source-level"):
         # a gamma far above the optimum never lets the source level stop
-        run_scenario2(params, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=5.0),
+        run_scenario2(params, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, 5.0),
                       SimConfig(packets=2, seed=6), est=DET_EST, **DET_HOPS)
     # a starved relay-level cap must raise, never silently truncate; at gamma* = 0
     # the intuitive source level stops at every first observation, so a cap of 1
@@ -227,7 +227,7 @@ def test_scenario2_observation_caps_are_hard_errors(monkeypatch):
     est = EstimatorConfig(mc_samples=1000, quad_points=64, seed=3, tol=1e-6)
     monkeypatch.setattr(simulator, "OBSERVATION_CAP", 1)
     with pytest.raises(CappedPacketError, match="relay-level stop within 1 observations"):
-        run_scenario2(fading, PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=0.0),
+        run_scenario2(fading, PolicySpec(PolicyKind.INTUITIVE_BILEVEL, 0.0),
                       SimConfig(packets=50, seed=9), est=est)
 
 
@@ -245,7 +245,7 @@ def test_relay_level_guard_names_a_level_too_rare_to_simulate():
                        r"simulate: at first-hop row \d+ it stops with probability \S+e-1\d "
                        r"per observation, so within 1000000 observations with probability "
                        r"at most \S+e-1\d$"):
-        run_scenario2(params, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=sol.value),
+        run_scenario2(params, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, sol.value),
                       SimConfig(packets=200, seed=0), est=est)
 
 
@@ -255,15 +255,15 @@ def test_intuitive_relay_level_guard_reads_the_solved_stop_probability(monkeypat
     # stops is named, before the first relay pass
     params = make_params()
     est = EstimatorConfig(mc_samples=500, quad_points=64, seed=0, tol=1e-6)
-    spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL,
-                      gamma_star=solve_main_gamma_intuitive(params, est).value)
+    gamma = solve_main_gamma_intuitive(params, est).value
+    spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma)
     solve, planted = simulator.solve_sub_layer_batch, []
 
     def rare(*args, **kwargs):
         stats, stop_prob = solve(*args, **kwargs)
         if not planted:
             planted.append(int(np.flatnonzero(
-                intuitive_main_decide(spec, stats, params.data_time))[2]))
+                intuitive_main_decide(gamma, stats, params.data_time))[2]))
             stop_prob = stop_prob.copy()
             stop_prob[planted[0]] = 1e-20
         return stats, stop_prob
@@ -278,8 +278,9 @@ def test_intuitive_relay_level_guard_reads_the_solved_stop_probability(monkeypat
 
 def test_scenario2_coupled_rejects_negative_gamma():
     # the policy itself refuses a negative gamma*, before the run starts
-    with pytest.raises(InvalidParameterError, match="gamma_star must be finite and >= 0"):
-        run_scenario2(det2_params(), PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=-0.1),
+    with pytest.raises(InvalidParameterError,
+                       match="a 2-optimal policy's value must be finite and >= 0"):
+        run_scenario2(det2_params(), PolicySpec(PolicyKind.OPTIMAL_BILEVEL, -0.1),
                       SimConfig(packets=2, seed=0), est=DET_EST, **DET_HOPS)
 
 
@@ -290,7 +291,7 @@ def test_scenario2_requires_bilevel_policy():
 
 def test_scenario2_requires_relay_prob():
     params = make_params(relay_prob=None)
-    spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=0.4)
+    spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, 0.4)
     with pytest.raises(InvalidParameterError):
         run_scenario2(params, spec, SimConfig(packets=2, seed=0), est=DET_EST)
 
@@ -299,7 +300,7 @@ def test_scenario2_deterministic_reruns_bit_identical():
     params = make_params()
     est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=3, tol=1e-6)
     sol = solve_main_gamma_intuitive(params, est)
-    spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=sol.value)
+    spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, sol.value)
     cfg = SimConfig(packets=300, seed=77)
     a = run_scenario2(params, spec, cfg, est=est)
     b = run_scenario2(params, spec, cfg, est=est)
@@ -391,7 +392,7 @@ def _scenario1_loop(params, spec, cfg, sampler):
             k += 1
             n += 1
             slots += int(rng_cont.geometric(p_s))
-            if rate >= 2.0 * spec.lambda_star:
+            if rate >= 2.0 * spec.value:
                 break
         packets.append((n, rate, relay, params.slot_time * slots + params.data_time))
     return [np.array(column) for column in zip(*packets)]
@@ -419,7 +420,7 @@ def test_never_stopping_stream_hits_the_cap_across_chunks(monkeypatch, cap):
         run_scenario1(DET, full_spec(2.0), SimConfig(packets=2, seed=7),
                       observation_sampler=fixed_rate_observations(1.0))
     with pytest.raises(CappedPacketError, match=f"source-level stop within {cap} "):
-        run_scenario2(det2_params(), PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=5.0),
+        run_scenario2(det2_params(), PolicySpec(PolicyKind.OPTIMAL_BILEVEL, 5.0),
                       SimConfig(packets=2, seed=7), est=DET_EST, **DET_HOPS)
 
 
@@ -439,7 +440,7 @@ def test_scenario2_packets_span_chunk_boundaries(monkeypatch, kind):
     params = hook_params(source_prob=0.5, relay_prob=1.0)
     cfg = SimConfig(packets=5, seed=4)
     monkeypatch.setattr(simulator, "OBSERVATION_CAP", STOP_EVERY)
-    stats = run_scenario2(params, PolicySpec(kind, gamma_star=DET_GAMMA), cfg, est=DET_EST,
+    stats = run_scenario2(params, PolicySpec(kind, DET_GAMMA), cfg, est=DET_EST,
                           first_hop=_EveryNthRow(STOP_EVERY), second_hop=FixedGain(2.0))
     assert np.all(stats.main_observations == STOP_EVERY)
     assert np.all(stats.sub_observations == 1) and np.all(stats.rate_at_stop == 1.0)
@@ -451,7 +452,7 @@ def test_scenario2_packets_span_chunk_boundaries(monkeypatch, kind):
                                rtol=1e-15)
     monkeypatch.setattr(simulator, "OBSERVATION_CAP", STOP_EVERY - 1)
     with pytest.raises(CappedPacketError, match="source-level"):
-        run_scenario2(params, PolicySpec(kind, gamma_star=DET_GAMMA), cfg, est=DET_EST,
+        run_scenario2(params, PolicySpec(kind, DET_GAMMA), cfg, est=DET_EST,
                       first_hop=_EveryNthRow(STOP_EVERY), second_hop=FixedGain(2.0))
 
 
@@ -461,7 +462,7 @@ def test_coupled_sign_decisions_match_the_solved_rule(params):
     # of one kernel evaluation, and the two agree wherever W is not within tolerance
     est = EstimatorConfig(mc_samples=4000, quad_points=64, seed=12, tol=1e-6)
     gamma = solve_main_gamma_optimal(params, est).value
-    spec = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=gamma)
+    spec = PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma)
     rng = np.random.default_rng(13)
     n, t = _OBS_CHUNK, params.data_time
     rows = RayleighFading(params.first_hop_mean_gain).sample(rng, (n, params.num_relays))
@@ -506,6 +507,6 @@ def test_scenario2_matches_policy_value(kind):
     est = EstimatorConfig(mc_samples=20000, quad_points=64, seed=71, tol=1e-6)
     solve = solve_main_gamma_intuitive if kind is PolicyKind.INTUITIVE_BILEVEL \
         else solve_main_gamma_optimal
-    spec = PolicySpec(kind, gamma_star=solve(params, est).value)
+    spec = PolicySpec(kind, solve(params, est).value)
     stats = run_scenario2(params, spec, SimConfig(packets=50_000, seed=72), est=est)
     _assert_matches_policy_value(stats, policy_value(params, spec, 50_000, seed=73))

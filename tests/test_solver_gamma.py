@@ -1,6 +1,7 @@
 """Source-level fixed points of the two-part access scheme."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,6 @@ from relaystop import (
     EstimatorConfig,
     FixedGain,
     PolicyKind,
-    PolicySpec,
     SolverFailureError,
     full_csi_rate_sampler,
     solve_full_csi_lambda,
@@ -376,6 +376,36 @@ def test_coupled_solve_with_a_subnormal_stop_probability_raises_no_warning():
     assert 0.0 < sol.value < 1e-307 and abs(sol.residual) <= est.tol
 
 
+def test_engine_raises_at_once_when_the_enclosure_holds_no_float_inside():
+    # a residual 1e-3 above tol everywhere, with a slope bound so steep that the
+    # upper end x + f / cost rounds back to x: [1, 1] holds no other float
+    def residual(x, rows):
+        return np.full(x.size, 1e-3), np.full(x.size, np.inf)
+
+    with pytest.raises(SolverFailureError,
+                       match=r"^row: " + ENGINE_FAILURE.format(1, 0, r"0\.001")):
+        solver._newton(residual, np.ones(1), np.zeros(1), np.full(1, np.inf), np.zeros(1),
+                       1e-6, 1.0, "row", 1e300)
+
+
+@pytest.mark.parametrize("num_sources, seed, lower", [(1037, 1, 4.3232098961815346e-308),
+                                                      (1030, 2, 5.458734183053888e-306)])
+def test_coupled_solve_at_the_edge_raises_once_its_enclosure_closes(num_sources, seed, lower):
+    # past the edge of the stress config the outer residual stays above tol while
+    # bisection closes the enclosure onto one float (1037 sources) or two adjacent
+    # ones (1030): the solve raises there, naming it, and does not evaluate the
+    # same gamma again until MAX_ITER
+    params = dataclasses.replace(STRESS, num_sources=num_sources)
+    est = EstimatorConfig(mc_samples=2000, quad_points=64, seed=seed, tol=1e-6)
+    with pytest.raises(SolverFailureError, match=ENGINE_FAILURE.format(
+            r"(\d+)", 0, r"\S+")) as err:
+        solve_main_gamma_optimal(params, est)
+    iters, lo, hi = re.search(r"after (\d+) .* enclosure \[(\S+), (\S+)\]",
+                              str(err.value)).groups()
+    assert int(iters) < solver.MAX_ITER
+    assert float(lo) == lower and np.nextafter(float(lo), np.inf) >= float(hi)
+
+
 # --- the exact reference at L = 1 ---------------------------------------------
 
 L1 = make_params(num_relays=1, relay_prob=1.0)  # the two-part base with one relay
@@ -544,8 +574,7 @@ def test_intuitive_stop_set_is_not_an_upper_set():
     gamma, f1 = 1.0176, np.linspace(0.0, 1.0, 2001)
     stats = solve_sub_layer_batch(params, np.column_stack([f1, np.full_like(f1, 1.2853)]),
                                   EstimatorConfig(tol=1e-12))[0]
-    spec = PolicySpec(PolicyKind.INTUITIVE_BILEVEL, gamma_star=gamma)
-    stop = intuitive_main_decide(spec, stats, params.data_time)
+    stop = intuitive_main_decide(gamma, stats, params.data_time)
     assert stop[0] and stop[-1]
     assert f1[1:][stop[1:] != stop[:-1]] == pytest.approx([0.272, 0.3615], abs=1e-12)
     gain = (stats.threshold * stats.expected_time

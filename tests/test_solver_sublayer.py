@@ -529,7 +529,7 @@ _BAD_ROW_CALLS = {
     "w-three-columns": (lambda p: solve_sub_w_batch(p, _THREE_RELAY_ROWS, 0.5, EST), _SHAPE),
     "w-3d-array": (lambda p: solve_sub_w_batch(p, np.ones((2, 2, 2)), 0.5, EST), _SHAPE),
     "scenario2-flat-draw": (lambda p: run_scenario2(
-        p, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, gamma_star=0.5),
+        p, PolicySpec(PolicyKind.OPTIMAL_BILEVEL, 0.5),
         SimConfig(packets=100, seed=1), est=EST, first_hop=_FlatFirstHop()), _SHAPE),
     "negative-gain": (lambda p: solve_sub_layer_batch(p, [[1.0, -1.0]], EST),
                       "first-hop gains must be finite and >= 0"),

@@ -261,7 +261,26 @@ def _clip_gains(name: str, values):
 # ``e0`` = E[R] per row, and ``excess_tail(thetas, idx)``, one closed-form
 # pass giving (E[max(R - theta, 0)], P(R >= theta)) for the rows ``idx``; at
 # theta <= 0 these are e0 - theta, bit for bit, and 1. A kernel holds no
-# scratch state.
+# scratch state. Its arrays are relay-major, (L, rows), so each average over
+# the relays is L - 1 contiguous vector adds, in relay order for every row
+# count, and the active rows ``idx`` are one ``take`` per array.
+
+
+def _columns(arr: np.ndarray, idx) -> np.ndarray:
+    """The columns ``idx`` of a relay-major (L, rows) array: a view for a
+    slice, else one ``take`` gather (several times cheaper than ``arr[:, idx]``)."""
+    return arr[:, idx] if isinstance(idx, slice) else arr.take(idx, axis=1)
+
+
+def _relay_mean(terms: np.ndarray) -> np.ndarray:
+    """The mean over the relays (axis 0) of a relay-major array, summed in
+    relay order. ``terms.mean(axis=0)`` sums one column pairwise from 8
+    relays on, so a row's mean would depend on how many rows share its pass."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    total /= terms.shape[0]
+    return total
 
 
 class _PointMassKernel:
@@ -269,16 +288,17 @@ class _PointMassKernel:
 
     def __init__(self, params: SystemParams, rows: np.ndarray, gain: float):
         self.rows = rows
-        self.rates = af_rate(params.source_power, params.relay_power, rows, gain)
-        self.sat_top = np.atleast_1d(self.rates).max(axis=1)
-        self.e0 = self.rates.mean(axis=1)
+        self.rates = af_rate(params.source_power, params.relay_power,
+                             np.ascontiguousarray(rows.T), gain)
+        self.sat_top = self.rates.max(axis=0)
+        self.e0 = _relay_mean(self.rates)
 
     def excess_tail(self, thetas: np.ndarray, idx=slice(None)):
         thetas = np.asarray(thetas, dtype=float)
-        rates = self.rates[idx]
-        lo = np.maximum(thetas, 0.0)[:, None]
-        excess = np.maximum(rates - lo, 0.0).mean(axis=1) + np.maximum(-thetas, 0.0)
-        hit = (rates >= thetas[:, None]).mean(axis=1)
+        rates = _columns(self.rates, idx)
+        excess = (_relay_mean(np.maximum(rates - np.maximum(thetas, 0.0), 0.0))
+                  + np.maximum(-thetas, 0.0))
+        hit = (rates >= thetas).mean(axis=0)  # a count: exact in any order
         return excess, np.where(thetas <= 0.0, 1.0, hit)
 
 
@@ -288,13 +308,15 @@ class _RayleighKernel:
     and substituting u for x turns its integral above lo = clip(theta, 0, sat)
     into exp(-kappa u0) [S(kappa (u0 + 1/(1+a))) - S(kappa (u0 + 1))] / ln 2
     with S(z) = e^z E1(z). A relay with a <= c has no rate above lo, so
-    u0 = inf zeroes its terms."""
+    u0 = inf zeroes its terms. ``sat``, ``a``, ``scale`` and ``kappa`` are
+    (L, rows) arrays; ``rows`` is the (rows, L) array the kernel was given."""
 
     def __init__(self, params: SystemParams, rows: np.ndarray, mean_gain: float):
         self.rows = rows
-        self.sat = rate_saturation(params.source_power, rows)
-        self.sat_top = np.atleast_1d(self.sat).max(axis=1)
-        self.a = params.source_power * np.minimum(rows, GAIN_CAP)
+        cols = np.ascontiguousarray(rows.T)
+        self.sat = rate_saturation(params.source_power, cols)
+        self.sat_top = self.sat.max(axis=0)
+        self.a = params.source_power * np.minimum(cols, GAIN_CAP)
         self.scale = 1.0 + self.a
         self.inv_mean = 1.0 / (params.relay_power * mean_gain)  # kappa / (1 + a)
         with np.errstate(over="ignore"):  # kappa = inf only zeroes S(kappa (u0 + 1))
@@ -304,28 +326,28 @@ class _RayleighKernel:
         # m, a zero term as its u0 = inf gives, and kappa = inf gives S(kappa) = 0.
         s = _scaled_exp1(self.kappa)
         np.subtract(_scaled_exp1(np.array([self.inv_mean]))[0], s, out=s)
-        self.e0 = s.mean(axis=1) / LN2
+        self.e0 = _relay_mean(s) / LN2
 
     def excess_tail(self, thetas: np.ndarray, idx=slice(None)):
         thetas = np.asarray(thetas, dtype=float)
-        lo = np.minimum(np.maximum(thetas, 0.0)[:, None], self.sat[idx])
+        lo = np.minimum(np.maximum(thetas, 0.0), _columns(self.sat, idx))
         c = np.expm1(lo * LN2)
-        gap = self.a[idx] - c
+        gap = _columns(self.a, idx) - c
         u = np.divide(c, gap, out=np.full_like(c, np.inf), where=gap > 0.0)
         del lo, c, gap  # freed before the S pass, where a solve's memory peaks
         with np.errstate(over="ignore"):  # kappa u0 = inf is a zero tail
-            u *= self.scale[idx]
+            u *= _columns(self.scale, idx)
             u *= self.inv_mean  # kappa u0, never inf * 0 where kappa overflows
         z = np.empty((2, *u.shape))
         np.add(u, self.inv_mean, out=z[0])
-        np.add(u, self.kappa[idx], out=z[1])
+        np.add(u, _columns(self.kappa, idx), out=z[1])
         s = _scaled_exp1(z)
         np.negative(u, out=u)
         tails = np.exp(u, out=u)
         s[0] -= s[1]
         s[0] *= tails
-        excess = s[0].mean(axis=1) / LN2 + np.maximum(-thetas, 0.0)
-        return excess, np.where(thetas <= 0.0, 1.0, tails.mean(axis=1))
+        excess = _relay_mean(s[0]) / LN2 + np.maximum(-thetas, 0.0)
+        return excess, np.where(thetas <= 0.0, 1.0, _relay_mean(tails))
 
 
 # S(z) = e^z E1(z) in the three ranges of Cody and Thacher ("Rational

@@ -427,9 +427,11 @@ def _newton(residual, x, lo, hi, f_hi, tol: float, scale: float, name: str, cost
     root; the Newton step is taken if it covers 1/8 of the chord or at most
     half the last step, else the row bisects (Newton crawls at a singularity).
     Converged rows (|f| and the enclosure inside tol, in caller units via
-    ``scale``) leave the residual passes. Returns (x, f, lower, upper,
-    iterations): per row the root, its residual and enclosure, then the
-    residual passes. A non-finite residual, a row not done with no float strictly
+    ``scale``) leave the residual passes: only a pass where some row
+    converged writes results and compacts the active rows. At ``cost`` 0,
+    every relay-level run, the upper bound x + f / cost is +inf and is not
+    formed. Returns (x, f, lower, upper, iterations): per row the root, its
+    residual and enclosure, then the residual passes. A non-finite residual, a row not done with no float strictly
     inside its enclosure, or MAX_ITER iterations raise SolverFailureError
     naming the worst row, counted from ``row0``.
     """
@@ -445,9 +447,10 @@ def _newton(residual, x, lo, hi, f_hi, tol: float, scale: float, name: str, cost
         hi = np.where(neg, th, hi)
         f_hi = np.where(neg, f, f_hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            bound = np.where(pos, th + f / cost, math.inf)
-            f_hi = np.where(bound < hi, 0.0, f_hi)
-            hi = np.minimum(hi, bound)
+            if cost > 0.0:  # at cost 0 every bound is +inf and changes nothing
+                bound = np.where(pos, th + f / cost, math.inf)
+                f_hi = np.where(bound < hi, 0.0, f_hi)
+                hi = np.minimum(hi, bound)
             newton = f / np.maximum(d, 1e-300)  # from th to its tangent root
             chord = np.where(pos, f * (hi - th) / (f - f_hi), 0.0)
         step = th + newton
@@ -455,18 +458,23 @@ def _newton(residual, x, lo, hi, f_hi, tol: float, scale: float, name: str, cost
         done = (~pos & (th == lo)) | ((np.abs(f) * scale <= tol)
                                       & ((np.where(pos, chord, -newton) * scale <= scaled_tol)
                                          | ((hi - lo) * scale <= scaled_tol)))
-        out[:, idx[done]] = np.array([th, f, np.where(pos, th, np.maximum(lo, step)),
-                                      np.where(pos, hi, th)])[:, done]
-        if bool(done.all()):
-            return *out, iters
+        if any_done := bool(done.any()):
+            rows = idx[done]
+            for column, value in zip(out, (th, f, np.where(pos, th, np.maximum(lo, step)),
+                                           np.where(pos, hi, th))):
+                column[rows] = value[done]
+            if bool(done.all()):
+                return *out, iters
         take = np.where(pos, ((newton >= 0.125 * chord) | (newton <= 0.5 * prev)) & (step <= hi),
                         step > lo) & (step != th)
         nxt = np.where(take, step, 0.5 * (lo + hi))
         if (stuck := ~done & (nxt == th)).any():  # no float strictly inside the enclosure
             f = np.where(stuck, f, 0.0)
             break
-        prev = np.abs(newton)
-        idx, th, lo, hi, f_hi, prev, f = (a[~done] for a in (idx, nxt, lo, hi, f_hi, prev, f))
+        th, prev = nxt, np.abs(newton)
+        if any_done:  # a pass where no row finished keeps the active set as it is
+            keep = ~done
+            idx, th, lo, hi, f_hi, prev, f = (a[keep] for a in (idx, th, lo, hi, f_hi, prev, f))
     worst = int(np.argmax(np.abs(f)))  # the first NaN, if any
     raise SolverFailureError(
         f"{name}: no root after {iters} Newton iteration(s) (worst row {row0 + idx[worst]}: "

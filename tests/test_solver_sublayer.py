@@ -22,7 +22,7 @@ from relaystop import (
     success_prob,
 )
 from relaystop import channel, solver
-from relaystop.channel import af_rate, rate_saturation, second_hop_kernel
+from relaystop.channel import GAIN_CAP, af_rate, rate_saturation, second_hop_kernel
 from .conftest import (
     ENGINE_FAILURE,
     hook_params,
@@ -252,24 +252,31 @@ def _reference_excess(lo, a, kappa, sat):
 @pytest.mark.parametrize("snr", [1e-2, 1.0, 10.0, 1e3, 1e4, 1e6])
 def test_excess_and_tail_match_quadrature_reference(snr):
     # both powers at snr, second-hop mean 0.5; rows include all-zero first-hop
-    # gains, gains past GAIN_CAP and a near-zero gain
-    from relaystop.channel import GAIN_CAP
+    # gains, gains past GAIN_CAP and a near-zero gain. At L = 8 the kernel
+    # averages the relays in sequence where a row-major mean sums pairwise
+    for rows in (np.array([[1.3, 0.2], [0.0, 0.0], [1e305, 0.4], [GAIN_CAP, 1e-9]]),
+                 np.array([[1.3, 0.2, 0.0, 1e-9, 0.7, 2.5, 1e305, 0.05], [0.0] * 8,
+                           [GAIN_CAP, 4.0, 0.9, 0.0, 1e-9, 0.3, 1.1, 6.0]])):
+        _check_kernel_against_quadrature(snr, rows)
 
-    params = make_params(source_power=snr, relay_power=snr, second_hop_mean_gain=0.5)
-    rows = np.array([[1.3, 0.2], [0.0, 0.0], [1e305, 0.4], [GAIN_CAP, 1e-9]])
+
+def _check_kernel_against_quadrature(snr, rows):
+    num_relays = rows.shape[1]
+    params = make_params(num_relays=num_relays, source_power=snr, relay_power=snr,
+                         second_hop_mean_gain=0.5)
     kernel = second_hop_kernel(params, rows)
     for i, row in enumerate(rows):
-        top = float(kernel.sat[i].max())
+        top = float(kernel.sat[:, i].max())
         for theta in (-0.4, 0.0, 0.3 * top, 0.5 * top, top * (1.0 - 1e-9), top, top + 1.0):
             got_excess, got_tail = (v[0] for v in kernel.excess_tail(np.array([theta]), [i]))
             want_excess, want_tail = max(-theta, 0.0), 0.0
             lo = max(theta, 0.0)
-            for f, sat in zip(row, kernel.sat[i].tolist()):
+            for f, sat in zip(row, kernel.sat[:, i].tolist()):
                 a = snr * min(float(f), GAIN_CAP)
                 kappa = (1.0 + a) / (snr * 0.5)
                 if lo < sat:
-                    want_excess += _reference_excess(lo, a, kappa, sat) / 2.0
-                want_tail += (1.0 if theta <= 0.0 else _reference_tail(lo, a, kappa)) / 2.0
+                    want_excess += _reference_excess(lo, a, kappa, sat) / num_relays
+                want_tail += (1.0 if theta <= 0.0 else _reference_tail(lo, a, kappa)) / num_relays
             # each S is within S_TOL relative (see above) and at most S(2e-6) =
             # 12.6 here, as z >= 1/(Pr E|g|^2) = 2e-6, so the excess is within
             # 2 x 12.6 S_TOL / ln 2 = 4.4e-14 (5e-16 measured against quad)
@@ -442,6 +449,26 @@ def test_w_batch_matches_scalar(rng):
             for i in (0, 13, 31, 59):
                 assert batch[i] == pytest.approx(
                     reference_w(params, rows[i], gamma, EST), abs=5e-9)
+
+
+@pytest.mark.parametrize("num_relays", [2, 4, 8])
+def test_a_rows_relay_level_solve_does_not_depend_on_its_batch(num_relays):
+    # the simulator solves its rows in 2048-row batches, and the row engine
+    # skips its bookkeeping on passes where no row finishes: each row's W,
+    # lambda, expected time and both P are the same bytes in any batch
+    params = make_params(num_relays=num_relays, relay_prob=1.0 / num_relays)
+    rows = np.random.default_rng(3).exponential(1.0, (300, num_relays))
+
+    def solved(batch):
+        w, w_stop_prob = solve_sub_w_batch(params, batch, 0.7, EST)
+        stats, stop_prob = solve_sub_layer_batch(params, batch, EST)
+        return w, w_stop_prob, stats.threshold, stats.expected_time, stop_prob
+
+    names = ("W", "P of W", "lambda", "expected time", "P of lambda")
+    for name, whole, head, rest, alone in zip(names, solved(rows), solved(rows[:7]),
+                                              solved(rows[7:]), solved(rows[13:14])):
+        assert whole.tobytes() == np.concatenate([head, rest]).tobytes(), name
+        assert whole[13:14].tobytes() == alone.tobytes(), name
 
 
 @pytest.mark.parametrize("params", [make_params(), STRESS], ids=["base", "stress"])
@@ -625,13 +652,14 @@ def test_row_right_of_the_root_steps_to_its_tangent_point(cost):
     np.testing.assert_array_equal(passes[1], tangent)
 
 
-@pytest.mark.parametrize("name", [*ENGINE_CASES, "kappa_inf"])
+@pytest.mark.parametrize("name", [*ENGINE_CASES, "kappa_inf", "L8"])
 def test_e0_is_the_excess_pass_at_zero_bit_for_bit(name):
     # the closed form S(m) - S(kappa_j) per relay against the pass, with rows
     # of a = 0 (every relay, and one) and one past GAIN_CAP, whose kappa
-    # overflows in "kappa_inf"
+    # overflows in "kappa_inf"; "L8" averages 8 relays
     params, hop = {**ENGINE_CASES, "kappa_inf": (make_params(
-        source_power=1e6, relay_power=1e-2, second_hop_mean_gain=0.2), None)}[name]
+        source_power=1e6, relay_power=1e-2, second_hop_mean_gain=0.2), None),
+        "L8": (make_params(num_relays=8, relay_prob=0.125), None)}[name]
     rows = np.random.default_rng(11).exponential(params.first_hop_mean_gain,
                                                  (50, params.num_relays))
     rows[0] = 0.0
@@ -639,7 +667,7 @@ def test_e0_is_the_excess_pass_at_zero_bit_for_bit(name):
     rows[2, -1] = 1e305
     kernel = second_hop_kernel(params, rows, hop)
     if name == "kappa_inf":
-        assert np.isinf(kernel.kappa[2, -1])
+        assert np.isinf(kernel.kappa[-1, 2])
     assert kernel.e0.tobytes() == kernel.excess_tail(np.zeros(rows.shape[0]))[0].tobytes()
 
 

@@ -3,7 +3,8 @@
 No module reaches into another's private names, and the solver names no hop
 model and reads no power or mean gain: each hop's law, and the best-relay law
 built on both hops, lives in ``relaystop.channel``, and the solver calls it by
-name or by method. The simulator names no ``success_prob``: the relay
+name or by method. It reads a second-hop kernel only through ``rows``, ``e0``,
+``sat_top`` and ``excess_tail``. The simulator names no ``success_prob``: the relay
 contention law lives in the solver, whose relay-level solves return P.
 """
 
@@ -16,6 +17,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "relaystop"
 MODULES = sorted(PACKAGE.glob("*.py"))
 HOP_MODELS = {"RayleighFading", "FixedGain"}
 HOP_LAW_INPUTS = {"source_power", "relay_power", "first_hop_mean_gain", "second_hop_mean_gain"}
+KERNEL_INTERFACE = {"rows", "e0", "sat_top", "excess_tail"}
 
 
 def _private(name: str) -> bool:
@@ -70,6 +72,13 @@ def hop_law_reads(tree: ast.Module) -> list[str]:
             if isinstance(node, ast.Attribute) and node.attr in HOP_LAW_INPUTS]
 
 
+def kernel_reads(tree: ast.Module) -> set[str]:
+    """The attributes read off a second-hop kernel: a name ``kernel`` or ``*_kernel``."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and (node.value.id == "kernel" or node.value.id.endswith("_kernel"))}
+
+
 def name_uses(tree: ast.Module, name: str) -> list[str]:
     """Each use of ``name``: an import of it, the bare name or an attribute."""
     return [ast.unparse(node) if not isinstance(node, ast.alias) else f"import {node.name}"
@@ -94,6 +103,11 @@ def test_solver_names_no_hop_model():
 
 def test_solver_reads_no_power_or_mean_gain():
     assert hop_law_reads(ast.parse((PACKAGE / "solver.py").read_text())) == []
+
+
+def test_solver_reads_a_kernel_only_through_its_interface():
+    # the kernel's arrays, and their layout, are relaystop.channel's alone
+    assert kernel_reads(ast.parse((PACKAGE / "solver.py").read_text())) == KERNEL_INTERFACE
 
 
 def test_simulator_names_no_contention_law():
@@ -126,3 +140,6 @@ def test_the_checks_see_what_they_forbid():
                         "stop_prob = success_probability = 1.0\n")
     assert sorted(name_uses(planted, "success_prob")) == sorted([
         "import success_prob", "contention.success_prob", "success_prob"])
+    planted = ast.parse("hi = np.maximum(th, kernel.sat.max(axis=0), kernel.sat_top)\n"
+                        "kernels.append(chunk_kernel.kappa + kernel.rows.shape[0])\n")
+    assert kernel_reads(planted) == {"sat", "sat_top", "kappa", "rows"}

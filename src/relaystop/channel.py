@@ -18,8 +18,8 @@ The best of L Rayleigh relays has an exact rate law too,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -32,8 +32,10 @@ LN2 = math.log(2.0)
 EULER_GAMMA = 0.5772156649015329
 
 # Rates saturate long before gains this large; the cap only keeps products
-# finite for adversarial inputs.
+# finite for adversarial inputs, with a power whose product with it is finite
+# (at most MAX_POWER, about 1.8e8).
 GAIN_CAP = 1e300
+MAX_POWER = sys.float_info.max / GAIN_CAP
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,7 @@ class SystemParams:
             value = getattr(self, name)
             if not (value > 0.0) or not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite and > 0")
+        _check_powers(self.source_power, self.relay_power)
         _check_contention_prob("source_prob", self.source_prob, self.num_sources,
                                self.slot_time)
         if self.relay_prob is not None:
@@ -181,7 +184,8 @@ def default_observations(params: SystemParams, first_hop=None, second_hop=None):
     """Joint sampler of (best rate, 1-based best relay) per full-CSI observation.
 
     Draws the n x L first-hop block, then the n x L second-hop block, from
-    one generator; ties go to the lowest relay index.
+    one generator. The best relay is kept by L - 1 column comparisons with a
+    strict >, so ties go to the lowest relay index.
     """
     fh, sh = hop_models(params, first_hop, second_hop)
 
@@ -190,8 +194,12 @@ def default_observations(params: SystemParams, first_hop=None, second_hop=None):
         rates = af_rate(params.source_power, params.relay_power,
                         np.atleast_2d(fh.sample(rng, shape)),
                         np.atleast_2d(sh.sample(rng, shape)))
-        best = rates.argmax(axis=1)
-        return rates[np.arange(n), best], best + 1
+        top, best = rates[:, 0].copy(), np.ones(n, dtype=np.int64)
+        for j in range(1, params.num_relays):
+            better = rates[:, j] > top
+            np.copyto(top, rates[:, j], where=better)
+            np.copyto(best, j + 1, where=better)
+        return top, best
 
     return sampler
 
@@ -237,6 +245,11 @@ def _check_powers(source_power, relay_power):
     pr = float(relay_power)
     if not (ps > 0.0 and pr > 0.0):
         raise InvalidParameterError("powers must be > 0")
+    for name, power in (("source_power", ps), ("relay_power", pr)):
+        if not math.isfinite(power * GAIN_CAP):
+            raise InvalidParameterError(
+                f"{name} = {power:g} times GAIN_CAP = {GAIN_CAP:g} is not finite; "
+                f"a power must be at most {MAX_POWER:.4g}")
     return ps, pr
 
 
@@ -466,36 +479,45 @@ def _scaled_exp1(z: np.ndarray) -> np.ndarray:
 # SNRs 1e-2 to 1e6 and L = 1 to 64 (measured; tests/test_solver_full_csi.py
 # allows 5e-14).
 
-_QUAD_NODES = 32
+_QUAD_NODES = 32       # the size of the rule, _GL_NODES and _GL_WEIGHTS
 _LOG_FLOOR = -40.0     # ln y below which the tail is taken as 1
 _CUT = 40.0            # the cut M is _CUT + ln L
 _UPPER_EDGES = np.array([0.0, 0.05, 0.15, 0.35, 1.0])
 _DROP_Y = 800.0        # from y0 on, t and the excess are 0 in float
 
 
-@cache  # built on first use, so that runs without a full-CSI solve never pay it
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]: Newton
-    on the Legendre recurrence from the asymptotic guesses. For n = 32 four
-    steps converge the nodes; the fifth pass takes the weights' derivative at
-    them."""
-    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(5):
-        p0, p1 = np.ones(n), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
-        x = x - p1 / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+# The 32-point Gauss-Legendre rule on [-1, 1], as the float reprs of Newton on
+# the Legendre recurrence from the asymptotic node guesses (four steps converge
+# the nodes, a fifth pass takes the weights' derivative at them);
+# tests/test_solver_full_csi.py re-derives both bit for bit.
+_GL_NODES = np.array([
+    0.9972638618494816, 0.9856115115452684, 0.9647622555875064, 0.9349060759377397,
+    0.8963211557660521, 0.84936761373257, 0.7944837959679424, 0.7321821187402897,
+    0.6630442669302152, 0.5877157572407623, 0.5068999089322294, 0.42135127613063533,
+    0.33186860228212767, 0.23928736225213706, 0.1444719615827965, 0.048307665687738324,
+    -0.048307665687738324, -0.1444719615827965, -0.23928736225213706, -0.33186860228212767,
+    -0.42135127613063533, -0.5068999089322294, -0.5877157572407623, -0.6630442669302152,
+    -0.7321821187402897, -0.7944837959679424, -0.84936761373257, -0.8963211557660521,
+    -0.9349060759377397, -0.9647622555875064, -0.9856115115452684, -0.9972638618494816,
+])
+_GL_WEIGHTS = np.array([
+    0.007018610009470136, 0.01627439473090571, 0.02539206530926214, 0.03427386291302141,
+    0.042835898022226704, 0.050998059262376154, 0.05868409347853558, 0.06582222277636195,
+    0.07234579410884862, 0.07819389578707044, 0.08331192422694672, 0.08765209300440374,
+    0.0911738786957639, 0.09384439908080454, 0.09563872007927485, 0.09654008851472785,
+    0.09654008851472785, 0.09563872007927485, 0.09384439908080454, 0.0911738786957639,
+    0.08765209300440374, 0.08331192422694672, 0.07819389578707044, 0.07234579410884862,
+    0.06582222277636195, 0.05868409347853558, 0.050998059262376154, 0.042835898022226704,
+    0.03427386291302141, 0.02539206530926214, 0.01627439473090571, 0.007018610009470136,
+])
 
 
 def _panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the Gauss-Legendre rule on each panel between
     consecutive ``edges``, flattened."""
-    x, w = _gauss_legendre(_QUAD_NODES)
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return (mid + half * x).ravel(), (half * w).ravel()
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
 def best_relay_excess_tail(params: SystemParams, theta: float) -> tuple[float, float]:
@@ -525,6 +547,8 @@ def best_relay_excess_tail(params: SystemParams, theta: float) -> tuple[float, f
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives 1
         best = -np.expm1(params.num_relays * np.log1p(-relay_tail))  # 1 - (1 - t)^L, tiny t exact
     n = w.size
+    # a dot of at most 256 terms: OpenBLAS splits a dot across threads only
+    # from about 10k terms on, so this sum's order is the same at any thread count
     excess = float(w @ (best[:n] / (1.0 + c[:n]))) / (kappa * LN2) + flat
     return excess, (float(best[n]) if theta > 0.0 else 1.0)
 

@@ -113,14 +113,13 @@ def run_scenario1(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
     rng_cont, rng_obs = (np.random.default_rng(s) for s in ss.spawn(2))
     sampler = observation_sampler or default_observations(params)
     cutter = _PacketCutter(cfg, rng_cont, params.num_sources, params.source_prob)
-    parts = []
+    rate_at_stop, relays = np.empty(cfg.packets), np.empty(cfg.packets, dtype=np.int64)
     while cutter.owed:
         rates, best = sampler(rng_obs, _OBS_CHUNK)
-        ends, obs, slots = cutter.cut(policies.full_csi_decide(spec.value, rates))
-        parts.append((obs, slots, rates[ends], best[ends]))
-    main_obs, slots, rate_at_stop, relays = (np.concatenate(c) for c in zip(*parts))
-    return _aggregate(main_obs, np.zeros_like(main_obs), rate_at_stop, relays,
-                      params.slot_time * slots + params.data_time,
+        ends, k = cutter.cut(policies.full_csi_decide(spec.value, rates))
+        rate_at_stop[k], relays[k] = rates[ends], best[ends]
+    return _aggregate(cutter.obs, np.zeros_like(cutter.obs), rate_at_stop, relays,
+                      params.slot_time * cutter.slots + params.data_time,
                       0.5 * params.data_time * rate_at_stop)
 
 
@@ -146,21 +145,22 @@ def run_scenario2(params: SystemParams, spec: PolicySpec, cfg: SimConfig,
                                                   for s in ss.spawn(4))
     hop = hop_models(params, second_hop=second_hop)[1]
     cutter = _PacketCutter(cfg, rng_cont, params.num_sources, params.source_prob)
-    parts = []
+    sub_obs, relays = (np.empty(cfg.packets, dtype=np.int64) for _ in range(2))
+    rate_at_stop = np.empty(cfg.packets)
+    first_row = 0
     while cutter.owed:
         rows = sample_first_hop_rows(params, rng_first, _OBS_CHUNK, first_hop)
         stop, relay_stop, relay_stop_prob = _decision_rules(params, est, spec, rows,
                                                             second_hop)
-        ends, obs, slots = cutter.cut(stop)
-        _refuse_rare_relay_stops(relay_stop_prob[ends], len(parts) * _OBS_CHUNK + ends)
-        sub_obs, sub_slots, rate, relay = _relay_passes(params, rows, ends, relay_stop, hop,
-                                                        rng_relay, rng_second)
-        parts.append((obs, slots + sub_slots, sub_obs, rate, relay))
-    main_obs, slots, sub_obs, rate_at_stop, relays = (np.concatenate(c) for c in zip(*parts))
+        ends, k = cutter.cut(stop)
+        _refuse_rare_relay_stops(relay_stop_prob[ends], first_row + ends)
+        _relay_passes(params, rows, ends, relay_stop, hop, rng_relay, rng_second,
+                      sub_obs[k], cutter.slots[k], rate_at_stop[k], relays[k])
+        first_row += _OBS_CHUNK
     half_t = 0.5 * params.data_time
     # contention in half slots, then the source broadcast and the relay's forward leg
-    elapsed = 0.5 * params.slot_time * slots + half_t + half_t
-    return _aggregate(main_obs, sub_obs, rate_at_stop, relays, elapsed,
+    elapsed = 0.5 * params.slot_time * cutter.slots + half_t + half_t
+    return _aggregate(cutter.obs, sub_obs, rate_at_stop, relays, elapsed,
                       half_t * rate_at_stop)
 
 
@@ -168,35 +168,41 @@ class _PacketCutter:
     """Cuts the source-level observation stream into packets, chunk by chunk.
 
     A packet ends at a stop; one that has not stopped by a chunk's end carries
-    its observation and slot counts into the next chunk.
+    its observation and slot counts into the next chunk. The cutter fills the
+    per-packet columns ``obs`` and ``slots``.
     """
 
     def __init__(self, cfg: SimConfig, rng: np.random.Generator, n: int, p: float):
         self.owed, self.cap = cfg.packets, OBSERVATION_CAP
         self.rng, self.n, self.p = rng, n, p
+        self.obs, self.slots = (np.empty(cfg.packets, dtype=np.int64) for _ in range(2))
         self.open_obs = self.open_slots = 0
 
     def cut(self, stop: np.ndarray):
-        """Stop positions, observation counts and slot counts of the packets that
-        stop in a chunk with this stop mask, at most as many as are still owed."""
+        """Fill the observation and slot counts of the packets that stop in a
+        chunk with this stop mask, at most as many as are still owed; return
+        their stop positions and the slice of the columns they take."""
         ends = np.flatnonzero(stop)[:self.owed]
+        first = self.obs.size - self.owed
         self.owed -= ends.size
+        k = slice(first, first + ends.size)
         used = ends[-1] + 1 if not self.owed else stop.size
-        cum = np.concatenate(([0], np.cumsum(sample_contention(self.rng, self.n, self.p,
-                                                               used))))
-        obs = np.diff(ends, prepend=-1 - self.open_obs)
-        slots = np.diff(cum[ends + 1], prepend=-self.open_slots)
+        cum = np.cumsum(sample_contention(self.rng, self.n, self.p, used))
+        obs, slots = self.obs[k], self.slots[k]
         if ends.size:
-            start = ends[-1] + 1
-            self.open_obs, self.open_slots = used - start, cum[used] - cum[start]
+            at_ends = cum.take(ends)
+            obs[0], slots[0] = ends[0] + 1 + self.open_obs, at_ends[0] + self.open_slots
+            np.subtract(ends[1:], ends[:-1], out=obs[1:])
+            np.subtract(at_ends[1:], at_ends[:-1], out=slots[1:])
+            self.open_obs, self.open_slots = used - 1 - ends[-1], cum[used - 1] - at_ends[-1]
         else:
             self.open_obs += used
-            self.open_slots += cum[used]
+            self.open_slots += cum[used - 1]
         if obs.max(initial=0) > self.cap or self.open_obs >= self.cap:
             raise CappedPacketError(
                 f"no source-level stop within {self.cap} observations; "
                 "the threshold likely exceeds the rate support")
-        return ends, obs, slots
+        return ends, k
 
 
 def _decision_rules(params, est, spec, rows, second_hop):
@@ -234,15 +240,15 @@ def _refuse_rare_relay_stops(stop_prob, rows):
             f"{OBSERVATION_CAP * stop_prob[i]:.3g}")
 
 
-def _relay_passes(params, rows, ends, relay_stop, hop, rng_relay, rng_second):
+def _relay_passes(params, rows, ends, relay_stop, hop, rng_relay, rng_second,
+                  obs, slots, rate, relay):
     """Relay level of the packets whose source level stopped at rows ``ends``.
 
     Each pass gives every packet still running one relay-level observation.
-    Returns the observation counts, contention slot counts (in half slots),
-    rates at stop and 1-based relays, one entry per packet.
+    Fills the packets' entries of the columns ``obs`` (observation counts),
+    ``rate`` (rates at stop) and ``relay`` (1-based relays), and adds their
+    relay contention slot counts (in half slots) to ``slots``.
     """
-    obs, slots, relay = (np.zeros(ends.size, dtype=np.int64) for _ in range(3))
-    rate = np.empty(ends.size)
     live = np.arange(ends.size)
     passes = 0
     while live.size:
@@ -264,20 +270,22 @@ def _relay_passes(params, rows, ends, relay_stop, hop, rng_relay, rng_second):
         rate[done] = r[stop]
         relay[done] = winners[stop]
         live = live[~stop]
-    return obs, slots, rate, relay
 
 
 def _ratio_and_stderr(bits: np.ndarray, times: np.ndarray) -> tuple[float, float]:
     ratio = float(bits.sum() / times.sum())
     n = bits.size
-    # Shift by the first element before centering: mathematically a no-op,
-    # but it keeps identical cycles at exactly zero variance.
-    b = bits - bits[0]
-    t = times - times[0]
-    db = b - b.mean()
-    dt = t - t.mean()
-    var = (db @ db - 2.0 * ratio * (db @ dt) + ratio * ratio * (dt @ dt)) / (n - 1)
-    stderr = float(math.sqrt(max(var, 0.0) / n) / times.mean())
+    # Residuals e = db - ratio * dt of the centred columns, their squares summed
+    # in numpy's fixed pairwise order (a BLAS dot splits long sums across threads).
+    # Shifting by the first element keeps identical cycles at exactly zero.
+    e = bits - bits[0]
+    e -= e.mean()
+    dt = times - times[0]
+    dt -= dt.mean()
+    dt *= ratio
+    e -= dt
+    e *= e
+    stderr = float(math.sqrt(e.sum() / (n - 1) / n) / times.mean())
     return ratio, stderr
 
 

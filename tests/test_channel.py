@@ -12,7 +12,7 @@ from relaystop import (
     default_observations,
     full_csi_rate_sampler,
 )
-from relaystop.channel import af_rate, rate_saturation
+from relaystop.channel import MAX_POWER, af_rate, rate_saturation
 from .conftest import make_params, sub_layer_tail_prob
 
 LN2 = math.log(2.0)
@@ -78,6 +78,22 @@ def test_af_rate_handles_extreme_gains_without_overflow():
     # equal huge gains sit exactly one bit below the first-hop cap
     assert r == pytest.approx(rate_saturation(10.0, 1e299) - 1.0, rel=1e-9)
     assert np.isfinite(af_rate(1.0, 1.0, np.inf, np.inf))
+
+
+def test_af_rate_rejects_a_power_whose_product_with_the_gain_cap_overflows():
+    # 1e10 * GAIN_CAP = inf, and the rate's product inf * (b / inf) = inf * 0 was NaN
+    bound = r"times GAIN_CAP = 1e\+300 is not finite; a power must be at most 1\.798e\+08"
+    with pytest.raises(InvalidParameterError, match=r"source_power = 1e\+10 " + bound):
+        af_rate(1e10, 1.0, np.array([1e300]), np.array([1.0]))
+    with pytest.raises(InvalidParameterError, match=r"relay_power = 1e\+10 " + bound):
+        af_rate(1.0, 1e10, np.array([1.0]), np.array([1e300]))
+    # at the bound the capped product is finite, and so is the rate
+    assert af_rate(MAX_POWER, 1.0, np.array([1e300]), np.array([1.0]))[0] == 1.0
+    assert np.isfinite(af_rate(1.0, MAX_POWER, np.array([1.0]), np.array([np.inf])))
+    for name in ("source_power", "relay_power"):
+        with pytest.raises(InvalidParameterError, match=rf"{name} = 1e\+10 " + bound):
+            make_params(**{name: 1e10})
+        make_params(**{name: MAX_POWER})
 
 
 def test_af_rate_symmetry(rng):
@@ -196,6 +212,49 @@ def test_rate_sampler_is_the_best_relay_draw(hops):
     sampled = full_csi_rate_sampler(params, **hops)(np.random.default_rng(5), 1000)
     assert np.array_equal(sampled, rates)
     assert set(relays.tolist()) <= {1, 2, 3}
+
+
+def _argmax_observations(params, first_hop, second_hop, rng, n):
+    """The best-relay draw by argmax and a gather over the n x L rate block."""
+    shape = (n, params.num_relays)
+    rates = af_rate(params.source_power, params.relay_power, first_hop.sample(rng, shape),
+                    second_hop.sample(rng, shape))
+    best = rates.argmax(axis=1)
+    return rates[np.arange(n), best], best + 1
+
+
+@pytest.mark.parametrize("num_relays", [1, 2, 3, 8])
+def test_best_relay_draw_is_the_argmax_draw(num_relays):
+    params = make_params(num_relays=num_relays)
+    hops = (RayleighFading(params.first_hop_mean_gain), RayleighFading(params.second_hop_mean_gain))
+    for seed in (1, 2):
+        got = default_observations(params, *hops)(np.random.default_rng(seed), 5000)
+        want = _argmax_observations(params, *hops, np.random.default_rng(seed), 5000)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+class _FewGains:
+    """First hop drawn from three gains, so that relays tie exactly."""
+
+    def sample(self, rng, size):
+        return rng.choice(np.array([0.5, 1.0, 2.0]), size)
+
+
+@pytest.mark.parametrize("num_relays", [2, 3, 8])
+def test_best_relay_exact_ties_go_to_the_lowest_relay(num_relays):
+    params = make_params(num_relays=num_relays)
+    hops = (_FewGains(), FixedGain(2.0))
+    rates, relays = default_observations(params, *hops)(np.random.default_rng(3), 4000)
+    want = _argmax_observations(params, *hops, np.random.default_rng(3), 4000)
+    assert np.array_equal(rates, want[0]) and np.array_equal(relays, want[1])
+    # rows whose best rate is shared still name the lowest relay that reaches it
+    rng = np.random.default_rng(3)
+    block = af_rate(params.source_power, params.relay_power,
+                    hops[0].sample(rng, (4000, num_relays)), 2.0)
+    tied = (block == rates[:, None]).sum(axis=1) > 1
+    assert tied.mean() > 0.3
+    assert np.array_equal(relays, (block == rates[:, None]).argmax(axis=1) + 1)
 
 
 def test_mean_best_rate_bounded_by_product_bound(rng):

@@ -429,6 +429,10 @@ LOADER_ERRORS = {
                                     "params: source_prob = 0.5 with 1060 contenders gives a "
                                     "slot success probability of 8.58e-317, so the mean "
                                     "contention time slot_time / p_s is not finite"),
+    # a power whose product with the gain cap overflows made NaN rates
+    "overflowing-power": ({"params.source_power": 1e10}, ["solve"],
+                          "params: source_power = 1e+10 times GAIN_CAP = 1e+300 is not "
+                          "finite; a power must be at most 1.798e+08"),
     "boolean-number": ({"params.slot_time": True}, ["solve"],
                        "params.slot_time: expected a number, got a boolean"),
     "non-integer-int": ({"params.num_relays": 2.5}, ["solve"],

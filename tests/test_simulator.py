@@ -1,6 +1,11 @@
 """Protocol simulation: renewal accounting, distributions, reproducibility."""
 
 import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +162,31 @@ def test_throughput_ci_needs_two_packets():
     params = make_params()
     stats = run_scenario1(params, full_spec(0.5), SimConfig(packets=2, seed=8))
     assert np.isfinite(stats.throughput_stderr) and stats.throughput_stderr >= 0.0
+
+
+STDERR_CHILD = """
+import numpy as np
+from relaystop.simulator import _ratio_and_stderr
+rng = np.random.default_rng(1)
+times = 1.0 + 0.1 * rng.geometric(0.4, 100_000)
+bits = 0.5 * rng.exponential(2.0, 100_000)
+print(repr(_ratio_and_stderr(bits, times)))
+"""
+
+
+def test_throughput_stderr_does_not_depend_on_the_blas_thread_count():
+    # a BLAS dot splits a sum this long across threads, in an order that moves
+    # its last bits; the estimator's fixed-order reduction does not
+    src = str(Path(simulator.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src,
+               **{k: threads for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS")}}
+        done = subprocess.run([sys.executable, "-c", STDERR_CHILD], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_throughput_ci_clt_scaling():
@@ -375,6 +405,17 @@ def test_scenario1_packets_span_chunk_boundaries(monkeypatch):
                       observation_sampler=_every_nth_rate(STOP_EVERY))
 
 
+def test_scenario1_owed_packets_end_on_a_chunks_last_row():
+    # at seed 4 rows 2047 and 4095 both stop, and the 2622nd stop is row 4095:
+    # the run takes exactly two chunks, and no packet is open after the first
+    stats = run_scenario1(make_params(), full_spec(1.0), SimConfig(packets=2622, seed=4))
+    assert stats.main_observations.sum() == 2 * _OBS_CHUNK
+    columns = b"".join(getattr(stats, name).tobytes() for name in COLUMNS)
+    assert hashlib.sha256(columns).hexdigest() == (
+        "9689ccc48485e5f5870e007f4571a7fc247a39834474f36bd356317a77bd36d4")
+    assert stats.throughput == 1.0504833631690984
+
+
 def _scenario1_loop(params, spec, cfg, sampler):
     """Per-observation reference of run_scenario1 on the documented stream layout:
     observations in chunks of _OBS_CHUNK, each taking the next geometric slot count."""
@@ -454,6 +495,22 @@ def test_scenario2_packets_span_chunk_boundaries(monkeypatch, kind):
     with pytest.raises(CappedPacketError, match="source-level"):
         run_scenario2(params, PolicySpec(kind, DET_GAMMA), cfg, est=DET_EST,
                       first_hop=_EveryNthRow(STOP_EVERY), second_hop=FixedGain(2.0))
+
+
+def test_scenario2_first_packet_spans_chunks_with_fading_relays(monkeypatch):
+    # each packet takes 3001 source-level observations, then relay passes over a
+    # Rayleigh second hop; the columns are pinned
+    monkeypatch.setattr(simulator, "OBSERVATION_CAP", STOP_EVERY)
+    stats = run_scenario2(hook_params(num_relays=2, source_prob=0.5, relay_prob=0.5),
+                          PolicySpec(PolicyKind.OPTIMAL_BILEVEL, 0.2),
+                          SimConfig(packets=3, seed=4), est=DET_EST,
+                          first_hop=_EveryNthRow(STOP_EVERY), second_hop=RayleighFading(1.0))
+    rates = [0.9971843759932902, 1.0367941776921679, 1.0410952199042376]
+    want = dict(main_observations=[3001, 3001, 3001], sub_observations=[3, 4, 2],
+                rate_at_stop=rates, relay=[1, 2, 2], elapsed=[603.8000000000001, 604.1, 593.0],
+                bits=rates)
+    for name, column in want.items():
+        assert getattr(stats, name).tolist() == column, name
 
 
 @pytest.mark.parametrize("params", [make_params(), stress_params()], ids=["base", "stress"])

@@ -364,9 +364,32 @@ def test_scaled_k1_matches_mpmath_and_its_chebyshev_fit_reproduces():
     np.testing.assert_allclose(channel._scaled_k1(z), want, rtol=7e-16, atol=0.0)
 
 
+def _legendre_newton(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]: Newton
+    on the Legendre recurrence from the asymptotic guesses. For n = 32 four
+    steps converge the nodes; the fifth pass takes the weights' derivative at
+    them."""
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(5):
+        p0, p1 = np.ones(n), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def test_gauss_legendre_constants_are_the_newton_rule():
+    # the stored tables are the float reprs of the recurrence's rule: a retyped
+    # digit fails
+    x, w = _legendre_newton(channel._QUAD_NODES)
+    assert np.array_equal(channel._GL_NODES, x)
+    assert np.array_equal(channel._GL_WEIGHTS, w)
+
+
 def test_gauss_legendre_rule():
     # nodes against numpy's; weights by exactness up to degree 2n - 1
-    x, w = channel._gauss_legendre(channel._QUAD_NODES)
+    x, w = channel._GL_NODES, channel._GL_WEIGHTS
     want = np.polynomial.legendre.leggauss(channel._QUAD_NODES)[0]
     np.testing.assert_allclose(np.sort(x), want, rtol=0.0, atol=2e-16)
     for k in range(0, 2 * channel._QUAD_NODES, 2):

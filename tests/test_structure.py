@@ -6,6 +6,12 @@ built on both hops, lives in ``relaystop.channel``, and the solver calls it by
 name or by method. It reads a second-hop kernel only through ``rows``, ``e0``,
 ``sat_top`` and ``excess_tail``. The simulator names no ``success_prob``: the relay
 contention law lives in the solver, whose relay-level solves return P.
+
+The simulator and the solver make no BLAS reduction (``@``, ``dot``, ``inner``,
+``vdot``, ``matmul``): OpenBLAS splits a long dot across threads, so its sum
+would depend on the thread count. The one BLAS reduction left in the package
+is the best-relay quadrature's dot of at most 256 terms in
+``relaystop.channel``, below the length where OpenBLAS splits one.
 """
 
 import ast
@@ -18,6 +24,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 HOP_MODELS = {"RayleighFading", "FixedGain"}
 HOP_LAW_INPUTS = {"source_power", "relay_power", "first_hop_mean_gain", "second_hop_mean_gain"}
 KERNEL_INTERFACE = {"rows", "e0", "sat_top", "excess_tail"}
+BLAS_REDUCTIONS = {"dot", "inner", "vdot", "matmul"}
 
 
 def _private(name: str) -> bool:
@@ -79,6 +86,24 @@ def kernel_reads(tree: ast.Module) -> set[str]:
             and (node.value.id == "kernel" or node.value.id.endswith("_kernel"))}
 
 
+def blas_reductions(tree: ast.Module) -> list[str]:
+    """Each matrix product (``@``, ``@=``), each attribute named as a numpy BLAS
+    reduction (``np.dot``, ``x.dot``), and each call or import of one by its
+    bare name (a variable called ``inner`` is not one)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_REDUCTIONS:
+            found.append(ast.unparse(node))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in BLAS_REDUCTIONS):
+            found.append(ast.unparse(node.func))
+        elif isinstance(node, ast.alias) and node.name in BLAS_REDUCTIONS:
+            found.append(f"import {node.name}")
+    return found
+
+
 def name_uses(tree: ast.Module, name: str) -> list[str]:
     """Each use of ``name``: an import of it, the bare name or an attribute."""
     return [ast.unparse(node) if not isinstance(node, ast.alias) else f"import {node.name}"
@@ -116,6 +141,11 @@ def test_simulator_names_no_contention_law():
     assert name_uses(ast.parse((PACKAGE / "simulator.py").read_text()), "success_prob") == []
 
 
+@pytest.mark.parametrize("name", ["simulator.py", "solver.py"])
+def test_simulator_and_solver_make_no_blas_reduction(name):
+    assert blas_reductions(ast.parse((PACKAGE / name).read_text())) == []
+
+
 def test_the_checks_see_what_they_forbid():
     planted = ast.parse("from .solver import _as_rows, EstimatorConfig\n"
                         "from relaystop.channel import _scaled_exp1\n"
@@ -143,3 +173,11 @@ def test_the_checks_see_what_they_forbid():
     planted = ast.parse("hi = np.maximum(th, kernel.sat.max(axis=0), kernel.sat_top)\n"
                         "kernels.append(chunk_kernel.kappa + kernel.rows.shape[0])\n")
     assert kernel_reads(planted) == {"sat", "sat_top", "kappa", "rows"}
+    planted = ast.parse("from numpy import inner, vdot\n"
+                        "var = db @ db - 2.0 * r * np.dot(db, dt)\n"
+                        "acc @= m\n"
+                        "s = np.matmul(a, b) + b.vdot(a) + inner(a, b) + np.sum(a * b)\n"
+                        "inner = outer = 0\n")
+    assert sorted(blas_reductions(planted)) == sorted([
+        "import inner", "import vdot", "db @ db", "np.dot", "acc @= m", "np.matmul",
+        "b.vdot", "inner"])
